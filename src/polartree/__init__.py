@@ -77,7 +77,6 @@ from .baranalysis import (
     analyze_all,
     analyze_bar,
     check_N,
-    classify,
     compute_nu,
     ground_residual,
     mero_function,

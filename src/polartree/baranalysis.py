@@ -211,11 +211,6 @@ def analyze_all(tree: Tree, candidates=()) -> dict[str, BarAnalysis]:
     return out
 
 
-def classify(tree: Tree, bar: Bar, candidates=()) -> BarAnalysis:
-    """Spec-facing alias for the single-bar analysis."""
-    return analyze_bar(tree, bar, candidates)
-
-
 def predict_T(tree: Tree, analyses: dict[str, BarAnalysis], bar: Bar):
     """Per-point climb counts and their total for a non-collinear bar."""
     ana = analyses[bar.id]

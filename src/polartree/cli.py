@@ -14,11 +14,10 @@ import sys
 from fractions import Fraction
 
 from .errors import InputError, LimitationError, NoCover, PolartreeError
-from .exactalg import CycloField
-from .npsolve import expand_roots
 from .parsing import parse_expression
 from .pipeline import Options, Run, analyze_pair, render_run, run_document
-from .treemodel import build_tree, cover_of, render_tree
+from .pipeline import _germ_stage, _in_field
+from .treemodel import cover_of, render_tree
 from .baranalysis import analyze_all
 from .factorrep import generic_coordinates, meromorphic_reduce
 from .fixtures import get_fixture
@@ -81,8 +80,15 @@ def _inputs(args, which: int = 1) -> tuple[str, str, bool, int | None]:
     return f, g, bool(args.laurent), None
 
 
+def _number(text: str, kind, flag: str):
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        raise InputError(f"bad {flag} value {text!r}") from None
+
+
 def _options(args, laurent: bool) -> Options:
-    trunc = Fraction(args.trunc) if args.trunc else None
+    trunc = _number(args.trunc, Fraction, "--trunc") if args.trunc else None
     return Options(field=args.field, trunc=trunc, laurent=laurent)
 
 
@@ -199,40 +205,31 @@ def _cmd_compare(args) -> int:
 
 def _cmd_reduce(args) -> int:
     f_text, g_text, laurent, fixture_s = _inputs(args)
-    field = CycloField(args.field or 4)
-    F = parse_expression(f_text, field, True)
-    G = parse_expression(g_text, field, True)
     s_arg = getattr(args, "s", "auto")
     if s_arg == "auto" and fixture_s is not None:
         s_arg = fixture_s
-    s = s_arg if s_arg == "auto" else int(s_arg)
-    red = meromorphic_reduce(F, G, s)
-    depth = Fraction(args.trunc) if args.trunc else None
-    ef = expand_roots(red.f_poly, depth or Fraction(16))
-    eg = expand_roots(red.g_poly, depth or Fraction(16))
-    alphas = [r.series for r in ef.roots for _ in range(r.multiplicity)]
-    betas = [r.series for r in eg.roots for _ in range(r.multiplicity)]
-    tree = build_tree(
-        alphas, betas, red.E1 + ef.y_content, red.E2 + eg.y_content
-    )
+    s = s_arg if s_arg == "auto" else _number(s_arg, int, "--s")
+    opts = _options(args, True)
+
+    def attempt(field):
+        F = parse_expression(f_text, field, True)
+        G = parse_expression(g_text, field, True)
+        red = meromorphic_reduce(F, G, s)
+        return red, _germ_stage(red.f_poly, red.g_poly, opts.trunc, red.E1, red.E2)[2]
+
+    red, tree = _in_field(opts, (f_text, g_text), attempt)
     analyses = analyze_all(tree)
-    no_cover = []
-    for bar in tree.finite_bars():
-        ana = analyses[bar.id]
-        if ana.collinear:
-            continue
-        for c in ana.collinear_points:
-            try:
-                cover_of(tree, analyses, bar, c)
-            except NoCover:
-                no_cover.append({"bar": bar.id, "point": str(c)})
+    probes = [(bar, c) for bar in tree.finite_bars() if not analyses[bar.id].collinear
+              for c in analyses[bar.id].collinear_points]
     # ground bar: its single growth point in collinear mode
-    ground_ana = analyses[tree.ground_id]
-    if ground_ana.collinear:
+    if analyses[tree.ground_id].collinear:
+        probes.append((tree.ground, tree.field.zero))
+    no_cover = []
+    for bar, c in probes:
         try:
-            cover_of(tree, analyses, tree.ground, tree.field.zero)
+            cover_of(tree, analyses, bar, c)
         except NoCover:
-            no_cover.append({"bar": tree.ground_id, "point": "0"})
+            no_cover.append({"bar": bar.id, "point": str(c)})
     doc = {
         "format_version": 1,
         "s": red.s,
@@ -276,12 +273,16 @@ def _cmd_generic(args) -> int:
     f_text, g_text, laurent, _s = _inputs(args)
     if laurent:
         raise InputError("generic coordinates expect holomorphic input")
-    field = CycloField(args.field or 4)
-    f = parse_expression(f_text, field, False)
-    g = parse_expression(g_text, field, False)
     shift = getattr(args, "shift", None)
-    c = "auto" if shift in (None, "auto") else field.rational(Fraction(shift))
-    fs, gs, c_used, m = generic_coordinates(f, g, c)
+    shift = None if shift in (None, "auto") else _number(shift, Fraction, "--shift")
+
+    def attempt(field):
+        f = parse_expression(f_text, field, False)
+        g = parse_expression(g_text, field, False)
+        c = "auto" if shift is None else field.rational(shift)
+        return generic_coordinates(f, g, c)
+
+    fs, gs, c_used, m = _in_field(_options(args, False), (f_text, g_text), attempt)
     doc = {
         "format_version": 1,
         "shift": str(c_used),

@@ -425,7 +425,7 @@ def verify(
     # sampled-arc invariants need the germs themselves
     if f is not None and g is not None:
         _verify_sampled_arcs(rep, tree, analyses, f, g)
-        _verify_order_identity(rep, tree, analyses, f, g)
+        _verify_order_identity(rep, tree, analyses, oracle.jac, f, g)
     return rep
 
 
@@ -545,11 +545,14 @@ def identity_check(f: BiPoly, g: BiPoly, tree: Tree, bar: Bar,
     from .baranalysis import analyze_bar
 
     ana = analyses[bar.id] if analyses else analyze_bar(tree, bar)
+    return _order_identity_holds(jacobian(f, g), f, g, tree, bar, ana, sample_z)
+
+
+def _order_identity_holds(J, f, g, tree, bar, ana, sample_z) -> bool:
     if sample_z in ana.deltas:
         raise ValueError("sample point must avoid the growth points")
     value = ana.mero_numerator.evaluate(sample_z)
     xi = bar.prefix + PuiseuxSeries(tree.field, [(bar.height, sample_z)])
-    J = jacobian(f, g)
     lhs = order_along_arc(J, xi)
     rhs = order_along_arc(f, xi) + order_along_arc(g, xi) - bar.height - 1
     if value.is_zero():
@@ -557,7 +560,7 @@ def identity_check(f: BiPoly, g: BiPoly, tree: Tree, bar: Bar,
     return lhs == rhs
 
 
-def _verify_order_identity(rep, tree, analyses, f, g) -> None:
+def _verify_order_identity(rep, tree, analyses, J, f, g) -> None:
     for bar in tree.finite_bars():
         ana = analyses[bar.id]
         if ana.collinear:
@@ -568,7 +571,7 @@ def _verify_order_identity(rep, tree, analyses, f, g) -> None:
         if num.is_zero():
             continue
         try:
-            ok = identity_check(f, g, tree, bar, probe, analyses)
+            ok = _order_identity_holds(J, f, g, tree, bar, ana, probe)
         except (TruncationTooShort, Indeterminate):
             continue
         rep.add_flag("order-identity", bar.id, probe, ok)

@@ -1,9 +1,9 @@
 """End-to-end orchestration: parse, expand, model, predict, verify, factor.
 
-The session owns two adaptive knobs: the field conductor (enlarged and
-restarted when an expansion needs a missing root of unity, unless pinned)
-and the truncation depth (deepened and retried when a contact or placement
-is not yet determined).  Everything downstream of those choices is exact.
+Each adaptive knob has one loop, shared by every command (``reduce`` and
+``generic`` included): ``_in_field`` enlarges the field conductor and reruns
+from parsing unless it is pinned, and ``_germ_stage`` deepens the truncation
+until every root contact is determined.  Everything downstream is exact.
 """
 
 from __future__ import annotations
@@ -66,27 +66,37 @@ class CurveSpec:
             raise InputError("both root lists are required (either may be empty)")
 
 
+def _in_field(opts: Options, texts, attempt):
+    """``attempt(field)`` in the pinned field, or from Q(zeta_4) up to the
+    lcm of every conductor an expansion asks for."""
+    pinned = opts.field is not None
+    if pinned and opts.field < 1:
+        raise InputError(f"field conductor must be at least 1, not {opts.field}")
+    if not pinned and any(expression_mentions_zeta(t) for t in texts):
+        raise InputError("input using zeta needs an explicit --field")
+    conductor = opts.field if pinned else 4
+    for _ in range(8):
+        try:
+            return attempt(CycloField(conductor))
+        except NeedsLargerField as e:
+            if pinned:
+                raise
+            conductor = math.lcm(conductor, e.conductor)
+    raise LimitationError("field enlargement did not converge")
+
+
 def analyze_spec(spec: CurveSpec) -> Run:
     """Run the pipeline on a :class:`CurveSpec` in either input mode."""
     opts = spec.options or Options()
     if spec.f is not None:
         return analyze_pair(spec.f, spec.g, opts)
-    texts = list(spec.f_roots) + list(spec.g_roots)
-    pinned = opts.field is not None
-    if any(expression_mentions_zeta(t) for t in texts) and not pinned:
-        raise InputError("root lists using zeta need an explicit field")
-    conductor = opts.field or 4
-    for _ in range(8):
-        field = CycloField(conductor)
-        try:
-            f = _poly_from_roots(spec.f_roots, spec.E1, field)
-            g = _poly_from_roots(spec.g_roots, spec.E2, field)
-            return analyze_polys(f, g, opts)
-        except NeedsLargerField as e:
-            if pinned:
-                raise
-            conductor = conductor * e.conductor // math.gcd(conductor, e.conductor)
-    raise LimitationError("field enlargement did not converge")
+
+    def attempt(field: CycloField) -> Run:
+        f = _poly_from_roots(spec.f_roots, spec.E1, field)
+        g = _poly_from_roots(spec.g_roots, spec.E2, field)
+        return analyze_polys(f, g, opts)
+
+    return _in_field(opts, [*spec.f_roots, *spec.g_roots], attempt)
 
 
 def _poly_from_roots(root_texts, content: int, field: CycloField) -> BiPoly:
@@ -122,58 +132,21 @@ class Run:
 def analyze_pair(f_text: str, g_text: str, options: Options | None = None) -> Run:
     """Run the whole pipeline on a pair given as expression text."""
     opts = options or Options()
-    pinned = opts.field is not None
-    conductor = opts.field or 4
-    if expression_mentions_zeta(f_text) or expression_mentions_zeta(g_text):
-        if not pinned:
-            raise InputError("expressions using zeta need an explicit --field")
-    for _ in range(8):
-        field = CycloField(conductor)
+
+    def attempt(field: CycloField) -> Run:
         f = parse_expression(f_text, field, opts.laurent)
         g = parse_expression(g_text, field, opts.laurent)
-        try:
-            return analyze_polys(f, g, opts)
-        except NeedsLargerField as e:
-            if pinned:
-                raise
-            conductor = conductor * e.conductor // math.gcd(conductor, e.conductor)
-    raise LimitationError("field enlargement did not converge")
+        return analyze_polys(f, g, opts)
+
+    return _in_field(opts, (f_text, g_text), attempt)
 
 
 def analyze_polys(f: BiPoly, g: BiPoly, options: Options | None = None) -> Run:
     """The pipeline on already-built polynomials (field fixed by the inputs)."""
     opts = options or Options()
-    field = f.field
     _validate_germ(f, "f")
     _validate_germ(g, "g")
-    ydeg = max(
-        max((j for (_, j) in f.terms), default=0),
-        max((j for (_, j) in g.terms), default=0),
-    )
-    depth = opts.trunc if opts.trunc is not None else Fraction(max(ydeg, 2) + 2)
-    for _ in range(8):
-        try:
-            ef = expand_roots(f, depth)
-            eg = expand_roots(g, depth)
-            alphas = [r.series for r in ef.roots for _ in range(r.multiplicity)]
-            betas = [r.series for r in eg.roots for _ in range(r.multiplicity)]
-            tree = build_tree(alphas, betas, ef.y_content, eg.y_content)
-            break
-        except TruncationTooShort:
-            if opts.trunc is not None:
-                raise
-            depth *= 2
-    else:
-        raise TruncationTooShort("root contacts undetermined after deepening")
-    # session truncation rule: everything strictly between consecutive bar
-    # heights must be visible (a pinned depth is honored as given)
-    session_depth = tree.max_contact + 2
-    if opts.trunc is None and depth < session_depth:
-        ef = expand_roots(f, session_depth)
-        eg = expand_roots(g, session_depth)
-        alphas = [r.series for r in ef.roots for _ in range(r.multiplicity)]
-        betas = [r.series for r in eg.roots for _ in range(r.multiplicity)]
-        tree = build_tree(alphas, betas, ef.y_content, eg.y_content)
+    ef, eg, tree = _germ_stage(f, g, opts.trunc)
     analyses = analyze_all(tree)
     oracle = polar_roots(f, g, tree, target=opts.trunc)
     verification = verify(tree, analyses, oracle, f, g)
@@ -181,9 +154,36 @@ def analyze_polys(f: BiPoly, g: BiPoly, options: Options | None = None) -> Run:
     factors = group_factors(tree, analyses, oracle, classes)
     factors = intersection_mults(factors, tree, oracle, f, g)
     return Run(
-        field, f, g, ef, eg, tree, analyses, oracle, verification, classes,
+        f.field, f, g, ef, eg, tree, analyses, oracle, verification, classes,
         factors,
     )
+
+
+def _germ_stage(f: BiPoly, g: BiPoly, trunc: Fraction | None,
+                E1: int = 0, E2: int = 0) -> tuple[Expansion, Expansion, Tree]:
+    """Expand both germs and build their tree, adding E1/E2 to the y-content.
+
+    Unless pinned, the depth doubles while a contact is undetermined and ends
+    at no less than ``max_contact + 2``, so that everything strictly between
+    consecutive bar heights is visible."""
+    ydeg = max(j for h in (f, g) for (_, j) in h.terms)
+    depth = trunc if trunc is not None else Fraction(max(ydeg, 2) + 2)
+    for _ in range(9):  # up to eight doublings and one settling pass
+        try:
+            ef = expand_roots(f, depth)
+            eg = expand_roots(g, depth)
+            alphas = [r.series for r in ef.roots for _ in range(r.multiplicity)]
+            betas = [r.series for r in eg.roots for _ in range(r.multiplicity)]
+            tree = build_tree(alphas, betas, E1 + ef.y_content, E2 + eg.y_content)
+        except TruncationTooShort:
+            if trunc is not None:
+                raise
+            depth *= 2
+            continue
+        if trunc is not None or depth >= tree.max_contact + 2:
+            return ef, eg, tree
+        depth = tree.max_contact + 2
+    raise TruncationTooShort("root contacts undetermined after deepening")
 
 
 def _validate_germ(h: BiPoly, name: str) -> None:

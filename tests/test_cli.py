@@ -213,3 +213,32 @@ def test_cli_zeta_requires_field(capsys):
         capsys, "verify", "--f", "x^2 - zeta^2*y^2", "--g", "y", "--field", "4"
     )
     assert code == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--fixture", "sec2", "--trunc", "abc"),
+    ("generic", "--fixture", "ex91", "--shift", "q"),
+    ("reduce", "--fixture", "mero83", "--s", "q"),
+    ("verify", "--fixture", "sec2", "--field", "-3"),
+    ("verify", "--fixture", "ex11-neg", "--field", "0"),
+])
+def test_cli_bad_flag_value_exits_2(capsys, argv):
+    code, out, err = _cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_field_below_one_is_an_input_error():
+    from polartree import InputError, Options, analyze_pair
+
+    with pytest.raises(InputError):
+        analyze_pair("x", "y", Options(field=0))
+
+
+def test_cli_reduce_picks_its_field(capsys):
+    # the reduced roots need the cube roots of unity: Q(zeta_12)
+    argv = ("reduce", "--f", "x^3 - y^(-2)", "--g", "x")
+    code, out, _err = _cli(capsys, *argv)
+    assert code == 0
+    assert _cli(capsys, *argv, "--field", "12") == (0, out, "")

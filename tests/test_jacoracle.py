@@ -195,3 +195,20 @@ def test_bounded_records_carry_leave_heights(run_fixture):
     bounded = [r for r in run.oracle.records if r.trace.bounded_by]
     assert len(bounded) == 1 and bounded[0].count == 2
     assert bounded[0].trace.leave_height == 2
+
+
+def test_one_jacobian_per_run(monkeypatch):
+    import polartree.jacoracle as jacoracle
+    from polartree import analyze_pair, get_fixture
+
+    calls = []
+    real = jacoracle.jacobian
+
+    def counted(f, g):
+        calls.append(1)
+        return real(f, g)
+
+    monkeypatch.setattr(jacoracle, "jacobian", counted)
+    fx = get_fixture("fig2")
+    assert analyze_pair(fx.f, fx.g).verification.passed
+    assert len(calls) == 1
