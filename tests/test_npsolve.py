@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from polartree import (
+    FIXTURES,
     BiPoly,
     CycloField,
     INF,
@@ -13,8 +14,10 @@ from polartree import (
     UnresolvedBranch,
     conjugate_series,
     expand_roots,
+    jacobian,
     multiplicity_split,
     newton_polygon,
+    parse_expression,
 )
 
 K4 = CycloField(4)
@@ -121,6 +124,226 @@ def test_multiplicity_split_examples():
     assert multiplicity_split(f) == [(f, 1)]
     out = multiplicity_split((x * x - y * y) ** 2)
     assert [(str(p), m) for p, m in out] == [("x^2 - y^2", 2)]
+
+
+# str() and multiplicity of every component that multiplicity_split returns
+# for f, g and J = f_y g_x - f_x g_y of each holomorphic corpus fixture, parsed
+# in the field its full run settles on: (conductor, f split, g split, J split).
+# Recorded from the Yun-over-K(y) implementation that evaluation and
+# interpolation replaced; the two must agree term for term.
+_SPLIT_PINS = {
+    "cusp34": (
+        12,
+        [("x^3 - y^4", 1)],
+        [],
+        [("x", 2)],
+    ),
+    "ex11": (
+        4,
+        [("x^3 + x^2*y + 2*x^2*y^4 + 2*x*y^5 - x*y^6 + x*y^8 - y^7 + y^9", 1)],
+        [("x^3 - x^2*y - 2*x^2*y^4 + 2*x*y^5 - x*y^6 + x*y^8 + y^7 - y^9", 1)],
+        [
+            (
+                "6*x^4 + 48*x^4*y^3 - 36*x^2*y^5 - 20*x^2*y^6 - 24*x^2*y^8 + "
+                "32*x^2*y^9 - 48*x^2*y^11 - 28*y^11 + 14*y^12 + 36*y^13 - 32*y^14 "
+                "+ 18*y^16",
+                1,
+            ),
+        ],
+    ),
+    "ex11-degenerate": (
+        4,
+        [("x^3 + x^2*y + 2*x^2*y^3 + x*y^4 + x*y^6 - y^5 + y^7", 1)],
+        [("x^3 - x^2*y - 2*x^2*y^3 + x*y^4 + x*y^6 + y^5 - y^7", 1)],
+        [
+            (
+                "6*x^4 + 36*x^4*y^2 - 44*x^2*y^4 - 36*x^2*y^8 - 10*y^8 + 4*y^10 + "
+                "14*y^12",
+                1,
+            ),
+        ],
+    ),
+    "ex11-neg": (
+        12,
+        [("x^3 + x^2*y - x*y^6 + 2*x*y^7 - x*y^8 - y^7 + 2*y^8 - y^9", 1)],
+        [("x^3 - x^2*y - x*y^6 - 2*x*y^7 - x*y^8 + y^7 + 2*y^8 + y^9", 1)],
+        [
+            (
+                "6*x^4 + 84*x^3*y^6 - 20*x^2*y^6 - 24*x^2*y^8 - 64*x*y^8 - "
+                "4*x*y^12 + 4*x*y^14 + 14*y^12 - 32*y^14 + 18*y^16",
+                1,
+            ),
+        ],
+    ),
+    "ex61": (
+        4,
+        [
+            (
+                "x^4 - 2*x^3*y + x^2*y^2 - x^2*y^16 - x^2*y^18 + 2*x*y^17 - y^18 + "
+                "y^34",
+                1,
+            ),
+        ],
+        [("x^2 + x*y + x*y^9 + y^10", 1)],
+        [
+            (
+                "-8*x^4 - 36*x^4*y^8 + 8*x^3*y + 12*x^3*y^9 - 32*x^3*y^15 - "
+                "36*x^3*y^17 + 44*x^2*y^10 + 54*x^2*y^16 - 16*x^2*y^18 + "
+                "2*x^2*y^24 - 20*x*y^11 - 4*x*y^17 + 36*x*y^25 + 20*x*y^27 + "
+                "68*x*y^33 - 18*y^18 - 38*y^26 + 34*y^34 + 34*y^42",
+                1,
+            ),
+        ],
+    ),
+    "ex61-e9": (
+        4,
+        [
+            (
+                "x^4 - 2*x^3*y + x^2*y^2 - x^2*y^16 - x^2*y^18 + 2*x*y^17 - y^18 + "
+                "y^34",
+                1,
+            ),
+        ],
+        [("x^2 + x*y + x*y^10 + y^11", 1)],
+        [
+            (
+                "-8*x^4 - 40*x^4*y^9 + 8*x^3*y + 14*x^3*y^10 - 32*x^3*y^15 - "
+                "36*x^3*y^17 + 48*x^2*y^11 + 54*x^2*y^16 - 16*x^2*y^18 + "
+                "4*x^2*y^25 + 2*x^2*y^27 - 22*x*y^12 - 4*x*y^17 + 36*x*y^26 + "
+                "22*x*y^28 + 68*x*y^33 - 18*y^18 - 40*y^27 + 34*y^34 + 34*y^43",
+                1,
+            ),
+        ],
+    ),
+    "ex82": (
+        12,
+        [("x^3 - y^4", 1)],
+        [],
+        [("x", 2)],
+    ),
+    "ex82-prime": (
+        12,
+        [("x^3 - 3*x*y^5 - y^4", 1)],
+        [],
+        [("-3*x^2 + 3*y^5", 1)],
+    ),
+    "ex82-second": (
+        12,
+        [("x^3 - 3*x*y^6 - y^4", 1)],
+        [],
+        [("-3*x^2 + 3*y^6", 1)],
+    ),
+    "ex91": (
+        4,
+        [
+            (
+                "-x^4*y^2 + 4/3*x^3*y^4 + x^2 - 38/45*x^2*y^6 + 4/15*x*y^8 - "
+                "1/25*y^10",
+                1,
+            ),
+        ],
+        [("-2*x^2*y + x + 4/3*x*y^3 - 2/5*y^5", 1)],
+        [("x^2*y - 2*x - 2/3*x*y^3 + 1/5*y^5", 1), ("x - y^2", 2)],
+    ),
+    "ex91-second": (
+        4,
+        [
+            (
+                "-x^8*y^2 + 4/3*x^6*y^4 - 38/45*x^4*y^6 + x^2 + 4/15*x^2*y^8 - "
+                "1/25*y^10",
+                1,
+            ),
+        ],
+        [("-2*x^4*y + 4/3*x^2*y^3 + x - 2/5*y^5", 1)],
+        [("x^4*y - 2/3*x^2*y^3 - 2*x + 1/5*y^5", 1), ("x^2 - y^2", 2)],
+    ),
+    "fig2": (
+        4,
+        [
+            (
+                "x^6 - 3*x^5*y - x^5*y^2 - x^5*y^4 + 3*x^4*y^3 - 2*x^4*y^4 + "
+                "x^4*y^5 - 3*x^4*y^6 - 2*x^4*y^7 + 4*x^3*y^3 + 2*x^3*y^5 + "
+                "8*x^3*y^6 + 11*x^3*y^7 + 7*x^3*y^8 - 2*x^3*y^9 - x^3*y^10 - "
+                "4*x^2*y^5 - 6*x^2*y^7 - 5*x^2*y^8 + 3*x^2*y^9 + 9*x^2*y^10 + "
+                "5*x^2*y^11 - 4*x*y^7 - 8*x*y^8 - 11*x*y^9 - 7*x*y^10 + x*y^11 + "
+                "2*x*y^12 + 2*x*y^13 + x*y^14 + 4*y^9 + 8*y^10 - y^11 - 10*y^12 - "
+                "4*y^13 + 2*y^14 + y^15",
+                1,
+            ),
+        ],
+        [
+            (
+                "x^6 + 3*x^5*y - x^5*y^2 - 4*x^5*y^3 + x^5*y^4 - 3*x^4*y^3 - "
+                "14*x^4*y^4 + 5*x^4*y^5 + 5*x^4*y^6 - 2*x^4*y^7 - 4*x^3*y^3 - "
+                "2*x^3*y^5 + 8*x^3*y^6 + 21*x^3*y^7 - 9*x^3*y^8 - 2*x^3*y^9 + "
+                "x^3*y^10 + 4*x^2*y^5 + 16*x^2*y^6 - 2*x^2*y^7 + 3*x^2*y^8 - "
+                "7*x^2*y^9 - 11*x^2*y^10 + 5*x^2*y^11 + 4*x*y^7 - 8*x*y^8 - "
+                "21*x*y^9 + 9*x*y^10 + 3*x*y^11 + 2*x*y^13 - x*y^14 - 4*y^9 - "
+                "8*y^10 + 9*y^11 + 10*y^12 - 6*y^13 - 2*y^14 + y^15",
+                1,
+            ),
+        ],
+        [
+            (
+                "-36*x^10 + 72*x^10*y^2 - 48*x^10*y^3 + 78*x^9*y^2 + 168*x^9*y^3 - "
+                "140*x^9*y^4 - 268*x^9*y^5 + 20*x^9*y^6 + 144*x^8*y^2 - "
+                "690*x^8*y^4 + 198*x^8*y^5 - 132*x^8*y^6 + 456*x^8*y^7 + "
+                "270*x^8*y^8 + 92*x^8*y^9 - 76*x^8*y^10 - 312*x^7*y^4 - "
+                "672*x^7*y^5 + 1244*x^7*y^6 + 2416*x^7*y^7 - 152*x^7*y^8 - "
+                "96*x^7*y^9 + 76*x^7*y^10 + 256*x^7*y^11 - 32*x^7*y^12 + "
+                "1176*x^6*y^6 - 144*x^6*y^7 - 588*x^6*y^8 - 2912*x^6*y^9 - "
+                "1724*x^6*y^10 - 880*x^6*y^11 + 772*x^6*y^12 - 364*x^6*y^13 - "
+                "320*x^6*y^14 - 44*x^6*y^15 + 76*x^6*y^16 - 1848*x^5*y^8 - "
+                "3488*x^5*y^9 + 1880*x^5*y^10 + 3504*x^5*y^11 - 1820*x^5*y^12 - "
+                "3776*x^5*y^13 + 150*x^5*y^14 - 256*x^5*y^15 + 24*x^5*y^16 + "
+                "12*x^5*y^17 + 12*x^5*y^18 - 768*x^4*y^8 + 480*x^4*y^9 + "
+                "2264*x^4*y^10 + 4720*x^4*y^11 + 520*x^4*y^12 - 1940*x^4*y^13 - "
+                "2720*x^4*y^14 + 3040*x^4*y^15 + 4946*x^4*y^16 + 518*x^4*y^17 - "
+                "840*x^4*y^18 + 80*x^4*y^19 - 66*x^4*y^20 + 1472*x^3*y^10 + "
+                "2944*x^3*y^11 - 3112*x^3*y^12 - 6624*x^3*y^13 + 3940*x^3*y^14 + "
+                "8496*x^3*y^15 - 2200*x^3*y^16 - 3600*x^3*y^17 + 672*x^3*y^18 + "
+                "904*x^3*y^19 - 56*x^3*y^20 - 16*x^3*y^21 - 16*x^3*y^22 - "
+                "1216*x^2*y^12 - 3776*x^2*y^13 - 504*x^2*y^14 + 5456*x^2*y^15 + "
+                "5328*x^2*y^16 - 6672*x^2*y^17 - 10092*x^2*y^18 + 2544*x^2*y^19 + "
+                "6168*x^2*y^20 - 672*x^2*y^21 - 2032*x^2*y^22 - 36*x^2*y^23 + "
+                "260*x^2*y^24 + 1088*x*y^14 + 2432*x*y^15 - 1832*x*y^16 - "
+                "3936*x*y^17 + 730*x*y^18 + 904*x*y^19 - 136*x*y^20 + 444*x*y^21 + "
+                "106*x*y^22 - 136*x*y^23 - 32*x*y^24 + 4*x*y^25 + 4*x*y^26 - "
+                "576*y^16 - 2080*y^17 - 1608*y^18 + 3024*y^19 + 4618*y^20 - "
+                "162*y^21 - 2268*y^22 - 632*y^23 - 60*y^24 + 138*y^25 + 212*y^26 - "
+                "30*y^28",
+                1,
+            ),
+        ],
+    ),
+    "merle2pair": (
+        4,
+        [("x^4 - 2*x^2*y^3 - 4*x*y^5 + y^6 - y^7", 1)],
+        [],
+        [("-4*x^3 + 4*x*y^3 + 4*y^5", 1)],
+    ),
+    "sec2": (
+        4,
+        [("x", 1)],
+        [("x^2 - y^2", 1)],
+        [],
+    ),
+}
+
+
+
+def test_split_pins_cover_the_holomorphic_corpus():
+    assert set(_SPLIT_PINS) == {n for n, fx in FIXTURES.items() if not fx.laurent}
+
+
+@pytest.mark.parametrize("name", sorted(_SPLIT_PINS))
+def test_multiplicity_split_matches_corpus_pins(name):
+    conductor, *pins = _SPLIT_PINS[name]
+    field = CycloField(conductor)
+    f = parse_expression(FIXTURES[name].f, field)
+    g = parse_expression(FIXTURES[name].g, field)
+    for poly, pin in zip((f, g, jacobian(f, g)), pins):
+        assert [(str(p), m) for p, m in multiplicity_split(poly)] == pin
 
 
 def test_multiplicity_sum_matches_x_order():
