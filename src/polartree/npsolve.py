@@ -23,7 +23,15 @@ from .errors import (
     ZeroPolynomial,
     InternalInconsistency,
 )
-from .exactalg import BiPoly, CycloField, CycloRational, UniPoly, poly_gcd, roots_in_field
+from .exactalg import (
+    BiPoly,
+    CycloField,
+    CycloRational,
+    UniPoly,
+    poly_gcd,
+    roots_in_field,
+    squarefree_decompose,
+)
 from .puiseux import INF, PuiseuxSeries
 
 # internal working form: (x_exponent, y_exponent as Fraction) -> coefficient
@@ -159,202 +167,138 @@ class Expansion:
 # ---------------------------------------------------------------------------
 
 
-class _RatF:
-    """Rational function in y over the field; internal to this module."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: UniPoly, den: UniPoly | None = None):
-        field = num.field
-        if den is None:
-            den = UniPoly.constant(field, 1, "y")
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if not num.is_zero():
-            g = poly_gcd(num, den)
-            if g.degree() > 0:
-                num = num.exact_div(g)
-                den = den.exact_div(g)
-            lead = den.leading()
-            if not (lead == field.one):
-                inv = lead.inverse()
-                num = num * inv
-                den = den * inv
-        else:
-            den = UniPoly.constant(field, 1, "y")
-        self.num = num
-        self.den = den
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, o: "_RatF") -> "_RatF":
-        return _RatF(self.num * o.den + o.num * self.den, self.den * o.den)
-
-    def __sub__(self, o: "_RatF") -> "_RatF":
-        return _RatF(self.num * o.den - o.num * self.den, self.den * o.den)
-
-    def __mul__(self, o: "_RatF") -> "_RatF":
-        return _RatF(self.num * o.num, self.den * o.den)
-
-    def __truediv__(self, o: "_RatF") -> "_RatF":
-        if o.is_zero():
-            raise ZeroDivisionError
-        return _RatF(self.num * o.den, self.den * o.num)
-
-    def __neg__(self) -> "_RatF":
-        return _RatF(-self.num, self.den)
-
-
-def _xpoly_trim(p: list[_RatF]) -> list[_RatF]:
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def _xpoly_divmod(a: list[_RatF], b: list[_RatF]) -> tuple[list[_RatF], list[_RatF]]:
-    a = list(a)
-    q: list[_RatF] = [b[0] - b[0]] * max(len(a) - len(b) + 1, 0)
-    while len(a) >= len(b):
-        c = a[-1] / b[-1]
-        k = len(a) - len(b)
-        q[k] = q[k] + c
-        for i in range(len(b)):
-            a[k + i] = a[k + i] - c * b[i]
-        a.pop()
-        _xpoly_trim(a)
-    return q, a
-
-
-def _xpoly_gcd(a: list[_RatF], b: list[_RatF]) -> list[_RatF]:
-    a, b = list(a), list(b)
-    while b:
-        a, b = b, _xpoly_divmod(a, b)[1]
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _xpoly_derivative(p: list[_RatF]) -> list[_RatF]:
-    field = p[0].num.field
-    return _xpoly_trim([p[k] * _RatF(UniPoly.constant(field, k, "y")) for k in range(1, len(p))])
-
-
-def _xpoly_to_bipoly(p: list[_RatF], field: CycloField) -> BiPoly:
-    lcm = UniPoly.constant(field, 1, "y")
-    for c in p:
-        g = poly_gcd(lcm, c.den)
-        extra = c.den.exact_div(g) if g.degree() > 0 else c.den
-        lcm = lcm * extra
-    cols = []
-    for c in p:
-        cols.append(c.num * lcm.exact_div(c.den))
-    content = UniPoly.zero(field, "y")
-    for col in cols:
-        if not col.is_zero():
-            content = poly_gcd(content, col) if not content.is_zero() else col.monic()
-        if content.degree() == 0:
-            break
-    if content.degree() > 0:
-        cols = [col.exact_div(content) if not col.is_zero() else col for col in cols]
-    out = BiPoly.from_x_coefficients(field, cols)
-    # normalize: make the leading x-coefficient's lowest y-term equal to 1
-    lead = cols[-1]
-    unit = None
-    for c in lead.coeffs:
-        if not c.is_zero():
-            unit = c
-            break
-    if unit is not None and not (unit == field.one):
-        out = out * unit.inverse()
-    return out
-
-
-def _eval_at_y(F: BiPoly, y0) -> UniPoly:
-    """F(x, y0) as a univariate polynomial in x."""
+def _eval_at_y(F: BiPoly, y0: int) -> UniPoly:
+    """F(x, y0) as a univariate polynomial in x; F has no negative y-exponent."""
     field = F.field
-    v = field.rational(y0)
     cols: dict[int, CycloRational] = {}
     for (i, j), c in F.terms.items():
-        add = c * v**j
+        add = c * y0**j
         cur = cols.get(i)
         cols[i] = add if cur is None else cur + add
     n = max(cols, default=-1)
     return UniPoly(field, [cols.get(k, field.zero) for k in range(n + 1)], "x")
 
 
-def _certified_squarefree_x(F: BiPoly) -> bool:
-    """Exact squarefree-in-x test by sampling the y-line.
+def _interpolate(ys: list[int], values: list[CycloRational], field: CycloField) -> UniPoly:
+    """The polynomial in y of degree below len(ys) that takes values[k] at
+    ys[k]: Newton's divided differences, one rational coordinate at a time."""
+    coords = []
+    for c in zip(*(v.coords for v in values)):
+        c = list(c)
+        if not any(c):
+            coords.append(c)
+            continue
+        for j in range(1, len(ys)):
+            for k in range(len(ys) - 1, j - 1, -1):
+                c[k] = (c[k] - c[k - 1]) / (ys[k] - ys[k - j])
+        p = [c[-1]]
+        for k in range(len(ys) - 2, -1, -1):  # p = p * (y - ys[k]) + c[k]
+            p = [c[k] - ys[k] * p[0]] + [a - ys[k] * b for a, b in zip(p, p[1:])] + [p[-1]]
+        coords.append(p)
+    return UniPoly(field, [field.from_coords(t) for t in zip(*coords)], "y")
 
-    A common x-factor of F and F_x of positive degree survives evaluation at
-    every y except the zeros of its leading coefficient, so one sample with
-    a trivial gcd certifies squarefreeness; sampling past the resultant's
-    degree bound makes the negative answer exact as well.
-    """
-    Fx = F.diff_x()
-    if Fx.is_zero():
-        return F.x_degree() < 1
-    ydeg = max(j for (_, j) in F.terms) - min(j for (_, j) in F.terms)
-    # a conclusive "not squarefree" would need the full resultant degree
-    # bound; cap the sampling and let the exact Yun path settle rare misses
-    bound = min((2 * F.x_degree() - 1) * max(ydeg, 1) + 2, 40)
-    for k in range(1, bound + 1):
-        a = _eval_at_y(F, k)
-        b = _eval_at_y(Fx, k)
-        if a.degree() < F.x_degree():
-            continue  # leading coefficient vanished; sample uninformative
-        if poly_gcd(a, b).degree() == 0:
-            return True
-    return False
+
+def _normalized(cols: list[UniPoly], field: CycloField) -> BiPoly:
+    """The primitive part in y of sum cols[i] x^i, scaled so that the lowest
+    y-term of its leading x-coefficient is 1."""
+    content = UniPoly.zero(field, "y")
+    for col in cols:
+        content = poly_gcd(content, col)
+        if content.degree() == 0:
+            break
+    if content.degree() > 0:
+        cols = [col.exact_div(content) for col in cols]
+    unit = next(c for c in cols[-1].coeffs if not c.is_zero()).inverse()
+    return BiPoly.from_x_coefficients(field, [col * unit for col in cols])
+
+
+def _lead_x(P: BiPoly) -> BiPoly:
+    """The leading x-coefficient of P, as a polynomial in y alone."""
+    n = P.x_degree()
+    return BiPoly(P.field, {(0, j): c for (i, j), c in P.terms.items() if i == n})
+
+
+def _certified(G: BiPoly, split: list[tuple[BiPoly, int]], y0: int) -> bool:
+    """G * lc_x(P) = P * lc_x(G) for P = prod A_i^i, and prod A_i is squarefree
+    at y0 with its leading coefficient nonzero there."""
+    P = BiPoly.constant(G.field, 1)
+    for A, m in split:
+        P = P * A**m
+    if G * _lead_x(P) != P * _lead_x(G):
+        return False
+    s = UniPoly.constant(G.field, 1, "x")
+    for A, _ in split:
+        s = s * _eval_at_y(A, y0)
+    if s.degree() != sum(A.x_degree() for A, _ in split):
+        return False
+    return poly_gcd(s, s.derivative()).degree() == 0
 
 
 def multiplicity_split(F: BiPoly) -> list[tuple[BiPoly, int]]:
-    """Squarefree-in-x components of F with multiplicities (Yun over K(y)).
+    """Squarefree-in-x components of F with multiplicities.
 
-    Components are primitive in y and normalized; their product recovers F
-    up to a factor free of x-roots (y-content and a unit).  A polynomial of
-    x-degree zero has no components.
+    Brown's evaluation/interpolation (J. ACM 1971), with Yun's algorithm run
+    only on univariate polynomials.  F(x, y0) is decomposed at y0 = 1, 2, ...,
+    skipping zeros of lc_x(F).  The points whose squarefree part has the
+    largest degree seen so far carry the generic pattern; from
+    deg_y F + deg_y lc_x(F) + 1 of them each component is interpolated as
+    lc_x(F)(y0) times its monic image, then made primitive in y.  The result
+    is certified exactly: F * lc_x(P) = P * lc_x(F) for P = prod A_i^i, and
+    prod A_i is squarefree at a sample point where its leading coefficient
+    does not vanish.  A candidate that fails is dropped and sampling goes on;
+    past the zeros of lc_x(F) and of the discriminant of the squarefree part
+    every point is lucky, so running out of points is an internal error.  A
+    point where F(x, y0) is squarefree of full degree certifies F
+    squarefree, and F comes back unchanged.
+
+    Components are primitive in y and normalized so that the lowest y-term
+    of their leading x-coefficient is 1; their product recovers F up to a
+    factor free of x-roots (y-content and a unit).  A polynomial of x-degree
+    zero has no components.
     """
     if F.is_zero():
         raise ZeroPolynomial("cannot split the zero polynomial")
     field = F.field
-    if F.x_degree() < 1:
+    n = F.x_degree()
+    if n < 1:
         return []
-    if _certified_squarefree_x(F):
-        return [(F, 1)]
-    p = _xpoly_trim([_RatF(c) for c in F.x_coefficients()])
-    d = _xpoly_derivative(p)
-    g = _xpoly_gcd(p, d)
-    out: list[tuple[BiPoly, int]] = []
-    if len(g) <= 1:
-        return [(_xpoly_to_bipoly(p, field), 1)]
-    c = _xpoly_divmod(p, g)[0]
-    w = [a - b for a, b in _zip_pad(_xpoly_divmod(d, g)[0], _xpoly_derivative(c))]
-    _xpoly_trim(w)
-    i = 1
-    while len(c) > 1:
-        a = _xpoly_gcd(c, w)
-        if len(a) > 1:
-            out.append((_xpoly_to_bipoly(a, field), i))
-            c = _xpoly_divmod(c, a)[0]
-            w = _xpoly_divmod(w, a)[0]
-        w = [u - v for u, v in _zip_pad(w, _xpoly_derivative(c))]
-        _xpoly_trim(w)
-        i += 1
-    return out
-
-
-def _zip_pad(a: list[_RatF], b: list[_RatF]):
-    n = max(len(a), len(b))
-    zero = None
-    for c in a + b:
-        zero = c - c
-        break
-    for k in range(n):
-        x = a[k] if k < len(a) else zero
-        y = b[k] if k < len(b) else zero
-        yield x, y
+    G = F.shift_y(-F.y_content())
+    ydeg = max(j for (_, j) in G.terms)
+    lead_deg = max(j for (i, j) in G.terms if i == n)
+    need = ydeg + lead_deg + 1
+    # bad points: zeros of lc_x(F), and zeros of the discriminant of the
+    # squarefree part, whose y-degree is at most (2n - 1) * deg_y F
+    last = lead_deg + (2 * n - 1) * ydeg + need
+    best = None
+    points: list[tuple[int, CycloRational, list[tuple[UniPoly, int]]]] = []
+    for y0 in range(1, last + 1):
+        a = _eval_at_y(G, y0)
+        if a.degree() < n:
+            continue
+        parts = squarefree_decompose(a)
+        if [m for _, m in parts] == [1]:
+            return [(F, 1)]
+        key = (sum(p.degree() for p, _ in parts), [(m, p.degree()) for p, m in parts])
+        if best is None or key[0] > best[0]:
+            best, points = key, []
+        if key != best:
+            continue
+        points.append((y0, a.leading(), parts))
+        if len(points) != need:
+            continue  # too few points, or their candidate already failed
+        ys = [y for y, _, _ in points]
+        split = []
+        for t, (m, d) in enumerate(best[1]):
+            cols = [
+                _interpolate(ys, [lc * ps[t][0][e] for _, lc, ps in points], field)
+                for e in range(d + 1)
+            ]
+            split.append((_normalized(cols, field), m))
+        if _certified(G, split, ys[0]):
+            return split
+    raise InternalInconsistency(
+        f"squarefree split not certified after {last} sample points"
+    )
 
 
 # ---------------------------------------------------------------------------

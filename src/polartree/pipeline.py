@@ -14,12 +14,13 @@ from fractions import Fraction
 
 from .errors import (
     InputError,
+    InputViolatesSimplicity,
     LimitationError,
     NeedsLargerField,
     TruncationTooShort,
 )
 from .exactalg import BiPoly, CycloField
-from .npsolve import Expansion, expand_roots
+from .npsolve import Expansion, expand_roots, multiplicity_split
 from .parsing import expression_mentions_zeta, parse_expression
 from .puiseux import INF
 from .treemodel import Tree, build_tree, conjugacy_classes, render_tree
@@ -165,9 +166,11 @@ def _germ_stage(f: BiPoly, g: BiPoly, trunc: Fraction | None,
 
     Unless pinned, the depth doubles while a contact is undetermined and ends
     at no less than ``max_contact + 2``, so that everything strictly between
-    consecutive bar heights is visible."""
+    consecutive bar heights is visible.  Before the first doubling, a
+    repeated component of f*g through the origin is refused."""
     ydeg = max(j for h in (f, g) for (_, j) in h.terms)
-    depth = trunc if trunc is not None else Fraction(max(ydeg, 2) + 2)
+    start = trunc if trunc is not None else Fraction(max(ydeg, 2) + 2)
+    depth = start
     for _ in range(9):  # up to eight doublings and one settling pass
         try:
             ef = expand_roots(f, depth)
@@ -178,12 +181,25 @@ def _germ_stage(f: BiPoly, g: BiPoly, trunc: Fraction | None,
         except TruncationTooShort:
             if trunc is not None:
                 raise
+            if depth == start:
+                _reject_repeated_components(f, g)
             depth *= 2
             continue
         if trunc is not None or depth >= tree.max_contact + 2:
             return ef, eg, tree
         depth = tree.max_contact + 2
     raise TruncationTooShort("root contacts undetermined after deepening")
+
+
+def _reject_repeated_components(f: BiPoly, g: BiPoly) -> None:
+    """Refuse a repeated component of f*g through the origin: its roots
+    coincide, so no truncation depth separates them."""
+    h = f * g
+    for comp, m in multiplicity_split(h.shift_y(-h.y_content())):
+        if m > 1 and (0, 0) not in comp.terms:
+            raise InputViolatesSimplicity(
+                f"f*g has the repeated factor ({comp})^{m} through the origin"
+            )
 
 
 def _validate_germ(h: BiPoly, name: str) -> None:

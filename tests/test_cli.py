@@ -191,6 +191,22 @@ def test_cli_reduce_s_too_small_exits_2(capsys):
     assert "need s >= 2" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("f, g", [
+    ("(x^3+y^2-y^4)", "(x^3+y^2-y^4)*(x^2-y^5)"),
+    ("(x^3+y^2-y^4)^2", "x"),
+])
+def test_cli_repeated_component_through_origin_exits_2(capsys, f, g):
+    code, out, err = _cli(capsys, "verify", "--f", f, "--g", g)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "(x^3 + y^2 - y^4)^2 through the origin" in err
+
+
+def test_cli_shared_unit_factor_still_passes(capsys):
+    code, out, _err = _cli(capsys, "verify", "--f", "(x-y)*(1+x)", "--g", "(x+y)*(1+x)")
+    assert code == 0 and "verification: PASS" in out
+
+
 def test_cli_generic(capsys):
     code, out, _err = _cli(capsys, "generic", "--fixture", "ex91")
     assert code == 0

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polartree import (
     FIXTURES,
@@ -124,6 +125,17 @@ def test_multiplicity_split_examples():
     assert multiplicity_split(f) == [(f, 1)]
     out = multiplicity_split((x * x - y * y) ** 2)
     assert [(str(p), m) for p, m in out] == [("x^2 - y^2", 2)]
+    one = BiPoly.constant(K4, 1)
+    # the two components coincide at y = 1 and y = 2
+    out = multiplicity_split((x - y) * (x - y * y + y * 2 - one * 2) ** 2)
+    assert [(str(p), m) for p, m in out] == [("x - y", 1), ("x - 2 + 2*y - y^2", 2)]
+    # lc_x vanishes at y = 1; y-content and a unit are dropped
+    out = multiplicity_split((x - x * y - y - one) ** 2 * x * y**3 * 3)
+    assert [(str(p), m) for p, m in out] == [("x", 1), ("x - x*y - 1 - y", 2)]
+    x, y = _vars(K12)
+    z = K12.zeta()
+    out = multiplicity_split((x - y * z) ** 3 * (x + y * z * z) ** 2 * z)
+    assert [(str(p), m) for p, m in out] == [("x + zeta^2*y", 2), ("x - zeta*y", 3)]
 
 
 # str() and multiplicity of every component that multiplicity_split returns
@@ -344,6 +356,67 @@ def test_multiplicity_split_matches_corpus_pins(name):
     g = parse_expression(FIXTURES[name].g, field)
     for poly, pin in zip((f, g, jacobian(f, g)), pins):
         assert [(str(p), m) for p, m in multiplicity_split(poly)] == pin
+
+
+_K12_COEFFS = [F(1), F(-1), F(2), F(1, 2), K12.zeta(), K12.zeta(2), -K12.zeta(3), K12.zeta(5)]
+
+
+@st.composite
+def _known_split(draw):
+    """F = unit * y^e * prod A_i^i with each A_i a product of distinct linear
+    factors, so that its normalized components are known; returns F and the
+    expected split."""
+    x, y = _vars(K12)
+    one = BiPoly.constant(K12, 1)
+    coeff = st.sampled_from(_K12_COEFFS)
+    roots: list[BiPoly] = []
+    for _ in range(draw(st.integers(1, 2))):
+        r = sum((y**e * draw(coeff) for e in draw(st.sets(st.integers(1, 2), min_size=1))),
+                BiPoly.zero(K12))
+        if r not in roots:
+            roots.append(r)
+    factors = [x - r for r in roots]
+    if draw(st.booleans()):
+        # a root agreeing with roots[0] at y = 1 and y = 2: both points are unlucky
+        factors.append(x - roots[0] - (y - one) * (y - one * 2) * draw(coeff))
+    if draw(st.booleans()):
+        # lc_x vanishes at y = 1; the factor stays primitive since 1 + c != 0
+        factors.append(x - x * y - one - y * draw(coeff.filter(lambda c: c != -1)))
+    mults = [draw(st.integers(1, 3)) for _ in factors]
+    comps = {}
+    for fac, m in zip(factors, mults):
+        comps[m] = comps.get(m, one) * fac
+    expected = sorted(comps.items())
+    Fpoly = one
+    for m, A in expected:
+        Fpoly = Fpoly * A**m
+    if [m for m, _ in expected] == [1]:
+        return Fpoly, [(Fpoly, 1)]
+    Fpoly = Fpoly * y ** draw(st.integers(0, 2)) * draw(coeff)
+    return Fpoly, [(A, m) for m, A in expected]
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_known_split())
+def test_multiplicity_split_recovers_known_components(case):
+    Fpoly, expected = case
+    out = multiplicity_split(Fpoly)
+    assert out == expected
+    assert [str(p) for p, _ in out] == [str(p) for p, _ in expected]
+
+
+def test_split_certificate_rejects_wrong_candidates():
+    from polartree.npsolve import _certified
+
+    x, y = _vars(K4)
+    G = (x - y) ** 2 * (x + y)
+    assert _certified(G, [(x + y, 1), (x - y, 2)], 1)
+    # wrong multiplicities: G * lc_x(P) != P * lc_x(G)
+    assert not _certified(G, [(x - y, 1), (x + y, 2)], 1)
+    # right product, but the components are not squarefree
+    assert not _certified(G, [(G, 1)], 1)
+    # y = 1 is a zero of lc_x(prod A_i), so it certifies nothing
+    assert not _certified(G * (x * y - x + y), [(x + y, 1), (x - y, 2), (x * y - x + y, 1)], 1)
 
 
 def test_multiplicity_sum_matches_x_order():
