@@ -1,9 +1,14 @@
 """Exact arithmetic over cyclotomic-rational numbers and polynomials.
 
 The coefficient field is Q(zeta_N) for a session-wide conductor N.  An
-element is a vector of ``fractions.Fraction`` of length phi(N) in the power
-basis 1, zeta, ..., zeta^(phi(N)-1), kept fully reduced modulo the N-th
-cyclotomic polynomial.  All arithmetic is exact; there is no floating point
+element is a tuple of phi(N) integer numerators over one positive integer
+denominator, in the power basis 1, zeta, ..., zeta^(phi(N)-1), kept fully
+reduced modulo the N-th cyclotomic polynomial and in lowest terms
+(gcd(den, *num) = 1), so equal elements have equal representations.  The
+cyclotomic polynomial is monic with integer coefficients, so products
+reduce in Z.  ``fractions.Fraction`` appears only where an element meets
+the outside: building one from rationals, and reading or printing its
+coordinates.  All arithmetic is exact; there is no floating point
 anywhere in this module.
 
 Univariate polynomials (:class:`UniPoly`) are dense coefficient tuples over
@@ -17,16 +22,20 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
+from operator import add, sub
 from typing import Iterable, Sequence
 
 from .errors import (
     DivisionByZero,
     FieldTooSmall,
+    InternalInconsistency,
     NegativeExponentWithoutLaurent,
     ZeroPolynomial,
 )
 
 Rat = Fraction
+_gcd = math.gcd
+_ZERO = Rat(0)
 
 
 def _euler_phi(n: int) -> int:
@@ -83,25 +92,28 @@ class CycloField:
 
     def _init(self, conductor: int) -> None:
         self.conductor = conductor
-        self.degree = _euler_phi(conductor)
-        self._modulus = tuple(Rat(c) for c in _cyclotomic_int_coeffs(conductor))
-        d = self.degree
-        self._head = tuple(-c for c in self._modulus[:d])  # zeta^d in the basis
-        self.zero = CycloRational(self, (Rat(0),) * d)
-        self.one = CycloRational(self, (Rat(1),) + (Rat(0),) * (d - 1))
+        self.degree = d = _euler_phi(conductor)
+        self._modulus = _cyclotomic_int_coeffs(conductor)
+        # zeta^d = sum of h * zeta^i over these (i, h): the nonzero terms only
+        self._head = tuple((i, -c) for i, c in enumerate(self._modulus[:d]) if c)
+        self._zeros = (0,) * (d - 1)
+        self.zero = CycloRational(self, (0,) * d, 1)
+        self.one = CycloRational(self, (1,) + self._zeros, 1)
 
     def rational(self, value: Rat | int) -> CycloRational:
+        if isinstance(value, int):
+            return CycloRational(self, (value,) + self._zeros, 1)
         r = Rat(value)
-        return CycloRational(self, (r,) + (Rat(0),) * (self.degree - 1))
+        return CycloRational(self, (r.numerator,) + self._zeros, r.denominator)
 
     def zeta(self, power: int = 1) -> CycloRational:
         """zeta_N ** power."""
         power %= self.conductor
         if self.conductor == 1:
             return self.one
-        coords = [Rat(0)] * self.conductor
-        coords[power] = Rat(1)
-        return self._reduce(coords)
+        raw = [0] * self.conductor
+        raw[power] = 1
+        return self._reduce(raw, 1)
 
     def zeta_of_order(self, order: int) -> CycloRational:
         """A primitive root of unity of the given order, if present.
@@ -119,141 +131,202 @@ class CycloField:
             f"no primitive {order}-th root of unity in Q(zeta_{self.conductor})"
         )
 
-    def from_coords(self, coords: Sequence[Rat]) -> CycloRational:
+    def from_coords(self, coords: Sequence[Rat | int]) -> CycloRational:
         if len(coords) != self.degree:
             raise ValueError("coordinate vector has wrong length")
-        return CycloRational(self, tuple(Rat(c) for c in coords))
+        coords = [Rat(c) for c in coords]
+        den = math.lcm(*(c.denominator for c in coords))
+        return _canon(self, tuple([c.numerator * (den // c.denominator) for c in coords]), den)
 
-    def _reduce(self, coords: list[Rat]) -> CycloRational:
-        """Reduce a raw power-basis vector of any length modulo the modulus."""
+    def _reduce(self, raw: list[int], den: int) -> CycloRational:
+        """The element raw / den, for a power-basis numerator list of any
+        length (consumed) and a nonzero denominator."""
         d = self.degree
-        coords = list(coords)
-        if len(coords) < d:
-            coords += [Rat(0)] * (d - len(coords))
+        if len(raw) < d:
+            raw += [0] * (d - len(raw))
         head = self._head
-        for k in range(len(coords) - 1, d - 1, -1):
-            c = coords[k]
-            if not c:
-                continue
-            coords[k] = Rat(0)
-            base = k - d
-            for i, h in enumerate(head):
-                if h:
-                    coords[base + i] += c * h
-        return CycloRational(self, tuple(coords[:d]))
+        for k in range(len(raw) - 1, d - 1, -1):
+            c = raw[k]
+            if c:
+                base = k - d
+                for i, h in head:
+                    raw[base + i] += c * h
+        return _canon(self, tuple(raw[:d]), den)
 
     def __repr__(self) -> str:
         return f"CycloField({self.conductor})"
 
 
+def _canon(field: CycloField, num: tuple[int, ...], den: int) -> "CycloRational":
+    """The element num / den (den nonzero) in lowest terms with den > 0."""
+    g = _gcd(den, *num)
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = tuple([u // g for u in num])
+        den //= g
+    return CycloRational(field, num, den)
+
+
 class CycloRational:
-    """An element of Q(zeta_N) in the power basis.  Immutable."""
+    """An element of Q(zeta_N): numerators ``num`` over ``den`` in the power
+    basis, in lowest terms with ``den > 0``.  Immutable.
 
-    __slots__ = ("field", "coords", "_hash")
+    Build elements with :meth:`CycloField.rational`, :meth:`CycloField.zeta`
+    or :meth:`CycloField.from_coords`; the constructor takes an already
+    canonical numerator tuple and denominator.
+    """
 
-    def __init__(self, field: CycloField, coords: tuple[Rat, ...]):
+    __slots__ = ("field", "num", "den", "_hash", "_coords")
+
+    def __init__(self, field: CycloField, num: tuple[int, ...], den: int):
         self.field = field
-        self.coords = coords
+        self.num = num
+        self.den = den
         self._hash: int | None = None
+        self._coords: tuple[Rat, ...] | None = None
 
     # -- coercion ---------------------------------------------------------
-    def _pair(self, other) -> "tuple[CycloRational, CycloRational] | None":
-        """Bring self and other into a common field, rationals promoting."""
-        if isinstance(other, (int, Fraction)):
-            return self, self.field.rational(other)
-        if isinstance(other, CycloRational):
-            if other.field is self.field:
-                return self, other
-            r = other.as_rational()
-            if r is not None:
-                return self, self.field.rational(r)
-            r = self.as_rational()
-            if r is not None:
-                return other.field.rational(r), other
-            raise ValueError("cannot mix elements of different cyclotomic fields")
-        return None
+    def _promote(self, other: "CycloRational") -> "tuple[CycloRational, CycloRational]":
+        """Bring an element of another field into a common field; only a
+        rational element can move."""
+        if not any(other.num[1:]):
+            return self, other._moved_to(self.field)
+        if not any(self.num[1:]):
+            return self._moved_to(other.field), other
+        raise ValueError("cannot mix elements of different cyclotomic fields")
+
+    def _moved_to(self, field: CycloField) -> "CycloRational":
+        """This rational element as an element of another field."""
+        return CycloRational(field, (self.num[0],) + field._zeros, self.den)
+
+    def _scaled(self, n: int, d: int) -> "CycloRational":
+        """self * (n/d) for a rational in lowest terms with d > 0."""
+        if not n:
+            return self.field.zero
+        den = self.den
+        g = _gcd(n, den)
+        if g != 1:
+            n //= g
+            den //= g
+        num = self.num
+        if d != 1:
+            g = _gcd(d, *num)
+            if g != 1:
+                d //= g
+                num = [u // g for u in num]
+            den *= d
+        return CycloRational(self.field, tuple([u * n for u in num]), den)
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return not any(self.coords[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Rat | None:
-        return self.coords[0] if self.is_rational() else None
+        return Rat(self.num[0], self.den) if not any(self.num[1:]) else None
+
+    @property
+    def coords(self) -> tuple[Rat, ...]:
+        """The power-basis coordinates as fractions (built once, on demand)."""
+        if self._coords is None:
+            den = self.den
+            self._coords = tuple([Rat(u, den) if u else _ZERO for u in self.num])
+        return self._coords
 
     # -- arithmetic ---------------------------------------------------------
+    def _plus(self, other, op):
+        """self + other (op = operator.add) or self - other (op = operator.sub)."""
+        if type(other) is not CycloRational:
+            if isinstance(other, int):
+                # gcd(den, num[0] +- other * den, num[1:]) = gcd(den, num) = 1
+                return CycloRational(self.field, (op(self.num[0], other * self.den),)
+                                     + self.num[1:], self.den)
+            if not isinstance(other, Fraction):
+                return NotImplemented
+            other = self.field.rational(other)
+        elif other.field is not self.field:
+            self, other = self._promote(other)
+        da, db = self.den, other.den
+        if da == db:
+            num = tuple(map(op, self.num, other.num))
+            return CycloRational(self.field, num, 1) if da == 1 else _canon(self.field, num, da)
+        g = _gcd(da, db)
+        ma, mb = db // g, da // g
+        num = tuple([op(u * ma, v * mb) for u, v in zip(self.num, other.num)])
+        if g == 1:
+            # coprime denominators: the result is already in lowest terms
+            return CycloRational(self.field, num, da * db)
+        return _canon(self.field, num, da * ma)
+
     def __add__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return CycloRational(a.field, tuple(u + v for u, v in zip(a.coords, b.coords)))
+        return self._plus(other, add)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloRational(self.field, tuple(-a for a in self.coords))
+        return CycloRational(self.field, tuple([-u for u in self.num]), self.den)
 
     def __sub__(self, other):
-        pair = self._pair(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return CycloRational(a.field, tuple(u - v for u, v in zip(a.coords, b.coords)))
+        return self._plus(other, sub)
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __mul__(self, other):
-        pair = self._pair(other)
-        if pair is None:
+        if type(other) is not CycloRational:
+            if isinstance(other, (int, Fraction)):
+                return self._scaled(other.numerator, other.denominator)
             return NotImplemented
-        a, b = pair
-        rb = b.as_rational()
-        if rb is not None:
-            return CycloRational(a.field, tuple(u * rb for u in a.coords))
-        ra = a.as_rational()
-        if ra is not None:
-            return CycloRational(b.field, tuple(v * ra for v in b.coords))
-        d = a.field.degree
-        raw = [Rat(0)] * (2 * d - 1)
-        for i, u in enumerate(a.coords):
-            if not u:
-                continue
-            for j, v in enumerate(b.coords):
-                if v:
-                    raw[i + j] += u * v
-        return a.field._reduce(raw)
+        if other.field is not self.field:
+            self, other = self._promote(other)
+        a, b = self.num, other.num
+        if not any(b[1:]):
+            return self._scaled(b[0], other.den)
+        if not any(a[1:]):
+            return other._scaled(a[0], self.den)
+        raw = [0] * (2 * len(a) - 1)
+        for i, u in enumerate(a):
+            if u:
+                for j, v in enumerate(b):
+                    if v:
+                        raw[i + j] += u * v
+        return self.field._reduce(raw, self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "CycloRational":
         if self.is_zero():
             raise DivisionByZero("division by zero field element")
-        r = self.as_rational()
-        if r is not None:
-            return self.field.rational(Rat(1) / r)
-        # extended Euclid in Q[t] against the cyclotomic modulus
-        mod = list(self.field._modulus)
-        a = list(self.coords)
-        inv = _poly_modular_inverse(a, mod)
-        return self.field._reduce(inv)
+        num = self.num
+        if not any(num[1:]):
+            n, d = (self.den, num[0]) if num[0] > 0 else (-self.den, -num[0])
+            return CycloRational(self.field, (n,) + self.field._zeros, d)
+        # (num / den)^-1 = den * s for s * num = 1 modulo the cyclotomic polynomial
+        num = list(num)
+        while not num[-1]:
+            num.pop()
+        s = _poly_modular_inverse(num, list(self.field._modulus))
+        den = math.lcm(*(c.denominator for c in s))
+        return self.field._reduce(
+            [c.numerator * (den // c.denominator) * self.den for c in s], den)
 
     def __truediv__(self, other):
-        pair = self._pair(other)
-        if pair is None:
+        if type(other) is CycloRational:
+            return self * other.inverse()
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        a, b = pair
-        return a * b.inverse()
+        if not other:
+            raise DivisionByZero("division by zero field element")
+        n, d = other.numerator, other.denominator
+        return self._scaled(d, n) if n > 0 else self._scaled(-d, -n)
 
     def __rtruediv__(self, other):
-        pair = self._pair(other)
-        if pair is None:
+        if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        a, b = pair
-        return b * a.inverse()
+        return self.inverse() * other
 
     def __pow__(self, n: int):
         if n < 0:
@@ -269,18 +342,23 @@ class CycloRational:
 
     # -- comparisons ---------------------------------------------------------
     def __eq__(self, other) -> bool:
-        try:
-            pair = self._pair(other)
-        except ValueError:
-            return False
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return a.coords == b.coords
+        if type(other) is CycloRational:
+            if other.field is self.field:
+                return self.num == other.num and self.den == other.den
+            if any(self.num[1:]) or any(other.num[1:]):
+                return False
+            return self.num[0] == other.num[0] and self.den == other.den
+        if isinstance(other, (int, Fraction)):
+            return (not any(self.num[1:]) and self.num[0] == other.numerator
+                    and self.den == other.denominator)
+        return NotImplemented
 
     def __hash__(self) -> int:
         if self._hash is None:
-            self._hash = hash(self.coords)
+            # a rational element hashes as its value, so the hash agrees with
+            # == across fields and with int and Fraction
+            self._hash = (hash((self.num, self.den)) if any(self.num[1:])
+                          else hash(Rat(self.num[0], self.den)))
         return self._hash
 
     def sort_key(self) -> tuple[Rat, ...]:
@@ -313,46 +391,45 @@ class CycloRational:
         return f"<{self} in Q(zeta_{self.field.conductor})>"
 
 
-def _poly_modular_inverse(a: list[Rat], mod: list[Rat]) -> list[Rat]:
-    """Inverse of the polynomial ``a`` modulo ``mod`` over Q (both ascending)."""
+# -- dense polynomials over Q, ascending coefficients, no trailing zeros --------
 
-    def deg(p):
-        d = len(p) - 1
-        while d >= 0 and not p[d]:
-            d -= 1
-        return d
 
-    def pdivmod(num, den):
-        num = list(num)
-        dd = deg(den)
-        q = [Rat(0)] * max(deg(num) - dd + 1, 0)
-        while deg(num) >= dd:
-            k = deg(num) - dd
-            c = num[deg(num)] / den[dd]
+def _qdivmod(num: Sequence[Rat | int], den: Sequence[Rat | int]) -> tuple[list[Rat], list[Rat]]:
+    """Quotient and remainder of dense polynomials over Q; ``den`` is nonzero."""
+    rem = list(num)
+    dd = len(den) - 1
+    lead = Rat(den[-1])
+    q = [_ZERO] * max(len(rem) - dd, 0)
+    while len(rem) > dd:
+        c = rem.pop()
+        if c:
+            k = len(rem) - dd
+            c = c / lead
             q[k] = c
-            for i in range(dd + 1):
-                num[k + i] -= c * den[i]
-        return q, num
+            for i in range(dd):
+                rem[k + i] -= c * den[i]
+    while rem and not rem[-1]:
+        rem.pop()
+    return q, rem
 
-    r0, r1 = list(mod), list(a)
-    s0, s1 = [Rat(0)], [Rat(1)]
-    while deg(r1) > 0:
-        q, r = pdivmod(r0, r1)
+
+def _poly_modular_inverse(a: list[int], mod: list[int]) -> list[Rat]:
+    """Inverse of the polynomial ``a`` modulo ``mod`` over Q (both ascending,
+    without trailing zeros), by the extended Euclidean algorithm."""
+    r0, r1 = mod, a
+    s0: list[Rat] = []
+    s1: list[Rat] = [Rat(1)]
+    while len(r1) > 1:
+        q, r = _qdivmod(r0, r1)
         r0, r1 = r1, r
         # s_next = s0 - q*s1
-        prod = [Rat(0)] * (deg(q) + deg(s1) + 2 if deg(q) >= 0 and deg(s1) >= 0 else 1)
+        s = list(s0) + [_ZERO] * max(len(q) + len(s1) - 1 - len(s0), 0)
         for i, qc in enumerate(q):
-            if not qc:
-                continue
-            for j, sc in enumerate(s1):
-                if sc:
-                    prod[i + j] += qc * sc
-        ln = max(len(s0), len(prod))
-        s0, s1 = s1, [
-            (s0[i] if i < len(s0) else Rat(0)) - (prod[i] if i < len(prod) else Rat(0))
-            for i in range(ln)
-        ]
-    if deg(r1) < 0:
+            if qc:
+                for j, sc in enumerate(s1):
+                    s[i + j] -= qc * sc
+        s0, s1 = s1, s
+    if not r1:
         raise DivisionByZero("element is not invertible (shares a factor with the modulus)")
     c = r1[0]
     return [s / c for s in s1]
@@ -522,14 +599,12 @@ class UniPoly:
             m += 1
         return m
 
-    def coordinate_polys(self) -> list[list[Rat]]:
-        """The rational coordinate polynomials in the field's power basis."""
-        d = self.field.degree
-        out: list[list[Rat]] = [[] for _ in range(d)]
-        for c in self.coeffs:
-            for i in range(d):
-                out[i].append(c.coords[i])
-        return out
+    def coordinate_polys(self) -> list[list[int]]:
+        """The integer coordinate polynomials, in the field's power basis, of
+        this polynomial times the lcm of its coefficient denominators."""
+        den = math.lcm(*(c.den for c in self.coeffs))
+        scaled = [[u * (den // c.den) for u in c.num] for c in self.coeffs]
+        return [list(col) for col in zip(*scaled)]
 
     def __str__(self) -> str:
         if self.is_zero():
@@ -653,7 +728,7 @@ def _pollard_rho(n: int) -> int:
             d = math.gcd(abs(x - y), n)
         if d != n:
             return d
-    raise ArithmeticError(f"failed to factor {n}")
+    raise InternalInconsistency(f"Pollard rho found no factor of the composite {n}")
 
 
 def _factorize(n: int) -> dict[int, int]:
@@ -713,28 +788,9 @@ def _rational_roots(int_coeffs: list[int]) -> list[Rat]:
     return roots
 
 
-def _rational_gcd_roots(coord_polys: list[list[Rat]]) -> list[Rat]:
-    """Rational roots common to all coordinate polynomials."""
-
-    def deg(p):
-        d = len(p) - 1
-        while d >= 0 and not p[d]:
-            d -= 1
-        return d
-
-    def pmod(num, den):
-        num = list(num)
-        dd = deg(den)
-        while deg(num) >= dd:
-            k = deg(num) - dd
-            c = num[deg(num)] / den[dd]
-            for i in range(dd + 1):
-                num[k + i] -= c * den[i]
-            while num and not num[-1]:
-                num.pop()
-        return num
-
-    g: list[Rat] = []
+def _rational_gcd_roots(coord_polys: list[list[int]]) -> list[Rat]:
+    """Rational roots common to all integer coordinate polynomials."""
+    g: list[Rat | int] = []
     for p in coord_polys:
         p = list(p)
         while p and not p[-1]:
@@ -746,9 +802,9 @@ def _rational_gcd_roots(coord_polys: list[list[Rat]]) -> list[Rat]:
             continue
         a, b = g, p
         while b:
-            a, b = b, pmod(a, b)
+            a, b = b, _qdivmod(a, b)[1]
         g = a
-        if deg(g) == 0:
+        if len(g) == 1:
             return []
     if not g:
         return []

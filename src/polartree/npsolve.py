@@ -181,21 +181,15 @@ def _eval_at_y(F: BiPoly, y0: int) -> UniPoly:
 
 def _interpolate(ys: list[int], values: list[CycloRational], field: CycloField) -> UniPoly:
     """The polynomial in y of degree below len(ys) that takes values[k] at
-    ys[k]: Newton's divided differences, one rational coordinate at a time."""
-    coords = []
-    for c in zip(*(v.coords for v in values)):
-        c = list(c)
-        if not any(c):
-            coords.append(c)
-            continue
-        for j in range(1, len(ys)):
-            for k in range(len(ys) - 1, j - 1, -1):
-                c[k] = (c[k] - c[k - 1]) / (ys[k] - ys[k - j])
-        p = [c[-1]]
-        for k in range(len(ys) - 2, -1, -1):  # p = p * (y - ys[k]) + c[k]
-            p = [c[k] - ys[k] * p[0]] + [a - ys[k] * b for a, b in zip(p, p[1:])] + [p[-1]]
-        coords.append(p)
-    return UniPoly(field, [field.from_coords(t) for t in zip(*coords)], "y")
+    ys[k]: Newton's divided differences."""
+    c = list(values)
+    for j in range(1, len(ys)):
+        for k in range(len(ys) - 1, j - 1, -1):
+            c[k] = (c[k] - c[k - 1]) / (ys[k] - ys[k - j])
+    p = [c[-1]]
+    for k in range(len(ys) - 2, -1, -1):  # p = p * (y - ys[k]) + c[k]
+        p = [c[k] - p[0] * ys[k]] + [a - b * ys[k] for a, b in zip(p, p[1:])] + [p[-1]]
+    return UniPoly(field, p, "y")
 
 
 def _normalized(cols: list[UniPoly], field: CycloField) -> BiPoly:

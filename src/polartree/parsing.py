@@ -4,14 +4,37 @@ Grammar: integers, rationals a/b, the variables x and y, the symbol zeta
 (a primitive root of unity of the session field's order), +, -, *, ^ and
 parentheses.  Exponents are integer literals; negative exponents are only
 legal on y and only in Laurent mode.  Multiplication is always explicit.
+
+Every product and power is checked before it is expanded: no intermediate
+result, and so no parsed germ, may have x-degree or |y-exponent| above
+``MAX_GERM_DEGREE``.  The worked examples and the benchmark inputs reach at
+most x-degree 8 and y-degree 34; the cap keeps a short input such as
+``(x+y)^100000`` from asking for an expansion that would not finish, and
+ends it with a limitation (exit 3) instead.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ExprSyntaxError, NegativeExponentWithoutLaurent
+from .errors import ExprSyntaxError, LimitationError, NegativeExponentWithoutLaurent
 from .exactalg import BiPoly, CycloField
+
+MAX_GERM_DEGREE = 256
+
+
+def _degrees(p: BiPoly) -> tuple[int, int]:
+    """(x-degree, largest |y-exponent|) of a polynomial; (0, 0) for zero."""
+    return (max((i for i, _ in p.terms), default=0),
+            max((abs(j) for _, j in p.terms), default=0))
+
+
+def _check_degrees(x_deg: int, y_deg: int, tok) -> None:
+    for name, deg in (("x-degree", x_deg), ("y-degree", y_deg)):
+        if deg > MAX_GERM_DEGREE:
+            raise LimitationError(
+                f"{tok[2]}:{tok[3]}: {name} {deg} exceeds the germ degree cap "
+                f"{MAX_GERM_DEGREE}")
 
 
 class _Tokens:
@@ -101,8 +124,11 @@ class _Parser:
     def term(self) -> BiPoly:
         acc = self.power()
         while self.toks.peek()[0] == "*":
-            self.toks.take()
-            acc = acc * self.power()
+            tok = self.toks.take()
+            rhs = self.power()
+            (ax, ay), (bx, by) = _degrees(acc), _degrees(rhs)
+            _check_degrees(ax + bx, ay + by, tok)
+            acc = acc * rhs
         return acc
 
     def power(self) -> BiPoly:
@@ -127,6 +153,8 @@ class _Parser:
             etok = self.toks.take("int")
         e = int(etok[1])
         if not neg:
+            bx, by = _degrees(base)
+            _check_degrees(e * bx, e * by, etok)
             return base**e
         # negative exponents: only the bare variable y, only in Laurent mode
         if base.terms != {(0, 1): self.field.one}:
@@ -137,6 +165,7 @@ class _Parser:
             raise NegativeExponentWithoutLaurent(
                 f"{etok[2]}:{etok[3]}: y^-{e} requires Laurent mode"
             )
+        _check_degrees(0, e, etok)
         return BiPoly(self.field, {(0, -e): self.field.one}, laurent=True)
 
     def atom(self) -> BiPoly:

@@ -1,6 +1,7 @@
 """Expression parsing and the command-line surface."""
 
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -9,10 +10,12 @@ from polartree import (
     BiPoly,
     CycloField,
     ExprSyntaxError,
+    LimitationError,
     NegativeExponentWithoutLaurent,
     parse_expression,
 )
 from polartree.cli import run
+from polartree.parsing import MAX_GERM_DEGREE
 
 K4 = CycloField(4)
 K12 = CycloField(12)
@@ -200,6 +203,28 @@ def test_cli_repeated_component_through_origin_exits_2(capsys, f, g):
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "(x^3 + y^2 - y^4)^2 through the origin" in err
+
+
+@pytest.mark.parametrize("f, g", [
+    ("(x+y)^100000", "x"),
+    ("(x+y)^400", "x"),
+    ("x^2-y^3", "(1+x)^3000"),
+])
+def test_cli_degree_cap_exits_3_at_once(capsys, f, g):
+    t0 = time.perf_counter()
+    code, out, err = _cli(capsys, "verify", "--f", f, "--g", g)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == ""
+    assert err.startswith("limitation: ") and err.count("\n") == 1
+    assert f"germ degree cap {MAX_GERM_DEGREE}" in err
+
+
+def test_degree_cap_covers_products_and_poles():
+    parse_expression(f"x^{MAX_GERM_DEGREE}*y^{MAX_GERM_DEGREE}", K4)
+    for text in (f"x^{MAX_GERM_DEGREE}*x", f"(x*y)^{MAX_GERM_DEGREE + 1}",
+                 f"x^3 - y^(-{MAX_GERM_DEGREE + 1})"):
+        with pytest.raises(LimitationError):
+            parse_expression(text, K4, laurent=True)
 
 
 def test_cli_shared_unit_factor_still_passes(capsys):

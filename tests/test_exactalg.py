@@ -9,6 +9,8 @@ from polartree import (
     BiPoly,
     CycloField,
     DivisionByZero,
+    InternalInconsistency,
+    PolartreeError,
     UniPoly,
     ZeroPolynomial,
     equal_up_to_constant,
@@ -17,6 +19,7 @@ from polartree import (
     roots_in_field,
     squarefree_decompose,
 )
+from polartree import exactalg
 
 K4 = CycloField(4)
 K3 = CycloField(3)
@@ -185,3 +188,11 @@ def test_bipoly_shear():
     y = BiPoly.variable(K4, "y")
     sheared = (x * x - y * y).substitute_shear(K4.one)
     assert str(sheared) == "-2*x*y - y^2"
+
+
+def test_pollard_rho_failure_is_a_polartree_error(monkeypatch):
+    # a gcd that always returns n makes every rho attempt fail
+    monkeypatch.setattr(exactalg.math, "gcd", lambda a, n: n)
+    with pytest.raises(PolartreeError) as e:
+        exactalg._factorize(91)
+    assert isinstance(e.value, InternalInconsistency)
