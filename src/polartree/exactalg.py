@@ -191,14 +191,12 @@ class CycloRational:
         """Bring an element of another field into a common field; only a
         rational element can move."""
         if not any(other.num[1:]):
-            return self, other._moved_to(self.field)
+            return self, CycloRational(self.field, (other.num[0],) + self.field._zeros,
+                                       other.den)
         if not any(self.num[1:]):
-            return self._moved_to(other.field), other
+            return CycloRational(other.field, (self.num[0],) + other.field._zeros,
+                                 self.den), other
         raise ValueError("cannot mix elements of different cyclotomic fields")
-
-    def _moved_to(self, field: CycloField) -> "CycloRational":
-        """This rational element as an element of another field."""
-        return CycloRational(field, (self.num[0],) + field._zeros, self.den)
 
     def _scaled(self, n: int, d: int) -> "CycloRational":
         """self * (n/d) for a rational in lowest terms with d > 0."""
