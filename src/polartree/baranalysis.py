@@ -50,17 +50,6 @@ class BarAnalysis:
     predicted_unresolved: int
     predicted_total: int | None
 
-    def delta_of(self, z: CycloRational) -> Fraction:
-        return self.deltas[z]
-
-    def mero_multiplicity(self, z: CycloRational) -> int:
-        """mu at a located point: zero multiplicity, -1 at a pole, else 0."""
-        if z in self.mero_zeros:
-            return self.mero_zeros[z]
-        if z in self.noncollinear_points:
-            return -1
-        return 0
-
 
 def _capped_contact(series: PuiseuxSeries, prefix: PuiseuxSeries, h: Fraction) -> Fraction:
     """min(contact order with the prefix, h), robust to deep agreement."""
@@ -118,7 +107,7 @@ def mero_function(tree: Tree, bar: Bar, nu_f: Fraction, nu_g: Fraction):
     return deltas, num, poles
 
 
-def analyze_bar(tree: Tree, bar: Bar, candidates=()) -> BarAnalysis:
+def analyze_bar(tree: Tree, bar: Bar) -> BarAnalysis:
     """Full classification of one finite bar."""
     nu_f = compute_nu(tree, bar, "f")
     nu_g = compute_nu(tree, bar, "g")
@@ -138,10 +127,9 @@ def analyze_bar(tree: Tree, bar: Bar, candidates=()) -> BarAnalysis:
             num, {}, 0, None, 0, 0, n, c, tau_total, 0, None, 0, None,
         )
 
-    all_candidates = list(candidates)
-    for z, _t in tree.growth_points(bar):
-        all_candidates.append(z)
-    located, unresolved = roots_in_field(num, all_candidates)
+    located, unresolved = roots_in_field(
+        num, [z for z, _t in tree.growth_points(bar)]
+    )
     mero_zeros = {z: mult for z, mult in located}
     m = num.degree()
     if n < m + 1:
@@ -203,12 +191,9 @@ def analyze_bar(tree: Tree, bar: Bar, candidates=()) -> BarAnalysis:
     )
 
 
-def analyze_all(tree: Tree, candidates=()) -> dict[str, BarAnalysis]:
+def analyze_all(tree: Tree) -> dict[str, BarAnalysis]:
     """Analyses of every finite bar, keyed by bar id."""
-    out = {}
-    for bar in tree.finite_bars():
-        out[bar.id] = analyze_bar(tree, bar, candidates)
-    return out
+    return {bar.id: analyze_bar(tree, bar) for bar in tree.finite_bars()}
 
 
 def predict_T(tree: Tree, analyses: dict[str, BarAnalysis], bar: Bar):

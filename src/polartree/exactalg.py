@@ -534,9 +534,6 @@ class UniPoly:
             rem.pop()
         return UniPoly(self.field, q, self.var), UniPoly(self.field, rem, self.var)
 
-    def __floordiv__(self, other: "UniPoly") -> "UniPoly":
-        return divmod(self, other)[0]
-
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return divmod(self, other)[1]
 
@@ -1026,26 +1023,6 @@ class BiPoly:
         if not pure:
             raise ValueError("polynomial vanishes identically on y = 0")
         return min(pure)
-
-    def x_coefficients(self) -> list[UniPoly]:
-        """Coefficients as polynomials in y, indexed by x-degree.
-
-        Requires non-Laurent terms (all y exponents non-negative).
-        """
-        if any(j < 0 for (_, j) in self.terms):
-            raise ValueError("Laurent polynomial has no y-polynomial coefficients")
-        nx = self.x_degree()
-        cols: list[dict[int, CycloRational]] = [dict() for _ in range(nx + 1)]
-        for (i, j), c in self.terms.items():
-            cols[i][j] = c
-        out = []
-        for col in cols:
-            if not col:
-                out.append(UniPoly.zero(self.field, "y"))
-                continue
-            top = max(col)
-            out.append(UniPoly(self.field, [col.get(k, self.field.zero) for k in range(top + 1)], "y"))
-        return out
 
     @classmethod
     def from_x_coefficients(cls, field: CycloField, cols: Sequence[UniPoly]) -> "BiPoly":

@@ -34,7 +34,6 @@ from .jacoracle import (
     PolarRootRecord,
     is_bounded_by,
     jacobian,
-    observed_at,
 )
 
 
@@ -200,13 +199,11 @@ def _minimal_noncollinear(tree: Tree, analyses) -> list[str]:
 
 def _in_q_group(tree, analyses, record: PolarRootRecord, cls) -> bool:
     for bid in cls:
-        bar = tree.bars[bid]
-        ana = analyses[bid]
-        kind, z = observed_at(record, bar)
-        if kind != "climbs" or z is None or z not in ana.collinear_points:
+        _climbs, z = record.trace.climb(bid)
+        if z is None or z not in analyses[bid].collinear_points:
             continue
         try:
-            cover = cover_of(tree, analyses, bar, z)
+            cover = cover_of(tree, analyses, tree.bars[bid], z)
         except NoCover:
             continue
         if all(is_bounded_by(record, tree.bars[b]) for b in cover):
@@ -248,10 +245,7 @@ def _truncation_product(tree: Tree, records, indices) -> BiPoly:
             for _ in range(r.count):
                 mul_in(factor)
         else:
-            rel = r.arc_view().coefficient_relative(lam, h)
-            if rel[0] != "coeff-unresolved":
-                raise InternalInconsistency("unresolved record with resolved leave")
-            chi = rel[1].monic()
+            chi = r.trace.leave_poly.monic()
             d = chi.degree()
             # product over roots a of chi of (x - lam - a y^h)
             #   = sum_k chi_k (x - lam)^k y^(h (d-k))
@@ -350,10 +344,9 @@ def intersection_mults(report: FactorReport, tree: Tree, oracle: OracleResult,
                     )
                     cut_rec = _plain_record(cut, r.count)
                 else:
-                    rel = r.arc_view().coefficient_relative(bar.prefix, bar.height)
                     cut_rec = PolarRootRecord(
                         bar.prefix, r.multiplicity, r.branch_count, r.trace,
-                        bar.height, rel[1],
+                        bar.height, r.trace.leave_poly,
                     )
                 total += order_sum_via_contacts(tree, kind, cut_rec) * cut_rec.count
             return total
@@ -439,9 +432,7 @@ def compare_pairs(pair_a, pair_b) -> EquivalenceVerdict:
         sa = _bar_signature(tree_a, ana_a, tree_a.ground, level)
         sb = _bar_signature(tree_b, ana_b, tree_b.ground, level)
         if sa != sb:
-            if level == 1:
-                return EquivalenceVerdict("inequivalent", f"{name} differ")
-            if level == 2:
+            if level < 3:
                 return EquivalenceVerdict("inequivalent", f"{name} differ")
             return EquivalenceVerdict("equivalent", f"{name} differ")
     return EquivalenceVerdict("mero_equivalent")

@@ -4,8 +4,9 @@ The oracle computes J = f_y g_x - f_x g_y exactly, expands its Newton-Puiseux
 roots, places every root on the tree by contact order alone (it never reads
 the per-bar counting numbers, so prediction and observation stay
 independent), and then compares the observed climb/leave data against every
-counting prediction.  Verification failures are report content, not
-exceptions.
+counting prediction.  Placement happens once, in ``Tree.trace_arc``; every
+check reads the record's trace and never compares the arc with a bar prefix
+again.  Verification failures are report content, not exceptions.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .errors import (
 from .exactalg import BiPoly, CycloRational, UniPoly, squarefree_decompose
 from .puiseux import INF, PuiseuxSeries, order_along_arc
 from .npsolve import expand_roots
-from .treemodel import ArcView, Bar, Tree, cover_of, repair_of
+from .treemodel import ArcTrace, ArcView, Bar, Tree, cover_of, repair_of
 from .baranalysis import (
     BarAnalysis,
     ground_residual,
@@ -79,14 +80,10 @@ class OracleResult:
     truncation: Fraction
 
 
-def polar_roots(
-    f: BiPoly,
-    g: BiPoly,
-    tree: Tree,
-    target=None,
-    extra_candidates=(),
-    max_deepen: int = 6,
-) -> OracleResult:
+MAX_DEEPEN = 6  # truncation doublings before placement gives up
+
+
+def polar_roots(f: BiPoly, g: BiPoly, tree: Tree, target=None) -> OracleResult:
     """Expand the Jacobian and place every polar root on the tree.
 
     Runs in count mode: branches whose coefficients fall outside the field
@@ -97,7 +94,7 @@ def polar_roots(
     J = jacobian(f, g)
     if J.is_zero():
         raise InputError("Jacobian is identically zero; the pair is degenerate")
-    candidates = list(extra_candidates)
+    candidates = []
     seen = set()
     for bar in tree.finite_bars():
         for z, _t in tree.growth_points(bar):
@@ -106,7 +103,7 @@ def polar_roots(
                 candidates.append(z)
     depth = Fraction(target) if target is not None else tree.max_contact + 2
     last_err: Exception | None = None
-    for _ in range(max_deepen):
+    for _ in range(MAX_DEEPEN):
         try:
             return _expand_and_place(J, tree, depth, candidates)
         except (TruncationTooShort, Indeterminate, PlacementUnresolved) as e:
@@ -150,18 +147,8 @@ def _expand_and_place(J: BiPoly, tree: Tree, depth: Fraction, candidates) -> Ora
 
 
 # ---------------------------------------------------------------------------
-# observation helpers (shared with the factor grouping)
+# observation helpers (shared with the factor grouping); all read the trace
 # ---------------------------------------------------------------------------
-
-
-def observed_at(record: PolarRootRecord, bar: Bar):
-    """How a record sits against one bar: ("climbs", point-or-None) or ("bounded", t)."""
-    rel = record.arc_view().coefficient_relative(bar.prefix, bar.height)
-    if rel[0] == "below":
-        return ("bounded", rel[1])
-    if rel[0] == "coeff":
-        return ("climbs", rel[1])
-    return ("climbs", None)
 
 
 def climbers_at(records, bar: Bar):
@@ -169,8 +156,8 @@ def climbers_at(records, bar: Bar):
     located: dict[CycloRational, int] = {}
     pooled = 0
     for r in records:
-        kind, z = observed_at(r, bar)
-        if kind != "climbs":
+        climbs, z = r.trace.climb(bar.id)
+        if not climbs:
             continue
         if z is None:
             pooled += r.count
@@ -180,7 +167,7 @@ def climbers_at(records, bar: Bar):
 
 
 def is_bounded_by(record: PolarRootRecord, bar: Bar) -> bool:
-    return observed_at(record, bar)[0] == "bounded"
+    return not record.trace.climb(bar.id)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -269,11 +256,12 @@ def verify(
 
     noncollinear = [b for b in tree.finite_bars() if not analyses[b.id].collinear]
     noncollinear.sort(key=lambda b: (b.height, b.id))
+    climbers = {b.id: climbers_at(records, b) for b in tree.finite_bars()}
 
     # per-point climb counts and totals
     for bar in noncollinear:
         ana = analyses[bar.id]
-        located, pooled = climbers_at(records, bar)
+        located, pooled = climbers[bar.id]
         points = set(ana.predicted) | set(located)
         for z in sorted(points, key=lambda w: w.sort_key()):
             rep.add(
@@ -300,16 +288,12 @@ def verify(
                 (not pa.collinear) and pa.m + 1 == pa.n,
                 note=f"postbar {post.id}",
             )
-            violations = 0
-            for r in records:
-                try:
-                    t = r.arc_view().contact_with(post.prefix)
-                except (Indeterminate, TruncationTooShort):
-                    # agreement past the truncation: contact provably exceeds
-                    # the postbar height, so no gap violation
-                    continue
-                if t is not INF and bar.height < t < post.height:
-                    violations += r.count
+            # a record climbing the bar at z but bounded by the postbar
+            # separates strictly between the two heights
+            violations = sum(
+                r.count for r in records
+                if r.trace.climb(bar.id) == (True, z) and is_bounded_by(r, post)
+            )
             rep.add("gap", bar.id, z, 0, violations, note=f"postbar {post.id}")
 
     # collinear-point counts with cover bounds
@@ -321,13 +305,11 @@ def verify(
             except NoCover:
                 rep.add_flag("collinear-bound", bar.id, c, True, note="no cover")
                 continue
-            observed = 0
-            for r in records:
-                kind, z = observed_at(r, bar)
-                if kind != "climbs" or z != c:
-                    continue
-                if all(is_bounded_by(r, tree.bars[b]) for b in cover):
-                    observed += r.count
+            observed = sum(
+                r.count for r in records
+                if r.trace.climb(bar.id) == (True, c)
+                and all(is_bounded_by(r, tree.bars[b]) for b in cover)
+            )
             rep.add(
                 "collinear-bound", bar.id, c, predicted, observed,
                 note="cover " + ",".join(cover),
@@ -339,26 +321,20 @@ def verify(
         allowed = set(ana.noncollinear_points) | set(ana.collinear_points) | set(ana.mero_zeros)
         bad = 0
         for r in records:
-            rel = r.arc_view().coefficient_relative(bar.prefix, bar.height)
-            if rel[0] == "below":
+            climbs, z = r.trace.climb(bar.id)
+            if not climbs:
                 continue
-            if rel[0] == "coeff":
-                if rel[1] not in allowed:
+            if z is not None:
+                if z not in allowed:
                     bad += r.count
-            else:
-                chi = rel[1]
-                if ana.mero_unresolved_poly is None:
-                    bad += r.count
-                    continue
-                probe = _squarefree_part(chi)
-                if not (ana.mero_numerator % probe).is_zero():
-                    bad += r.count
+            elif not _unresolved_at_zero(ana, r.trace):
+                bad += r.count
         rep.add("placement", bar.id, None, 0, bad)
 
     # pure mero-zeros: exact counts, climbers leave there
     for bar in noncollinear:
         ana = analyses[bar.id]
-        located, pooled = climbers_at(records, bar)
+        located, pooled = climbers[bar.id]
         for z, mult in sorted(ana.mero_zeros.items(), key=lambda kv: kv[0].sort_key()):
             if z in ana.collinear_points:
                 continue
@@ -370,7 +346,7 @@ def verify(
     for bar in noncollinear:
         ana = analyses[bar.id]
         if _delta_sum(ana) != 0:
-            located, pooled = climbers_at(records, bar)
+            located, pooled = climbers[bar.id]
             rep.add_flag("sum-rule", bar.id, None, ana.m + 1 == ana.n)
             rep.add(
                 "sum-rule-total", bar.id, None,
@@ -387,7 +363,7 @@ def verify(
         if (s == 0 or t == 0) and s + t >= 1:
             other_nu = ana.nu_g if t == 0 else ana.nu_f
             if other_nu != 0:
-                located, pooled = climbers_at(records, bar)
+                located, pooled = climbers[bar.id]
                 rep.add_flag("pure-trunk-shape", bar.id, None, ana.purely_noncollinear)
                 rep.add(
                     "pure-trunk-total", bar.id, None,
@@ -401,7 +377,7 @@ def verify(
         w_pred = weeds(tree, analyses, bar)
         w_obs = _observed_weeds(tree, analyses, records, bar)
         rep.add("weeds", bar.id, None, w_pred, w_obs)
-        located, pooled = climbers_at(records, bar)
+        located, pooled = climbers[bar.id]
         rep.add(
             "basics-total", bar.id, None,
             total_via_basics(tree, analyses, bar),
@@ -441,39 +417,31 @@ def _observed_weeds(tree, analyses, records, bar: Bar) -> int:
     rep_bars = repair_of(tree, analyses, bar)
     total = 0
     for r in records:
-        if not _climbs_in_holes(analyses, r, tree.bars[bar.id]):
+        climbs, z = r.trace.climb(bar.id)
+        if not climbs or not _point_in_holes(analyses[bar.id], r.trace, z):
             continue
-        ok = True
-        for bid in rep_bars:
-            b = tree.bars[bid]
-            kind, z = observed_at(r, b)
-            if kind != "climbs":
-                continue
-            if not _point_in_holes(analyses[bid], r, b, z):
-                ok = False
-                break
-        if ok:
+        if all(
+            _point_in_holes(analyses[bid], r.trace, zb)
+            for bid, zb in r.trace.path if bid in rep_bars
+        ):
             total += r.count
     return total
 
 
-def _climbs_in_holes(analyses, record, bar: Bar) -> bool:
-    kind, z = observed_at(record, bar)
-    if kind != "climbs":
-        return False
-    return _point_in_holes(analyses[bar.id], record, bar, z)
-
-
-def _point_in_holes(ana: BarAnalysis, record, bar: Bar, z) -> bool:
+def _point_in_holes(ana: BarAnalysis, trace: ArcTrace, z) -> bool:
     """Is the climb point in C(B) union M(B)?"""
     if ana.collinear:
         return True  # every point of a collinear bar is a hole
     if z is not None:
         return z in ana.collinear_points or z in ana.mero_zeros
-    rel = record.arc_view().coefficient_relative(bar.prefix, bar.height)
-    if rel[0] != "coeff-unresolved" or ana.mero_unresolved_poly is None:
+    return _unresolved_at_zero(ana, trace)
+
+
+def _unresolved_at_zero(ana: BarAnalysis, trace: ArcTrace) -> bool:
+    """Is the unresolved leave coefficient among the bar's unresolved zeros?"""
+    if ana.mero_unresolved_poly is None:
         return False
-    return (ana.mero_numerator % _squarefree_part(rel[1])).is_zero()
+    return (ana.mero_numerator % _squarefree_part(trace.leave_poly)).is_zero()
 
 
 def _verify_sampled_arcs(rep, tree, analyses, f, g) -> None:
@@ -532,7 +500,7 @@ def _fresh_point(field, taken):
 
 
 def identity_check(f: BiPoly, g: BiPoly, tree: Tree, bar: Bar,
-                   sample_z: CycloRational, analyses=None) -> bool:
+                   sample_z: CycloRational, analyses) -> bool:
     """Order bookkeeping along a sample arc through the bar.
 
     Away from the growth points, the Jacobian's order along the arc equals
@@ -542,10 +510,9 @@ def identity_check(f: BiPoly, g: BiPoly, tree: Tree, bar: Bar,
     the jump is observed, so callers can record it without asserting the
     equality.
     """
-    from .baranalysis import analyze_bar
-
-    ana = analyses[bar.id] if analyses else analyze_bar(tree, bar)
-    return _order_identity_holds(jacobian(f, g), f, g, tree, bar, ana, sample_z)
+    return _order_identity_holds(
+        jacobian(f, g), f, g, tree, bar, analyses[bar.id], sample_z
+    )
 
 
 def _order_identity_holds(J, f, g, tree, bar, ana, sample_z) -> bool:
@@ -570,8 +537,5 @@ def _verify_order_identity(rep, tree, analyses, J, f, g) -> None:
         num = ana.mero_numerator.evaluate(probe)
         if num.is_zero():
             continue
-        try:
-            ok = _order_identity_holds(J, f, g, tree, bar, ana, probe)
-        except (TruncationTooShort, Indeterminate):
-            continue
+        ok = _order_identity_holds(J, f, g, tree, bar, ana, probe)
         rep.add_flag("order-identity", bar.id, probe, ok)

@@ -60,8 +60,6 @@ class _Infinity:
 
 INF = _Infinity()
 
-Exponent = Fraction  # non-negative rational; denominator divides the session bound
-
 
 def exp_min(a, b):
     return b if a > b else a
@@ -101,10 +99,6 @@ class PuiseuxSeries:
     def zero(cls, field: CycloField) -> "PuiseuxSeries":
         return cls(field, (), INF)
 
-    @classmethod
-    def monomial(cls, field: CycloField, exp, coeff=1) -> "PuiseuxSeries":
-        return cls(field, [(Fraction(exp), coeff)], INF)
-
     # -- basic structure ----------------------------------------------------
     def is_certified_zero(self) -> bool:
         return not self.terms and self.trunc is INF
@@ -123,11 +117,6 @@ class PuiseuxSeries:
 
     def order_lower_bound(self):
         return self.terms[0][0] if self.terms else self.trunc
-
-    def leading_coefficient(self) -> CycloRational:
-        if not self.terms:
-            raise Indeterminate("no leading term")
-        return self.terms[0][1]
 
     def coefficient_at(self, e) -> CycloRational:
         e = Fraction(e)
@@ -399,7 +388,7 @@ def truncate_relative(xi: PuiseuxSeries, tree) -> PuiseuxSeries:
     if trace.leave_bar_id is None:
         raise ValueError("arc separates between bar heights; no relative truncation")
     bar = tree.bars[trace.leave_bar_id]
-    coeff = trace.leave_coefficient
+    coeff = trace.leave_point
     base = bar.prefix
     if coeff is None:
         raise Indeterminate("leave coefficient not determined in the working field")

@@ -64,7 +64,14 @@ class Bar:
 
 @dataclass(frozen=True)
 class ArcTrace:
-    """Where an arc sits relative to the tree."""
+    """Where an arc sits relative to the tree.
+
+    This is the one placement of an arc: ``Tree.trace_arc`` climbs the tree
+    once, and the oracle's checks and the factor grouping read the result
+    back through :meth:`climb` and ``leave_poly`` instead of comparing the
+    arc with bar prefixes again.  A finite bar off ``path`` bounds the arc:
+    the arc differs from the bar's prefix below the bar's height.
+    """
 
     path: tuple[tuple[str, CycloRational | None], ...]  # (bar, climb point); None = unresolved
     is_root: bool = False
@@ -73,7 +80,15 @@ class ArcTrace:
     leave_point: CycloRational | None = None  # ... at this point (None = unresolved location)
     leave_height: Fraction | None = None
     bounded_by: str | None = None            # minimal bar bounding the arc strictly
-    leave_coefficient: CycloRational | None = None
+    leave_poly: UniPoly | None = None        # unresolved leave: the coefficient is a root of this
+
+    def climb(self, bar_id: str) -> tuple[bool, CycloRational | None]:
+        """(True, point) when the arc climbs the bar, point None if unresolved;
+        (False, None) when the bar bounds the arc."""
+        for bid, z in self.path:
+            if bid == bar_id:
+                return True, z
+        return False, None
 
 
 class ArcView:
@@ -139,7 +154,7 @@ class ArcView:
         """Classify the arc against a bar: bounded below h, or its coefficient at h.
 
         Returns one of
-          ("below", t, coeff_or_None)    contact t < h
+          ("below", t)                   contact t < h
           ("coeff", z)                   exact coefficient at height h
           ("coeff-unresolved", shifted)  coefficient at h is a root of ``shifted``
         """
@@ -147,7 +162,7 @@ class ArcView:
         if terms:
             e, c = terms[0]
             if e < h:
-                return ("below", e, c)
+                return ("below", e)
             if e == h:
                 return ("coeff", c)
             return ("coeff", self.series.field.zero)
@@ -156,7 +171,7 @@ class ArcView:
             be = self.branch_exp
             if be < h:
                 self._branch_coeff_vs(prefix)
-                return ("below", be, None)
+                return ("below", be)
             if be == h:
                 return ("coeff-unresolved", self._branch_coeff_vs(prefix))
             # the branch point sits above h and nothing differs below it
@@ -259,20 +274,10 @@ class Tree:
                 if t is INF:
                     rid = bar.root_ids[0]
                     return ArcTrace(tuple(path), is_root=True, matched_root_id=rid)
-                coeff = None
-                diff = arc.series - bar.prefix
-                if diff.terms and diff.terms[0][0] == t:
-                    coeff = diff.terms[0][1]
-                return ArcTrace(
-                    tuple(path), bounded_by=bar.id, leave_height=t,
-                    leave_coefficient=coeff,
-                )
+                return ArcTrace(tuple(path), bounded_by=bar.id, leave_height=t)
             rel = arc.coefficient_relative(bar.prefix, bar.height)
             if rel[0] == "below":
-                return ArcTrace(
-                    tuple(path), bounded_by=bar.id, leave_height=rel[1],
-                    leave_coefficient=rel[2],
-                )
+                return ArcTrace(tuple(path), bounded_by=bar.id, leave_height=rel[1])
             if rel[0] == "coeff-unresolved":
                 chi_here = rel[1]
                 for z, _tr in self.growth_points(bar):
@@ -283,7 +288,7 @@ class Tree:
                 path.append((bar.id, None))
                 return ArcTrace(
                     tuple(path), leave_bar_id=bar.id, leave_point=None,
-                    leave_height=bar.height,
+                    leave_height=bar.height, leave_poly=chi_here,
                 )
             z = rel[1]
             path.append((bar.id, z))
@@ -291,7 +296,7 @@ class Tree:
             if trunk is None:
                 return ArcTrace(
                     tuple(path), leave_bar_id=bar.id, leave_point=z,
-                    leave_height=bar.height, leave_coefficient=z,
+                    leave_height=bar.height,
                 )
             bar = self.bars[trunk.top_bar_id]
 

@@ -1,10 +1,13 @@
 """The Jacobian oracle: expansion, placement, verification."""
 
+import importlib.util
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from polartree import (
+    FIXTURES,
     BiPoly,
     CycloField,
     equal_up_to_constant,
@@ -212,3 +215,59 @@ def test_one_jacobian_per_run(monkeypatch):
     fx = get_fixture("fig2")
     assert analyze_pair(fx.f, fx.g).verification.passed
     assert len(calls) == 1
+
+
+CORPUS = sorted(name for name, fx in FIXTURES.items() if not fx.laurent)
+
+
+def test_order_identity_checked_on_every_noncollinear_bar(run_fixture):
+    for name in CORPUS:
+        run = run_fixture(name)
+        checks = sum(
+            c.family == "order-identity" for c in run.verification.comparisons
+        )
+        noncollinear = sum(
+            not run.analyses[b.id].collinear for b in run.tree.finite_bars()
+        )
+        assert checks == noncollinear, name
+
+
+def _benchmark_pairs(workload: str, index: int):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [(f, g) for _id, f, g in workloads.pool_set(workload, index, FIXTURES)]
+
+
+def _replaced(record, bar):
+    """Place a record against one bar from scratch, by series subtraction.
+
+    Returns ((climbs, point), coefficient polynomial at an unresolved climb).
+    """
+    rel = record.arc_view().coefficient_relative(bar.prefix, bar.height)
+    if rel[0] == "below":
+        return (False, None), None
+    if rel[0] == "coeff":
+        return (True, rel[1]), None
+    return (True, None), rel[1]
+
+
+def test_trace_placement_matches_replacement(run_pair):
+    # the oracle places each polar root once, in Tree.trace_arc; every check
+    # reads that trace, so it must agree with placing the record against
+    # each bar independently
+    pairs = [(FIXTURES[name].f, FIXTURES[name].g) for name in CORPUS]
+    pairs += _benchmark_pairs("growing", 4) + _benchmark_pairs("ramified", 4)
+    unresolved = 0
+    for f, g in pairs:
+        run = run_pair(f, g)
+        for r in run.oracle.records:
+            for bar in run.tree.finite_bars():
+                observed, poly = _replaced(r, bar)
+                assert r.trace.climb(bar.id) == observed, (f, g, bar.id)
+                if observed == (True, None):
+                    assert r.trace.leave_bar_id == bar.id
+                    assert r.trace.leave_poly == poly
+                    unresolved += 1
+    assert unresolved >= 20  # the sets were chosen for their unresolved bundles
