@@ -34,8 +34,9 @@ from .exactalg import (
 )
 from .puiseux import INF, PuiseuxSeries
 
-# internal working form: (x_exponent, y_exponent as Fraction) -> coefficient
-_RamTerms = dict[tuple[int, Fraction], CycloRational]
+# internal working form: (x_exponent, y_exponent times q) -> coefficient, where
+# q is the ramification denominator the expansion branch carries
+_RamTerms = dict[tuple[int, int], CycloRational]
 
 
 # ---------------------------------------------------------------------------
@@ -45,8 +46,10 @@ _RamTerms = dict[tuple[int, Fraction], CycloRational]
 
 @dataclass(frozen=True)
 class PolygonEdge:
-    top: tuple[int, Fraction]      # endpoint with smaller x-degree, larger y-order
-    bottom: tuple[int, Fraction]   # endpoint with larger x-degree
+    # endpoints are (x-exponent, y-exponent times q) over the denominator q
+    # of the terms the polygon was built from; the slope is the true order
+    top: tuple[int, int]           # endpoint with smaller x-degree, larger y-order
+    bottom: tuple[int, int]        # endpoint with larger x-degree
     slope: Fraction                # root order carried by this edge
     extent: int                    # number of roots (with multiplicity) on it
 
@@ -55,12 +58,12 @@ class PolygonEdge:
 class NewtonPolygon:
     """Lower convex hull of the support, oriented for positive-order roots."""
 
-    vertices: tuple[tuple[int, Fraction], ...]   # listed by decreasing x-degree
+    vertices: tuple[tuple[int, int], ...]        # listed by decreasing x-degree
     edges: tuple[PolygonEdge, ...]               # sorted by increasing slope
 
 
-def _lower_hull(points: Iterable[tuple[int, Fraction]]) -> list[tuple[int, Fraction]]:
-    byi: dict[int, Fraction] = {}
+def _lower_hull(points: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
+    byi: dict[int, int] = {}
     for i, j in points:
         cur = byi.get(i)
         if cur is None or j < cur:
@@ -70,7 +73,7 @@ def _lower_hull(points: Iterable[tuple[int, Fraction]]) -> list[tuple[int, Fract
     def cross(o, a, b):
         return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
-    hull: list[tuple[int, Fraction]] = []
+    hull: list[tuple[int, int]] = []
     for p in pts:
         while len(hull) >= 2 and cross(hull[-2], hull[-1], p) <= 0:
             hull.pop()
@@ -78,13 +81,14 @@ def _lower_hull(points: Iterable[tuple[int, Fraction]]) -> list[tuple[int, Fract
     return hull
 
 
-def _polygon_data(terms: _RamTerms) -> NewtonPolygon:
+def _polygon_data(terms: _RamTerms, q: int) -> NewtonPolygon:
+    """The Newton polygon of terms whose y-exponents are scaled by q."""
     hull = _lower_hull(terms.keys())
     edges = []
     for (i1, j1), (i2, j2) in zip(hull, hull[1:]):
-        slope = Fraction(j1 - j2, i2 - i1)
-        edges.append(PolygonEdge((i1, j1), (i2, j2), slope, i2 - i1))
-    edges = [e for e in edges if e.slope > 0]
+        if j1 > j2:
+            slope = Fraction(j1 - j2, q * (i2 - i1))
+            edges.append(PolygonEdge((i1, j1), (i2, j2), slope, i2 - i1))
     return NewtonPolygon(tuple(reversed(hull)), tuple(sorted(edges, key=lambda e: e.slope)))
 
 
@@ -92,16 +96,15 @@ def newton_polygon(F: BiPoly) -> NewtonPolygon:
     """The Newton polygon of a bivariate polynomial."""
     if F.is_zero():
         raise ZeroPolynomial("zero polynomial has no Newton polygon")
-    return _polygon_data({(i, Fraction(j)): c for (i, j), c in F.terms.items()})
+    return _polygon_data(F.terms, 1)
 
 
 def _edge_poly(terms: _RamTerms, edge: PolygonEdge, field: CycloField) -> UniPoly:
     """The edge polynomial E(z) = sum of coefficients on the edge times z^(i-i_min)."""
-    (i1, j1) = edge.top
-    m = edge.slope
+    (i1, j1), (i2, j2) = edge.top, edge.bottom
     coeffs = [field.zero] * (edge.extent + 1)
     for (i, j), c in terms.items():
-        if i1 <= i <= edge.bottom[0] and j == j1 - m * (i - i1):
+        if i1 <= i <= i2 and (j - j1) * (i2 - i1) == (j2 - j1) * (i - i1):
             coeffs[i - i1] = coeffs[i - i1] + c
     return UniPoly(field, coeffs, "z")
 
@@ -318,7 +321,7 @@ class _Expander:
         self.unresolved: list[UnresolvedGroup] = []
 
     def run(self, terms: _RamTerms, multiplicity: int) -> None:
-        self._recurse(terms, Fraction(0), [], multiplicity, 0)
+        self._recurse(terms, 1, Fraction(0), [], multiplicity, 0)
 
     # -- helpers -----------------------------------------------------------
     def _emit_exact(self, prefix, multiplicity):
@@ -372,7 +375,8 @@ class _Expander:
             out = out * h // math.gcd(out, h)
         return out if out != n else None
 
-    def _recurse(self, terms: _RamTerms, base: Fraction, prefix, multiplicity, stage):
+    def _recurse(self, terms: _RamTerms, q: int, base: Fraction, prefix, multiplicity,
+                 stage):
         if stage > self.max_stages:
             raise TruncationBudgetExceeded(
                 f"expansion exceeded {self.max_stages} Newton-polygon stages"
@@ -387,7 +391,7 @@ class _Expander:
             if xmin > 1:
                 # repeated root of a squarefree component cannot happen
                 raise InternalInconsistency("repeated branch in squarefree expansion")
-        polygon = _polygon_data(terms)
+        polygon = _polygon_data(terms, q)
         for edge in polygon.edges:
             abs_exp = base + edge.slope
             if abs_exp >= self.target:
@@ -409,12 +413,22 @@ class _Expander:
                     # zero is never an edge-polynomial root (the constant term
                     # of the edge polynomial is a vertex coefficient)
                     raise InternalInconsistency("zero edge coefficient")
-                sub = _substitute(terms, edge.slope, c, self.field)
-                self._recurse(sub, abs_exp, list(prefix) + [(abs_exp, c)], multiplicity, stage + 1)
+                sub, sub_q = _substitute(terms, q, edge.slope, c, self.field)
+                self._recurse(sub, sub_q, abs_exp, list(prefix) + [(abs_exp, c)],
+                              multiplicity, stage + 1)
 
 
-def _substitute(terms: _RamTerms, m: Fraction, c: CycloRational, field: CycloField) -> _RamTerms:
-    """P(y^m (c + x), y) / y^mu with mu the minimum y-order after substitution."""
+def _substitute(
+    terms: _RamTerms, q: int, m: Fraction, c: CycloRational, field: CycloField
+) -> tuple[_RamTerms, int]:
+    """P(y^m (c + x), y) / y^mu with mu the minimum y-order after substitution.
+
+    The terms of P carry y-exponents times q; the result carries them times
+    lcm(q, denominator of m), which is returned with it.
+    """
+    new_q = q * m.denominator // math.gcd(q, m.denominator)
+    scale = new_q // q
+    step = m.numerator * (new_q // m.denominator)  # m times new_q
     out: _RamTerms = {}
     binom_cache: dict[int, list[int]] = {}
 
@@ -430,7 +444,7 @@ def _substitute(terms: _RamTerms, m: Fraction, c: CycloRational, field: CycloFie
         while len(cpow) <= i:
             cpow.append(cpow[-1] * c)
         row = binom_row(i)
-        ybase = j + i * m
+        ybase = j * scale + i * step
         for k in range(i + 1):
             coeff = a * (cpow[i - k] * row[k]) if i - k else a * row[k]
             key = (k, ybase)
@@ -440,7 +454,7 @@ def _substitute(terms: _RamTerms, m: Fraction, c: CycloRational, field: CycloFie
     mu = min(j for (_, j) in out)
     if mu:
         out = {(i, j - mu): v for (i, j), v in out.items()}
-    return out
+    return out, new_q
 
 
 def _nth_root_rational(r: Fraction, n: int) -> Fraction | None:
@@ -514,7 +528,7 @@ def expand_roots(
         raise InternalInconsistency("y-content removal left no pure-x term")
     expander = _Expander(field, Fraction(target_trunc), mode, extra_candidates, max_stages)
     for component, mult in multiplicity_split(Fstar):
-        comp_terms = {(i, Fraction(j)): c for (i, j), c in component.terms.items()}
+        comp_terms = component.terms
         mu = min(j for (_, j) in comp_terms)
         if mu:
             comp_terms = {(i, j - mu): c for (i, j), c in comp_terms.items()}

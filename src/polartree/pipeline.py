@@ -168,6 +168,8 @@ def _germ_stage(f: BiPoly, g: BiPoly, trunc: Fraction | None,
     at no less than ``max_contact + 2``, so that everything strictly between
     consecutive bar heights is visible.  Before the first doubling, a
     repeated component of f*g through the origin is refused."""
+    if trunc is not None and trunc <= 0:
+        raise InputError(f"truncation depth must be positive, not {trunc}")
     ydeg = max(j for h in (f, g) for (_, j) in h.terms)
     start = trunc if trunc is not None else Fraction(max(ydeg, 2) + 2)
     depth = start

@@ -266,21 +266,81 @@ def contact_order(a: PuiseuxSeries, b: PuiseuxSeries):
     )
 
 
+def _over(e, d: int) -> int:
+    """The exponent e times d, for d a multiple of its denominator."""
+    return e.numerator * (d // e.denominator)
+
+
+def _horner(F: BiPoly, arc, arc_trunc: int | None, d: int, lift):
+    """F(arc, y) by Horner in x, with every y-exponent an int over d.
+
+    ``arc`` lists the arc's terms as (exponent times d, coefficient) in
+    increasing order; ``arc_trunc`` is its truncation times d, or None when
+    the arc is exact.  Coefficients of F enter through ``lift``.
+    Each step keeps the truncation rule of series arithmetic term for term:
+    a product acc * arc is known below min(T_acc + ord(arc), T_arc + ord(acc)),
+    where ord is the first exponent, or the truncation when no term is
+    left; adding an exact row keeps the truncation.  Returns the nonzero
+    terms keyed by exponent times d, and the truncation times d (None when
+    exact).
+    """
+    rows: dict[int, dict[int, object]] = {}
+    for (i, j), c in F.terms.items():
+        rows.setdefault(i, {})[j * d] = lift(c)
+    acc: dict = {}
+    trunc = None
+    arc_order = arc[0][0] if arc else arc_trunc
+    for i in range(max(rows, default=0), -1, -1):
+        if acc or trunc is not None:  # acc * arc; the exact zero stays zero
+            if arc_trunc is not None:  # along an exact arc trunc stays None
+                other = arc_trunc + (min(acc) if acc else trunc)
+                trunc = other if trunc is None else min(trunc + arc_order, other)
+            prod: dict = {}
+            for e1, c1 in acc.items():
+                for e2, c2 in arc:
+                    e = e1 + e2
+                    if trunc is not None and e >= trunc:
+                        break
+                    v = c1 * c2
+                    cur = prod.get(e)
+                    prod[e] = v if cur is None else cur + v
+            acc = {e: c for e, c in prod.items() if not c.is_zero()}
+        for e, c in rows.get(i, {}).items():
+            if trunc is not None and e >= trunc:
+                continue
+            cur = acc.get(e)
+            if cur is None:
+                acc[e] = c
+            else:
+                c = cur + c
+                if c.is_zero():
+                    del acc[e]
+                else:
+                    acc[e] = c
+    return acc, trunc
+
+
+def _substituted(F: BiPoly, xi: PuiseuxSeries):
+    """F(xi(y), y) as (terms, trunc, d) from :func:`_horner`, over the least
+    d that makes every exponent and the truncation of xi an integer."""
+    d = xi.exponent_denominator()
+    t = None
+    if xi.trunc is not INF:
+        d = math.lcm(d, xi.trunc.denominator)
+        t = _over(xi.trunc, d)
+    arc = [(_over(e, d), c) for e, c in xi.terms]
+    terms, trunc = _horner(F, arc, t, d, lambda c: c)
+    return terms, trunc, d
+
+
 def substitute_arc(F: BiPoly, xi: PuiseuxSeries) -> PuiseuxSeries:
     """F(xi(y), y) as a series, with honest truncation propagation."""
-    rows: dict[int, PuiseuxSeries] = {}
-    for (i, j), c in F.terms.items():
-        row = rows.get(i)
-        term = PuiseuxSeries(xi.field, [(Fraction(j), c)], INF)
-        rows[i] = term if row is None else row + term
-    if not rows:
-        return PuiseuxSeries.zero(xi.field)
-    acc = PuiseuxSeries.zero(xi.field)
-    for i in range(max(rows), -1, -1):
-        acc = acc * xi
-        if i in rows:
-            acc = acc + rows[i]
-    return acc
+    terms, trunc, d = _substituted(F, xi)
+    return PuiseuxSeries(
+        xi.field,
+        [(Fraction(e, d), terms[e]) for e in sorted(terms)],
+        INF if trunc is None else Fraction(trunc, d),
+    )
 
 
 def order_along_arc(F: BiPoly, xi: PuiseuxSeries):
@@ -289,13 +349,13 @@ def order_along_arc(F: BiPoly, xi: PuiseuxSeries):
     Raises :class:`TruncationTooShort` when unknown tail terms of xi could
     cancel the would-be leading term.
     """
-    val = substitute_arc(F, xi)
-    if val.terms:
-        return val.terms[0][0]
-    if val.trunc is INF:
+    terms, trunc, d = _substituted(F, xi)
+    if terms:
+        return Fraction(min(terms), d)
+    if trunc is None:
         return INF
     raise TruncationTooShort(
-        f"order of substituted series hidden beyond O(y^{val.trunc})"
+        f"order of substituted series hidden beyond O(y^{Fraction(trunc, d)})"
     )
 
 
@@ -337,38 +397,17 @@ def generic_arc_order(
     if prefix.trunc is not INF:
         raise Indeterminate("generic-arc order needs an exact prefix")
     field = F.field
+    h = Fraction(h)
+    d = math.lcm(prefix.exponent_denominator(), h.denominator)
     zvar = UniPoly(field, (field.zero, field.one), "z")
-
-    # y-exponent -> UniPoly-in-z coefficient, built by Horner in x
-    def mul_arc(acc: dict[Fraction, UniPoly]) -> dict[Fraction, UniPoly]:
-        out: dict[Fraction, UniPoly] = {}
-        for e, poly in acc.items():
-            for pe, pc in prefix.terms:
-                k = e + pe
-                add = poly * pc
-                out[k] = out[k] + add if k in out else add
-            k = e + h
-            add = poly * zvar
-            out[k] = out[k] + add if k in out else add
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    rows: dict[int, dict[Fraction, UniPoly]] = {}
-    for (i, j), c in F.terms.items():
-        row = rows.setdefault(i, {})
-        key = Fraction(j)
-        add = UniPoly.constant(field, c, "z")
-        row[key] = row[key] + add if key in row else add
-    acc: dict[Fraction, UniPoly] = {}
-    for i in range(max(rows, default=0), -1, -1):
-        acc = mul_arc(acc) if acc else {}
-        if i in rows:
-            for k, v in rows[i].items():
-                acc[k] = acc[k] + v if k in acc else v
-            acc = {k: v for k, v in acc.items() if not v.is_zero()}
-    if not acc:
+    arc = [(_over(e, d), c) for e, c in prefix.terms]
+    arc.append((_over(h, d), zvar))
+    arc.sort(key=lambda t: t[0])
+    terms, _ = _horner(F, arc, None, d, lambda c: UniPoly.constant(field, c, "z"))
+    if not terms:
         raise ValueError("polynomial is zero along every arc (zero polynomial)")
-    e = min(acc)
-    return e, acc[e]
+    e = min(terms)
+    return Fraction(e, d), terms[e]
 
 
 def truncate_relative(xi: PuiseuxSeries, tree) -> PuiseuxSeries:

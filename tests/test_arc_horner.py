@@ -1,0 +1,194 @@
+"""Arc substitution on integer exponents against the series-arithmetic Horner.
+
+``substitute_arc``, ``order_along_arc`` and ``generic_arc_order`` run Horner
+in x on dicts keyed by integer y-exponents over one denominator.  The
+references below are the earlier implementations, which ran the same Horner
+on ``Fraction``-keyed series: ``PuiseuxSeries`` multiplication and addition,
+with their pessimistic truncation rule.  The two must agree term for term,
+truncation included, on drawn inputs (Laurent polynomials, mixed exponent
+denominators, exact and truncated arcs, negative leading exponents) and on
+every arc that verification builds for two benchmark pool sets.
+"""
+
+import importlib.util
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from polartree import (
+    FIXTURES,
+    INF,
+    BiPoly,
+    CycloField,
+    PuiseuxSeries,
+    TruncationTooShort,
+    UniPoly,
+    generic_arc_order,
+    order_along_arc,
+)
+from polartree import jacoracle
+from polartree.pipeline import analyze_pair
+from polartree.puiseux import substitute_arc
+
+K12 = CycloField(12)
+SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
+
+
+def _reference_substitute_arc(F_, xi):
+    rows = {}
+    for (i, j), c in F_.terms.items():
+        row = rows.get(i)
+        term = PuiseuxSeries(xi.field, [(F(j), c)], INF)
+        rows[i] = term if row is None else row + term
+    if not rows:
+        return PuiseuxSeries.zero(xi.field)
+    acc = PuiseuxSeries.zero(xi.field)
+    for i in range(max(rows), -1, -1):
+        acc = acc * xi
+        if i in rows:
+            acc = acc + rows[i]
+    return acc
+
+
+def _reference_order(F_, xi):
+    val = _reference_substitute_arc(F_, xi)
+    if val.terms:
+        return val.terms[0][0]
+    if val.trunc is INF:
+        return INF
+    raise TruncationTooShort("hidden")
+
+
+def _reference_generic_arc_order(F_, prefix, h):
+    field = F_.field
+    zvar = UniPoly(field, (field.zero, field.one), "z")
+
+    def mul_arc(acc):
+        out = {}
+        for e, poly in acc.items():
+            for pe, pc in prefix.terms:
+                k = e + pe
+                add = poly * pc
+                out[k] = out[k] + add if k in out else add
+            k = e + h
+            add = poly * zvar
+            out[k] = out[k] + add if k in out else add
+        return {k: v for k, v in out.items() if not v.is_zero()}
+
+    rows = {}
+    for (i, j), c in F_.terms.items():
+        row = rows.setdefault(i, {})
+        key = F(j)
+        add = UniPoly.constant(field, c, "z")
+        row[key] = row[key] + add if key in row else add
+    acc = {}
+    for i in range(max(rows, default=0), -1, -1):
+        acc = mul_arc(acc) if acc else {}
+        if i in rows:
+            for k, v in rows[i].items():
+                acc[k] = acc[k] + v if k in acc else v
+            acc = {k: v for k, v in acc.items() if not v.is_zero()}
+    if not acc:
+        raise ValueError("zero polynomial")
+    e = min(acc)
+    return e, acc[e]
+
+
+# -- drawn inputs ------------------------------------------------------------
+
+_coeffs = st.builds(
+    lambda a, b: K12.rational(a) + K12.zeta() * b,
+    st.integers(-3, 3),
+    st.sampled_from((0, 0, 0, 1, -1)),
+)
+_exponents = st.builds(F, st.integers(-6, 14), st.sampled_from((1, 2, 3, 4, 6)))
+
+
+@st.composite
+def _laurent_polys(draw):
+    keys = draw(st.lists(
+        st.tuples(st.integers(0, 4), st.integers(-3, 5)), max_size=6, unique=True
+    ))
+    return BiPoly(K12, {k: draw(_coeffs) for k in keys}, laurent=True)
+
+
+@st.composite
+def _arcs(draw, exact=None):
+    es = sorted(draw(st.lists(_exponents, max_size=4, unique=True)))
+    terms = [(e, draw(_coeffs)) for e in es]
+    if exact is None:
+        exact = draw(st.booleans())
+    trunc = INF if exact else draw(_exponents)
+    return PuiseuxSeries(K12, terms, trunc)
+
+
+def _order_or_error(fn, *args):
+    try:
+        return fn(*args)
+    except TruncationTooShort:
+        return "hidden"
+
+
+@SETTINGS
+@given(_laurent_polys(), _arcs())
+def test_substitute_arc_matches_series_horner(F_, xi):
+    got = substitute_arc(F_, xi)
+    want = _reference_substitute_arc(F_, xi)
+    assert got.terms == want.terms
+    assert got.trunc == want.trunc
+    assert _order_or_error(order_along_arc, F_, xi) == _order_or_error(
+        _reference_order, F_, xi
+    )
+
+
+def test_negative_leading_exponent_and_truncated_arc():
+    f = BiPoly(K12, {(2, -1): K12.one, (0, 1): K12.rational(-1), (1, 0): K12.rational(3)},
+               laurent=True)
+    xi = PuiseuxSeries(K12, [(F(-1, 2), K12.one), (F(1, 3), K12.zeta())], F(7, 4))
+    got = substitute_arc(f, xi)
+    assert got == _reference_substitute_arc(f, xi)
+    assert got.terms[0][0] == F(-2) and got.trunc == F(1, 4)
+    # along the exact zero arc only the x-free terms survive, exactly
+    zero = PuiseuxSeries.zero(K12)
+    assert substitute_arc(f, zero) == _reference_substitute_arc(f, zero)
+    assert substitute_arc(f, zero).trunc is INF
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_laurent_polys(), _arcs(exact=True), _exponents)
+def test_generic_arc_order_matches_series_horner(F_, prefix, h):
+    if F_.is_zero():
+        with pytest.raises(ValueError):
+            generic_arc_order(F_, prefix, h)
+        return
+    assert generic_arc_order(F_, prefix, h) == _reference_generic_arc_order(F_, prefix, h)
+
+
+# -- arcs built by verification ----------------------------------------------
+
+
+def _benchmark_pairs(workload: str, index: int):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [(f, g) for _id, f, g in workloads.pool_set(workload, index, FIXTURES)]
+
+
+def test_verification_arcs_match_series_horner(monkeypatch):
+    seen = []
+
+    def recording(F_, xi):
+        seen.append((F_, xi))
+        return order_along_arc(F_, xi)
+
+    monkeypatch.setattr(jacoracle, "order_along_arc", recording)
+    for f, g in _benchmark_pairs("growing", 4) + _benchmark_pairs("ramified", 4):
+        assert analyze_pair(f, g).verification.passed
+    assert len(seen) > 500
+    for F_, xi in seen:
+        got = substitute_arc(F_, xi)
+        want = _reference_substitute_arc(F_, xi)
+        assert (got.terms, got.trunc) == (want.terms, want.trunc)

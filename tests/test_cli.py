@@ -291,6 +291,28 @@ def test_field_below_one_is_an_input_error():
         analyze_pair("x", "y", Options(field=0))
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--f", "x-y", "--g", "x+y", "--trunc", "0"),
+    ("verify", "--f", "x-y", "--g", "x+y", "--trunc=-1"),
+    ("reduce", "--fixture", "mero83", "--trunc", "0"),
+])
+def test_cli_nonpositive_trunc_exits_2(capsys, argv):
+    # a depth of zero or less truncates every root away: bad input, not a
+    # limitation (it used to exit 3 with "series agree up to O(y^0)")
+    code, out, err = _cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: truncation depth must be positive")
+    assert err.count("\n") == 1
+
+
+def test_nonpositive_trunc_is_an_input_error():
+    from polartree import InputError, Options, analyze_pair
+
+    for t in (F(0), F(-1), F(-1, 2)):
+        with pytest.raises(InputError):
+            analyze_pair("x-y", "x+y", Options(trunc=t))
+
+
 def test_cli_reduce_picks_its_field(capsys):
     # the reduced roots need the cube roots of unity: Q(zeta_12)
     argv = ("reduce", "--f", "x^3 - y^(-2)", "--g", "x")

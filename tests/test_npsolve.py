@@ -45,6 +45,46 @@ def test_polygon_simple():
     assert newton_polygon(x**3 - y**4).vertices == ((3, F(0)), (0, F(4)))
 
 
+def test_substitute_grows_the_branch_denominator():
+    # f = (x^3 - y^4 - 3y^5)^2 - y^9 (3 + y)^2 has the six roots
+    # x = y^(4/3) * w * (1 +- y^(1/2)), w^3 = 1: along the branch w = 1 the
+    # denominator q of the integer y-exponents goes 1 -> 3 -> 6
+    from polartree.npsolve import _polygon_data, _substitute
+
+    f = parse_expression("(x^3 - y^4 - 3*y^5)^2 - y^9*(3 + y)^2", K4)
+    (edge,) = _polygon_data(f.terms, 1).edges
+    assert (edge.slope, edge.extent) == (F(4, 3), 6)
+    # x = y^(4/3) (1 + x): the constant and linear terms at y^8 cancel,
+    # exponents are counted in thirds and shifted down by 24
+    step1, q = _substitute(f.terms, 1, edge.slope, K4.one, K4)
+    assert q == 3
+    assert step1 == {
+        (k, j): K4.rational(c)
+        for (k, j), c in {
+            (2, 0): 9, (3, 0): 18, (4, 0): 15, (5, 0): 6, (6, 0): 1,
+            (0, 3): -9, (1, 3): -18, (2, 3): -18, (3, 3): -6,
+            (0, 6): 3, (0, 9): -1,
+        }.items()
+    }
+    # the edge from (2, 0) to (0, 3) carries 9z^2 - 9: order 3/2 over q = 3
+    (edge,) = _polygon_data(step1, q).edges
+    assert (edge.top, edge.bottom, edge.slope) == ((0, 3), (2, 0), F(1, 2))
+    # x = y^(1/2) (1 + x): exponents in sixths, j -> 2j + 3i, shifted by 6;
+    # every x-free term cancels because y^(4/3) (1 + y^(1/2)) is a root
+    step2, q = _substitute(step1, q, edge.slope, K4.one, K4)
+    assert q == 6
+    assert step2 == {
+        (k, j): K4.rational(c)
+        for (k, j), c in {
+            (1, 0): 18, (2, 0): 9,
+            (1, 3): 36, (2, 3): 54, (3, 3): 18,
+            (1, 6): 24, (2, 6): 72, (3, 6): 60, (4, 6): 15,
+            (1, 9): 12, (2, 9): 42, (3, 9): 54, (4, 9): 30, (5, 9): 6,
+            (1, 12): 6, (2, 12): 15, (3, 12): 20, (4, 12): 15, (5, 12): 6, (6, 12): 1,
+        }.items()
+    }
+
+
 def test_expand_conjugate_pair():
     x, y = _vars(K4)
     out = expand_roots(x * x - y * y, F(10))
