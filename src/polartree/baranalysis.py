@@ -19,10 +19,8 @@ from .errors import (
     InternalInconsistency,
     NoPostbar,
     NotApplicable,
-    TruncationTooShort,
 )
 from .exactalg import CycloRational, UniPoly, roots_in_field
-from .puiseux import INF, PuiseuxSeries
 from .treemodel import Bar, Tree, basics_of, cover_of, repair_of
 
 
@@ -51,33 +49,24 @@ class BarAnalysis:
     predicted_total: int | None
 
 
-def _capped_contact(series: PuiseuxSeries, prefix: PuiseuxSeries, h: Fraction) -> Fraction:
-    """min(contact order with the prefix, h), robust to deep agreement."""
-    diff = series - prefix
-    if diff.terms:
-        e = diff.terms[0][0]
-        return e if e < h else h
-    if diff.trunc is INF or diff.trunc >= h:
-        return h
-    raise TruncationTooShort(
-        f"contact with bar prefix unknown beyond O(y^{diff.trunc}), need {h}"
-    )
-
-
 def compute_nu(tree: Tree, bar: Bar, which: str) -> Fraction:
     """y-order of f (or g) along a generic arc through the bar.
 
     Closed form: the y-content exponent plus the sum over the germ's roots
-    of min(contact with the bar prefix, bar height).
+    of min(contact with the bar prefix, bar height).  A root off the bar
+    meets the prefix where it meets the bar's first root, below the height,
+    so the tree's contact table gives every term.
     """
     if not bar.is_finite():
         raise NotApplicable("bars of infinite height have no generic arc order")
     kind = "f" if which == "f" else "g"
     total = Fraction(tree.E1 if kind == "f" else tree.E2)
+    first = bar.root_ids[0]
     for info in tree.roots.values():
         if info.kind != kind:
             continue
-        total += _capped_contact(info.series, bar.prefix, bar.height)
+        total += bar.height if info.id == first else min(
+            tree.contacts[(info.id, first)], bar.height)
     return total
 
 

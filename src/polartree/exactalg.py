@@ -157,6 +157,32 @@ class CycloField:
         return f"CycloField({self.conductor})"
 
 
+def coeff_term(cs: str, mono: str) -> str:
+    """One rendered term: coefficient text ``cs`` times the monomial ``mono``.
+
+    An empty ``mono`` is a constant term.  A compound coefficient (one with
+    an inner sign or a space) is parenthesized; 1 and -1 are left implicit.
+    """
+    compound = "+" in cs[1:] or "-" in cs[1:] or " " in cs
+    if not mono:
+        return f"({cs})" if compound else cs
+    if cs == "1":
+        return mono
+    if cs == "-1":
+        return f"-{mono}"
+    return f"({cs})*{mono}" if compound else f"{cs}*{mono}"
+
+
+def join_terms(parts) -> str:
+    """Rendered terms joined by " + " / " - "; "0" when there are none."""
+    parts = list(parts)
+    if not parts:
+        return "0"
+    return parts[0] + "".join(
+        f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in parts[1:]
+    )
+
+
 def _canon(field: CycloField, num: tuple[int, ...], den: int) -> "CycloRational":
     """The element num / den (den nonzero) in lowest terms with den > 0."""
     g = _gcd(den, *num)
@@ -364,26 +390,10 @@ class CycloRational:
 
     # -- rendering -------------------------------------------------------------
     def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coords):
-            if not c:
-                continue
-            if i == 0:
-                parts.append(str(c))
-            else:
-                mon = "zeta" if i == 1 else f"zeta^{i}"
-                if c == 1:
-                    parts.append(mon)
-                elif c == -1:
-                    parts.append(f"-{mon}")
-                else:
-                    parts.append(f"{c}*{mon}")
-        if not parts:
-            return "0"
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        return join_terms(
+            coeff_term(str(c), "" if i == 0 else "zeta" if i == 1 else f"zeta^{i}")
+            for i, c in enumerate(self.coords) if c
+        )
 
     def __repr__(self) -> str:
         return f"<{self} in Q(zeta_{self.field.conductor})>"
@@ -602,30 +612,12 @@ class UniPoly:
         return [list(col) for col in zip(*scaled)]
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
-        parts = []
-        for k in range(self.degree(), -1, -1):
-            c = self[k]
-            if c.is_zero():
-                continue
-            cs = str(c)
-            if k == 0:
-                parts.append(cs)
-                continue
-            mon = self.var if k == 1 else f"{self.var}^{k}"
-            if cs == "1":
-                parts.append(mon)
-            elif cs == "-1":
-                parts.append(f"-{mon}")
-            elif ("+" in cs[1:]) or ("-" in cs[1:]) or " " in cs:
-                parts.append(f"({cs})*{mon}")
-            else:
-                parts.append(f"{cs}*{mon}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+        # the constant term is written bare, even when it is compound
+        return join_terms(
+            str(self[k]) if k == 0 else
+            coeff_term(str(self[k]), self.var if k == 1 else f"{self.var}^{k}")
+            for k in range(self.degree(), -1, -1) if not self[k].is_zero()
+        )
 
     def __repr__(self) -> str:
         return f"UniPoly({self})"
@@ -1065,8 +1057,6 @@ class BiPoly:
         return sorted(self.terms.items(), key=lambda t: (-t[0][0], t[0][1]))
 
     def __str__(self) -> str:
-        if self.is_zero():
-            return "0"
         parts = []
         for (i, j), c in self.sorted_terms():
             mono = []
@@ -1074,21 +1064,8 @@ class BiPoly:
                 mono.append("x" if i == 1 else f"x^{i}")
             if j:
                 mono.append("y" if j == 1 else (f"y^{j}" if j > 0 else f"y^({j})"))
-            cs = str(c)
-            if not mono:
-                parts.append(cs if ("+" not in cs[1:] and " " not in cs) else f"({cs})")
-            elif cs == "1":
-                parts.append("*".join(mono))
-            elif cs == "-1":
-                parts.append("-" + "*".join(mono))
-            elif ("+" in cs[1:]) or ("-" in cs[1:]) or " " in cs:
-                parts.append(f"({cs})*" + "*".join(mono))
-            else:
-                parts.append(f"{cs}*" + "*".join(mono))
-        out = parts[0]
-        for p in parts[1:]:
-            out += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
-        return out
+            parts.append(coeff_term(str(c), "*".join(mono)))
+        return join_terms(parts)
 
     def __repr__(self) -> str:
         return f"BiPoly({self})"

@@ -216,70 +216,48 @@ def _truncation_product(tree: Tree, records, indices) -> BiPoly:
 
     Resolved members contribute linear factors; unresolved bundles enter
     through the symmetric functions of their coefficient polynomial, so the
-    product stays exact.  Conjugation closure makes all exponents integral.
+    product stays exact.  Every cut arc is a polynomial in t = y^(1/D),
+    D = ``tree.ram``, so the product is formed in (x, t); conjugation
+    closure makes every t-exponent a multiple of D.
     """
     field = tree.field
-    # polynomial in x with exact finite series coefficients, as
-    # dict x_degree -> PuiseuxSeries
-    acc: dict[int, PuiseuxSeries] = {0: PuiseuxSeries(field, [(Fraction(0), field.one)])}
+    D = tree.ram
 
-    def mul_in(factor: dict[int, PuiseuxSeries]) -> None:
-        nonlocal acc
-        out: dict[int, PuiseuxSeries] = {}
-        for i, s in acc.items():
-            for j, t in factor.items():
-                k = i + j
-                prod = s * t
-                out[k] = out[k] + prod if k in out else prod
-        acc = {k: v for k, v in out.items() if v.terms}
+    def in_t(terms) -> BiPoly:
+        return BiPoly(field, {(0, int(e * D)): c for e, c in terms})
 
-    one = PuiseuxSeries(field, [(Fraction(0), field.one)])
+    acc = BiPoly.constant(field, 1)
     for idx in indices:
         r = records[idx]
         bar = tree.bars[r.trace.leave_bar_id]
-        lam = bar.prefix
-        h = bar.height
+        x_lam = BiPoly.variable(field, "x") - in_t(bar.prefix.terms)
         if r.trace.leave_point is not None:
-            cut = lam + PuiseuxSeries(field, [(h, r.trace.leave_point)])
-            factor = {1: one, 0: -cut}
-            for _ in range(r.count):
-                mul_in(factor)
+            factor = x_lam - in_t([(bar.height, r.trace.leave_point)])
+            power = r.count
         else:
-            chi = r.trace.leave_poly.monic()
-            d = chi.degree()
             # product over roots a of chi of (x - lam - a y^h)
             #   = sum_k chi_k (x - lam)^k y^(h (d-k))
-            bundle: dict[int, PuiseuxSeries] = {}
-            xm_lam: dict[int, PuiseuxSeries] = {0: one}
-            for k in range(0, d + 1):
-                ck = chi[k]
-                if not ck.is_zero():
-                    shift = h * (d - k)
-                    for i, s in xm_lam.items():
-                        add = (s * PuiseuxSeries(field, [(shift, ck)])
-                               if shift else s.scale(ck))
-                        bundle[i] = bundle[i] + add if i in bundle else add
-                if k < d:
-                    nxt: dict[int, PuiseuxSeries] = {}
-                    for i, s in xm_lam.items():
-                        nxt[i + 1] = nxt[i + 1] + s if i + 1 in nxt else s
-                        neg = s * (-lam) if lam.terms else None
-                        if neg is not None:
-                            nxt[i] = nxt[i] + neg if i in nxt else neg
-                    xm_lam = nxt
-            for _ in range(r.multiplicity):
-                mul_in(bundle)
+            chi = r.trace.leave_poly.monic()
+            d = chi.degree()
+            ht = int(bar.height * D)
+            factor = BiPoly.zero(field)
+            x_lam_k = BiPoly.constant(field, 1)
+            for k in range(d + 1):
+                if k:
+                    x_lam_k = x_lam_k * x_lam
+                if not chi[k].is_zero():
+                    factor = factor + (x_lam_k * chi[k]).shift_y(ht * (d - k))
+            power = r.multiplicity
+        for _ in range(power):
+            acc = acc * factor
     terms: dict[tuple[int, int], CycloRational] = {}
-    for i, s in acc.items():
-        if s.trunc is not INF:
-            raise InternalInconsistency("truncation product lost exactness")
-        for e, c in s.terms:
-            if e.denominator != 1:
-                raise InternalInconsistency(
-                    "truncation product has a fractional exponent; the group "
-                    "is not conjugation-closed"
-                )
-            terms[(i, int(e))] = c
+    for (i, n), c in acc.terms.items():
+        if n % D:
+            raise InternalInconsistency(
+                "truncation product has a fractional exponent; the group "
+                "is not conjugation-closed"
+            )
+        terms[(i, n // D)] = c
     return BiPoly(field, terms)
 
 

@@ -430,23 +430,17 @@ def _substitute(
     scale = new_q // q
     step = m.numerator * (new_q // m.denominator)  # m times new_q
     out: _RamTerms = {}
-    binom_cache: dict[int, list[int]] = {}
-
-    def binom_row(n: int) -> list[int]:
-        row = binom_cache.get(n)
-        if row is None:
-            row = [math.comb(n, k) for k in range(n + 1)]
-            binom_cache[n] = row
-        return row
-
     cpow = [field.one]
+    rows: dict[int, list] = {}  # i -> [C(i, k) * c^(i-k) for k = 0..i]
     for (i, j), a in terms.items():
-        while len(cpow) <= i:
-            cpow.append(cpow[-1] * c)
-        row = binom_row(i)
+        row = rows.get(i)
+        if row is None:
+            while len(cpow) <= i:
+                cpow.append(cpow[-1] * c)
+            row = rows[i] = [cpow[i - k] * math.comb(i, k) for k in range(i)] + [1]
         ybase = j * scale + i * step
         for k in range(i + 1):
-            coeff = a * (cpow[i - k] * row[k]) if i - k else a * row[k]
+            coeff = a * row[k]
             key = (k, ybase)
             cur = out.get(key)
             out[key] = coeff if cur is None else cur + coeff

@@ -177,8 +177,10 @@ def _germ_stage(f: BiPoly, g: BiPoly, trunc: Fraction | None,
         try:
             ef = expand_roots(f, depth)
             eg = expand_roots(g, depth)
-            alphas = [r.series for r in ef.roots for _ in range(r.multiplicity)]
-            betas = [r.series for r in eg.roots for _ in range(r.multiplicity)]
+            alphas = [r.series for r in ef.roots
+                      for _ in range(r.multiplicity * r.branches)]
+            betas = [r.series for r in eg.roots
+                     for _ in range(r.multiplicity * r.branches)]
             tree = build_tree(alphas, betas, E1 + ef.y_content, E2 + eg.y_content)
         except TruncationTooShort:
             if trunc is not None:

@@ -18,7 +18,9 @@ from fractions import Fraction
 from typing import Iterable
 
 from .errors import FieldTooSmall, Indeterminate, TruncationTooShort
-from .exactalg import BiPoly, CycloField, CycloRational, UniPoly
+from .exactalg import (
+    BiPoly, CycloField, CycloRational, UniPoly, coeff_term, join_terms,
+)
 
 
 class _Infinity:
@@ -218,27 +220,11 @@ class PuiseuxSeries:
 
     # -- rendering ----------------------------------------------------------------
     def __str__(self) -> str:
-        parts = []
-        for e, c in self.terms:
-            cs = str(c)
-            if e == 0:
-                parts.append(cs if "+" not in cs[1:] and " " not in cs else f"({cs})")
-                continue
-            mono = "y" if e == 1 else (f"y^{e}" if e.denominator == 1 else f"y^({e})")
-            if cs == "1":
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append(f"-{mono}")
-            elif ("+" in cs[1:]) or ("-" in cs[1:]) or " " in cs:
-                parts.append(f"({cs})*{mono}")
-            else:
-                parts.append(f"{cs}*{mono}")
-        if not parts:
-            body = "0"
-        else:
-            body = parts[0]
-            for p in parts[1:]:
-                body += f" - {p[1:]}" if p.startswith("-") else f" + {p}"
+        body = join_terms(
+            coeff_term(str(c), "" if e == 0 else "y" if e == 1 else
+                       f"y^{e}" if e.denominator == 1 else f"y^({e})")
+            for e, c in self.terms
+        )
         if self.trunc is INF:
             return body
         t = self.trunc

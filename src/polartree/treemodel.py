@@ -196,7 +196,7 @@ class Tree:
     def __init__(self, field: CycloField, roots: dict[str, RootInfo],
                  bars: dict[str, Bar], trunks: dict[str, Trunk],
                  ground_id: str, E1: int, E2: int, ram: int,
-                 max_contact: Fraction):
+                 contacts: dict[tuple[str, str], Fraction]):
         self.field = field
         self.roots = roots
         self.bars = bars
@@ -205,17 +205,10 @@ class Tree:
         self.E1 = E1
         self.E2 = E2
         self.ram = ram
-        self.max_contact = max_contact
+        self.contacts = contacts  # (root id, other root id) -> contact order
+        self.max_contact = max(contacts.values(), default=Fraction(0))
         self.p = sum(1 for r in roots.values() if r.kind == "f")
         self.q = sum(1 for r in roots.values() if r.kind == "g")
-        self._chains: dict[str, tuple[str, ...]] = {}
-        for rid in roots:
-            chain = []
-            for bar in bars.values():
-                if rid in bar.root_ids:
-                    chain.append(bar.id)
-            chain.sort(key=lambda b: (bars[b].height is INF, bars[b].height if bars[b].height is not INF else 0))
-            self._chains[rid] = tuple(chain)
 
     # -- navigation --------------------------------------------------------
     @property
@@ -254,9 +247,6 @@ class Tree:
                     break
                 cur = self.parent_bar(cur)
         return out
-
-    def chain_of_root(self, root_id: str) -> tuple[str, ...]:
-        return self._chains[root_id]
 
     def growth_points(self, bar: Bar) -> list[tuple[CycloRational, Trunk]]:
         return [(self.trunks[tid].point, self.trunks[tid]) for tid in bar.trunk_ids]
@@ -322,7 +312,6 @@ def build_tree(
         infos[f"b{k}"] = RootInfo(f"b{k}", "g", k, s)
     ids = sorted(infos)
     contacts: dict[tuple[str, str], Fraction] = {}
-    max_contact = Fraction(0)
     for i, r1 in enumerate(ids):
         for r2 in ids[i + 1:]:
             try:
@@ -334,8 +323,6 @@ def build_tree(
                     f"roots {r1} and {r2} of the product coincide"
                 )
             contacts[(r1, r2)] = contacts[(r2, r1)] = c
-            if c > max_contact:
-                max_contact = c
 
     bars: dict[str, Bar] = {}
     trunks: dict[str, Trunk] = {}
@@ -396,7 +383,7 @@ def build_tree(
     for info in infos.values():
         d = info.series.exponent_denominator()
         ram = ram * d // math.gcd(ram, d)
-    return Tree(field, infos, bars, trunks, ground_id, E1, E2, ram, max_contact)
+    return Tree(field, infos, bars, trunks, ground_id, E1, E2, ram, contacts)
 
 
 # ---------------------------------------------------------------------------
@@ -468,72 +455,41 @@ def basics_of(tree: Tree, analyses, bar: Bar) -> list[str]:
 def conjugacy_classes(tree: Tree) -> list[frozenset[str]]:
     """Partition of the bars by the root-of-unity conjugation action.
 
-    Two bars of equal height are conjugate when some irreducible component
-    of the product germ has one root climbing over each; components are the
-    orbits of the conjugation, so the classes come from matching each root's
-    bar chain with its conjugates' chains.  Bars of infinite height (one per
-    root) take part: their classes are the root orbits themselves.
+    The generator y^(1/D) -> theta*y^(1/D), D = ``tree.ram``, multiplies the
+    coefficient at height h by theta^(hD), so it maps a bar of height h to
+    the bar whose trunks sit at z*theta^(hD) for the trunks z of the bar.
+    One walk from the ground gives this map on every bar; the classes are
+    its orbits.  Bars of infinite height (one per root) take part: their
+    classes are the root orbits themselves.
     """
-    from .puiseux import conjugate_series
-
-    parent: dict[str, str] = {b.id: b.id for b in tree.bars.values()}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a: str, b: str) -> None:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    ids = sorted(tree.roots)
-    series_by_id = {rid: tree.roots[rid].series for rid in ids}
-
-    def match_root(s: PuiseuxSeries) -> str | None:
-        for rid in ids:
-            t = series_by_id[rid]
-            cut = min(
-                (c for c in (s.trunc, t.trunc) if c is not INF),
-                default=None,
-            )
-            if cut is None:
-                if s.terms == t.terms:
-                    return rid
-                continue
-            if [(e, c) for e, c in s.terms if e < cut] == [
-                (e, c) for e, c in t.terms if e < cut
-            ] and cut > tree.max_contact:
-                return rid
-        return None
-
     D = tree.ram
-    for k in range(1, D):
-        perm: dict[str, str] = {}
-        total = True
-        for rid in ids:
-            img = conjugate_series(series_by_id[rid], k, D)
-            m = match_root(img)
-            if m is None:
-                total = False
-                break
-            perm[rid] = m
-        if not total:
-            raise TruncationTooShort(
-                "conjugate of a root did not match any root at this truncation"
-            )
-        for rid in ids:
-            c1 = tree.chain_of_root(rid)
-            c2 = tree.chain_of_root(perm[rid])
-            for b1, b2 in zip(c1, c2):
-                union(b1, b2)
-
-    classes: dict[str, set[str]] = {}
-    for b in parent:
-        classes.setdefault(find(b), set()).add(b)
-    out = [frozenset(v) for v in classes.values()]
+    theta = tree.field.zeta_of_order(D)  # FieldTooSmall if absent
+    image = {tree.ground_id: tree.ground_id}
+    stack = [tree.ground]
+    while stack:
+        bar = stack.pop()
+        if not bar.is_finite():
+            continue
+        img = tree.bars[image[bar.id]]
+        rot = theta ** int(bar.height * D)
+        for z, trunk in tree.growth_points(bar):
+            t = tree.trunk_at(img, z * rot)
+            if t is None:
+                raise TruncationTooShort(
+                    "conjugate of a root did not match any root at this truncation"
+                )
+            image[trunk.top_bar_id] = t.top_bar_id
+            stack.append(tree.bars[trunk.top_bar_id])
+    out: list[frozenset[str]] = []
+    seen: set[str] = set()
+    for b in tree.bars:
+        orbit = set()
+        while b not in seen:
+            seen.add(b)
+            orbit.add(b)
+            b = image[b]
+        if orbit:
+            out.append(frozenset(orbit))
     out.sort(key=lambda cls: sorted(cls)[0])
     return out
 

@@ -319,3 +319,15 @@ def test_cli_reduce_picks_its_field(capsys):
     code, out, _err = _cli(capsys, *argv)
     assert code == 0
     assert _cli(capsys, *argv, "--field", "12") == (0, out, "")
+
+
+def test_cli_bundle_under_pinned_truncation_exits_3(capsys):
+    # both f-roots read y + O(y^3): the bundle enters the tree as two roots
+    # whose contact the pinned depth cannot resolve
+    argv = ("verify", "--f", "(x-y-y^5)*(x-y+y^5)", "--g", "x")
+    code, out, err = _cli(capsys, *argv, "--trunc", "3")
+    assert (code, out) == (3, "")
+    assert err == ("limitation: contact order unresolved: "
+                   "series agree up to O(y^3)\n")
+    code, out, _err = _cli(capsys, *argv, "--trunc", "8")
+    assert code == 0 and "[2,0] at 1" in out and "verification: PASS" in out
