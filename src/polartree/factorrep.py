@@ -27,7 +27,7 @@ from .errors import (
 )
 from .exactalg import BiPoly, CycloRational
 from .puiseux import INF, PuiseuxSeries
-from .treemodel import Bar, Tree, cover_of
+from .treemodel import ArcTrace, Bar, Tree, cover_of
 from .baranalysis import BarAnalysis
 from .jacoracle import (
     OracleResult,
@@ -281,6 +281,23 @@ def order_sum_via_contacts(tree: Tree, kind: str, record: PolarRootRecord) -> Fr
     return total
 
 
+def order_sum_via_trace(tree: Tree, kind: str, trace: ArcTrace) -> Fraction:
+    """E + sum of contacts with the germ's roots of an arc cut where it
+    leaves the tree: lambda_B + a y^h(B), with a off every trunk of B.
+
+    Read from the climb, not from series: the contact with a root is the
+    height of the last bar on the path that holds the root.
+    """
+    heights = {}
+    for bid, _z in trace.path:
+        bar = tree.bars[bid]
+        for rid in bar.root_ids:
+            heights[rid] = bar.height
+    E = tree.E1 if kind == "f" else tree.E2
+    return Fraction(E) + sum(h for rid, h in heights.items()
+                             if tree.roots[rid].kind == kind)
+
+
 def intersection_mults(report: FactorReport, tree: Tree, oracle: OracleResult,
                        f: BiPoly, g: BiPoly) -> FactorReport:
     """Fill in the invariant intersection multiplicities, three ways each.
@@ -311,23 +328,8 @@ def intersection_mults(report: FactorReport, tree: Tree, oracle: OracleResult,
             )
         # the truncated members give the same numbers
         def trunc_direct(kind: str) -> Fraction:
-            germ_E = tree.E1 if kind == "f" else tree.E2
-            total = Fraction(0)
-            for idx in rep.p_records:
-                r = records[idx]
-                bar = tree.bars[r.trace.leave_bar_id]
-                if r.trace.leave_point is not None:
-                    cut = bar.prefix + PuiseuxSeries(
-                        tree.field, [(bar.height, r.trace.leave_point)]
-                    )
-                    cut_rec = _plain_record(cut, r.count)
-                else:
-                    cut_rec = PolarRootRecord(
-                        bar.prefix, r.multiplicity, r.branch_count, r.trace,
-                        bar.height, r.trace.leave_poly,
-                    )
-                total += order_sum_via_contacts(tree, kind, cut_rec) * cut_rec.count
-            return total
+            return sum((order_sum_via_trace(tree, kind, records[idx].trace)
+                        * records[idx].count for idx in rep.p_records), Fraction(0))
         rep.i_f_trunc = trunc_direct("f")
         rep.i_g_trunc = trunc_direct("g")
         if (rep.i_f_trunc, rep.i_g_trunc) != (rep.i_f_formula, rep.i_g_formula):
@@ -335,12 +337,6 @@ def intersection_mults(report: FactorReport, tree: Tree, oracle: OracleResult,
                 f"truncated intersection sums disagree on {rep.class_id}"
             )
     return report
-
-
-def _plain_record(series: PuiseuxSeries, count: int) -> PolarRootRecord:
-    from .treemodel import ArcTrace
-
-    return PolarRootRecord(series, count, 1, ArcTrace(()))
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from .exactalg import (
     roots_in_field,
     squarefree_decompose,
 )
-from .puiseux import INF, PuiseuxSeries
+from .puiseux import INF, PuiseuxSeries, vanishes_along
 
 # internal working form: (x_exponent, y_exponent times q) -> coefficient, where
 # q is the ramification denominator the expansion branch carries
@@ -118,8 +118,10 @@ def _edge_poly(terms: _RamTerms, edge: PolygonEdge, field: CycloField) -> UniPol
 class ExpandedRoot:
     """One (bundle of) expanded Newton-Puiseux root(s).
 
-    ``branches`` > 1 means several distinct roots share this truncated series
-    (they separate only at or beyond the truncation).  The total root count
+    An exact root has ``branches`` = 1.  A truncated root stands for every
+    root that shares its known prefix and whose next term lies at or beyond
+    the truncation: ``branches`` counts them, however they would separate
+    past it, so one prefix is never emitted twice.  The total root count
     contributed is multiplicity * branches.
     """
 
@@ -304,6 +306,24 @@ def multiplicity_split(F: BiPoly) -> list[tuple[BiPoly, int]]:
 
 
 class _Expander:
+    """The Newton-Puiseux recursion, on terms cut to the precision each
+    branch still needs.
+
+    At a node with remaining precision T' = target - base, let r be the
+    least x-degree with a y^0 term: the node carries r roots of positive
+    order.  For a slope s < T', a term (i, j) with j >= r T' has
+    j + i s > r s, the value of the term (r, 0), so it never lies on an
+    edge of slope below T'; such terms are dropped.  Substituting along
+    slope m at a root c of multiplicity r1 shifts by mu <= r m, so each
+    dropped term lands at r (T' - m) >= r1 (T' - m) or above, the child's
+    own cut: every kept term below the cut is exact.  Two questions the
+    kept terms cannot answer on a path that dropped a term (``lossy``):
+    whether the x^0 column is really empty, which an exact substitution of
+    the prefix into the component decides; and how the roots past the
+    target split among steep edges, which is never asked: one truncated
+    root per node carries all of them as branches.
+    """
+
     def __init__(
         self,
         field: CycloField,
@@ -319,9 +339,17 @@ class _Expander:
         self.max_stages = max_stages
         self.roots: list[ExpandedRoot] = []
         self.unresolved: list[UnresolvedGroup] = []
+        self.component: BiPoly | None = None  # the one being expanded
 
-    def run(self, terms: _RamTerms, multiplicity: int) -> None:
-        self._recurse(terms, 1, Fraction(0), [], multiplicity, 0)
+    def run(self, component: BiPoly, terms: _RamTerms, multiplicity: int) -> None:
+        """Expand one squarefree component, given as terms with y-content 0."""
+        r = min(i for (i, j) in terms if j == 0)
+        if r == 0:
+            return  # a unit at the origin: no root of positive order
+        self.component = component
+        cut = _ceil(r * self.target)
+        kept = {k: v for k, v in terms.items() if k[1] < cut}
+        self._recurse(kept, 1, Fraction(0), [], multiplicity, 0, len(kept) < len(terms))
 
     # -- helpers -----------------------------------------------------------
     def _emit_exact(self, prefix, multiplicity):
@@ -352,6 +380,9 @@ class _Expander:
             )
         )
 
+    def _is_root(self, F: BiPoly, prefix) -> bool:
+        return vanishes_along(F, PuiseuxSeries(self.field, prefix, INF))
+
     def _field_hint(self, edge: PolygonEdge, epoly: UniPoly, chi: UniPoly) -> int | None:
         """Conductor enlargement that would resolve the missing branch, if any.
 
@@ -376,27 +407,30 @@ class _Expander:
         return out if out != n else None
 
     def _recurse(self, terms: _RamTerms, q: int, base: Fraction, prefix, multiplicity,
-                 stage):
+                 stage, lossy):
         if stage > self.max_stages:
             raise TruncationBudgetExceeded(
                 f"expansion exceeded {self.max_stages} Newton-polygon stages"
             )
         if not terms:
             raise InternalInconsistency("expansion reached the zero polynomial")
+        rest = self.target - base
+        past = min(i for (i, j) in terms if j == 0)  # roots not yet placed
         # exact finite root: the accumulated prefix itself
         xmin = min(i for (i, _) in terms)
-        if xmin >= 1:
-            self._emit_exact(list(prefix), multiplicity)
-            terms = {(i - xmin, j): c for (i, j), c in terms.items()}
-            if xmin > 1:
-                # repeated root of a squarefree component cannot happen
+        if xmin and (not lossy or self._is_root(self.component, prefix)):
+            # a repeated root of a squarefree component cannot happen; a kept
+            # x^1 term is exact, so only an empty x^1 column needs the test
+            if xmin > 1 and (not lossy or self._is_root(self.component.diff_x(), prefix)):
                 raise InternalInconsistency("repeated branch in squarefree expansion")
-        polygon = _polygon_data(terms, q)
-        for edge in polygon.edges:
+            self._emit_exact(list(prefix), multiplicity)
+            past -= 1
+            terms = {(i - 1, j): c for (i, j), c in terms.items()}
+        for edge in _polygon_data(terms, q).edges:
+            if edge.slope >= rest:
+                break
+            past -= edge.extent
             abs_exp = base + edge.slope
-            if abs_exp >= self.target:
-                self._emit_truncated(list(prefix), multiplicity, edge.extent)
-                continue
             epoly = _edge_poly(terms, edge, self.field)
             found, unresolved_deg = roots_in_field(epoly, self.candidates)
             if unresolved_deg:
@@ -413,42 +447,58 @@ class _Expander:
                     # zero is never an edge-polynomial root (the constant term
                     # of the edge polynomial is a vertex coefficient)
                     raise InternalInconsistency("zero edge coefficient")
-                sub, sub_q = _substitute(terms, q, edge.slope, c, self.field)
+                sub, sub_q, dropped = _substitute(
+                    terms, q, edge.slope, c, self.field, r * (rest - edge.slope)
+                )
                 self._recurse(sub, sub_q, abs_exp, list(prefix) + [(abs_exp, c)],
-                              multiplicity, stage + 1)
+                              multiplicity, stage + 1, lossy or dropped)
+        if past:
+            self._emit_truncated(list(prefix), multiplicity, past)
+
+
+def _ceil(v: Fraction) -> int:
+    return -(-v.numerator // v.denominator)
 
 
 def _substitute(
-    terms: _RamTerms, q: int, m: Fraction, c: CycloRational, field: CycloField
-) -> tuple[_RamTerms, int]:
-    """P(y^m (c + x), y) / y^mu with mu the minimum y-order after substitution.
+    terms: _RamTerms, q: int, m: Fraction, c: CycloRational, field: CycloField,
+    bound: Fraction,
+) -> tuple[_RamTerms, int, bool]:
+    """P(y^m (c + x), y) / y^mu, cut below y^bound; mu is the least
+    j + i m over the terms (i, j) of P, the value of its edge of slope m.
 
     The terms of P carry y-exponents times q; the result carries them times
-    lcm(q, denominator of m), which is returned with it.
+    lcm(q, denominator of m), which is returned with it, and with whether
+    the cut dropped a term.  All outputs of an input term (i, j) share the
+    exponent j + i m - mu, so one comparison skips the term's whole
+    binomial row.
     """
     new_q = q * m.denominator // math.gcd(q, m.denominator)
     scale = new_q // q
     step = m.numerator * (new_q // m.denominator)  # m times new_q
+    mu = min(j * scale + i * step for (i, j) in terms)
+    cut = mu + _ceil(bound * new_q)
     out: _RamTerms = {}
+    dropped = False
     cpow = [field.one]
     rows: dict[int, list] = {}  # i -> [C(i, k) * c^(i-k) for k = 0..i]
     for (i, j), a in terms.items():
+        ybase = j * scale + i * step
+        if ybase >= cut:
+            dropped = True
+            continue
         row = rows.get(i)
         if row is None:
             while len(cpow) <= i:
                 cpow.append(cpow[-1] * c)
             row = rows[i] = [cpow[i - k] * math.comb(i, k) for k in range(i)] + [1]
-        ybase = j * scale + i * step
+        ybase -= mu
         for k in range(i + 1):
             coeff = a * row[k]
             key = (k, ybase)
             cur = out.get(key)
             out[key] = coeff if cur is None else cur + coeff
-    out = {k: v for k, v in out.items() if not v.is_zero()}
-    mu = min(j for (_, j) in out)
-    if mu:
-        out = {(i, j - mu): v for (i, j), v in out.items()}
-    return out, new_q
+    return {k: v for k, v in out.items() if not v.is_zero()}, new_q, dropped
 
 
 def _nth_root_rational(r: Fraction, n: int) -> Fraction | None:
@@ -526,7 +576,7 @@ def expand_roots(
         mu = min(j for (_, j) in comp_terms)
         if mu:
             comp_terms = {(i, j - mu): c for (i, j), c in comp_terms.items()}
-        expander.run(comp_terms, mult)
+        expander.run(component, comp_terms, mult)
     result = Expansion(expander.roots, expander.unresolved, E, K, Fraction(target_trunc))
     if result.total_count() != K:
         raise InternalInconsistency(

@@ -241,14 +241,29 @@ class PuiseuxSeries:
 
 
 def contact_order(a: PuiseuxSeries, b: PuiseuxSeries):
-    """O(a, b): the y-order of a - b; INF when both are exactly equal."""
-    diff = a - b
-    if diff.terms:
-        return diff.terms[0][0]
-    if diff.trunc is INF:
+    """O(a, b): the y-order of a - b; INF when both are exactly equal.
+
+    A merge walk over the two sorted term tuples: the contact is the first
+    exponent below the joint truncation where the coefficients differ.
+    """
+    trunc = exp_min(a.trunc, b.trunc)
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        if ea != eb or ca != cb:
+            e = exp_min(ea, eb)
+            return e if e < trunc else _agree_up_to(trunc)
+    n = min(len(a.terms), len(b.terms))
+    rest = a.terms[n:] or b.terms[n:]
+    if rest and rest[0][0] < trunc:
+        return rest[0][0]
+    return _agree_up_to(trunc)
+
+
+def _agree_up_to(trunc):
+    """INF when the agreeing series are exact; unresolved otherwise."""
+    if trunc is INF:
         return INF
     raise Indeterminate(
-        f"contact order unresolved: series agree up to O(y^{diff.trunc})"
+        f"contact order unresolved: series agree up to O(y^{trunc})"
     )
 
 
@@ -257,7 +272,8 @@ def _over(e, d: int) -> int:
     return e.numerator * (d // e.denominator)
 
 
-def _horner(F: BiPoly, arc, arc_trunc: int | None, d: int, lift):
+def _horner(F: BiPoly, arc, arc_trunc: int | None, d: int, lift,
+            cut: int | None = None):
     """F(arc, y) by Horner in x, with every y-exponent an int over d.
 
     ``arc`` lists the arc's terms as (exponent times d, coefficient) in
@@ -268,13 +284,15 @@ def _horner(F: BiPoly, arc, arc_trunc: int | None, d: int, lift):
     where ord is the first exponent, or the truncation when no term is
     left; adding an exact row keeps the truncation.  Returns the nonzero
     terms keyed by exponent times d, and the truncation times d (None when
-    exact).
+    exact).  An exact arc with no negative exponent may be given a ``cut``:
+    terms at or above it are dropped as they appear (multiplying by the
+    arc never lowers an exponent), and the cut comes back as the truncation.
     """
     rows: dict[int, dict[int, object]] = {}
     for (i, j), c in F.terms.items():
         rows.setdefault(i, {})[j * d] = lift(c)
     acc: dict = {}
-    trunc = None
+    trunc = cut
     arc_order = arc[0][0] if arc else arc_trunc
     for i in range(max(rows, default=0), -1, -1):
         if acc or trunc is not None:  # acc * arc; the exact zero stays zero
@@ -306,22 +324,21 @@ def _horner(F: BiPoly, arc, arc_trunc: int | None, d: int, lift):
     return acc, trunc
 
 
-def _substituted(F: BiPoly, xi: PuiseuxSeries):
-    """F(xi(y), y) as (terms, trunc, d) from :func:`_horner`, over the least
-    d that makes every exponent and the truncation of xi an integer."""
+def _arc_over(xi: PuiseuxSeries):
+    """(arc, trunc, d) for :func:`_horner`, over the least d that makes
+    every exponent and the truncation of xi an integer."""
     d = xi.exponent_denominator()
     t = None
     if xi.trunc is not INF:
         d = math.lcm(d, xi.trunc.denominator)
         t = _over(xi.trunc, d)
-    arc = [(_over(e, d), c) for e, c in xi.terms]
-    terms, trunc = _horner(F, arc, t, d, lambda c: c)
-    return terms, trunc, d
+    return [(_over(e, d), c) for e, c in xi.terms], t, d
 
 
 def substitute_arc(F: BiPoly, xi: PuiseuxSeries) -> PuiseuxSeries:
     """F(xi(y), y) as a series, with honest truncation propagation."""
-    terms, trunc, d = _substituted(F, xi)
+    arc, t, d = _arc_over(xi)
+    terms, trunc = _horner(F, arc, t, d, _same)
     return PuiseuxSeries(
         xi.field,
         [(Fraction(e, d), terms[e]) for e in sorted(terms)],
@@ -329,13 +346,35 @@ def substitute_arc(F: BiPoly, xi: PuiseuxSeries) -> PuiseuxSeries:
     )
 
 
+def _same(c):
+    return c
+
+
 def order_along_arc(F: BiPoly, xi: PuiseuxSeries):
     """The exact y-order of F(xi(y), y); INF when xi is an exact root.
 
+    An exact arc with no negative exponent is substituted under a rising
+    cut: every term of F(xi) has order at least g, the least order of a
+    term of F along the leading term of xi, so Horner first keeps only the
+    exponents below g + max(g, 1) and doubles the window above g until a
+    term survives or the cut passes the degree of F(xi).
     Raises :class:`TruncationTooShort` when unknown tail terms of xi could
     cancel the would-be leading term.
     """
-    terms, trunc, d = _substituted(F, xi)
+    arc, t, d = _arc_over(xi)
+    if t is None and arc and arc[0][0] >= 0:
+        lead, last = arc[0][0], arc[-1][0]
+        g = min((j * d + i * lead for i, j in F.terms), default=0)
+        top = max((j * d + i * last for i, j in F.terms), default=-1)
+        width = max(g, d)
+        while True:
+            terms, _ = _horner(F, arc, None, d, _same, g + width)
+            if terms:
+                return Fraction(min(terms), d)
+            if g + width > top:
+                return INF
+            width *= 2
+    terms, trunc = _horner(F, arc, t, d, _same)
     if terms:
         return Fraction(min(terms), d)
     if trunc is None:
@@ -343,6 +382,33 @@ def order_along_arc(F: BiPoly, xi: PuiseuxSeries):
     raise TruncationTooShort(
         f"order of substituted series hidden beyond O(y^{Fraction(trunc, d)})"
     )
+
+
+def vanishes_along(F: BiPoly, xi: PuiseuxSeries) -> bool:
+    """Whether F(xi(y), y) is exactly zero, for an exact arc xi.
+
+    With y = t^d, F(xi) is a Laurent polynomial in t.  Its value at t = 2
+    costs one evaluation, and a nonzero value proves it nonzero; only a
+    zero value runs the substitution itself, over every exponent.
+    """
+    arc, _t, d = _arc_over(xi)
+    x0 = F.field.zero
+    for n, c in arc:
+        x0 = x0 + c * _two_to(n)
+    rows: dict[int, CycloRational] = {}
+    for (i, j), c in F.terms.items():
+        v = c * _two_to(j * d)
+        rows[i] = v + rows[i] if i in rows else v
+    value = F.field.zero
+    for i in range(max(rows, default=0), -1, -1):
+        value = value * x0
+        if i in rows:
+            value = value + rows[i]
+    return value.is_zero() and not _horner(F, arc, None, d, _same)[0]
+
+
+def _two_to(n: int):
+    return 1 << n if n >= 0 else Fraction(1, 1 << -n)
 
 
 def conjugate_series(a: PuiseuxSeries, k: int, ram: int) -> PuiseuxSeries:

@@ -1,7 +1,8 @@
 """Arc substitution on integer exponents against the series-arithmetic Horner.
 
-``substitute_arc``, ``order_along_arc`` and ``generic_arc_order`` run Horner
-in x on dicts keyed by integer y-exponents over one denominator.  The
+``substitute_arc``, ``order_along_arc`` (under its rising cut on exact arcs),
+``vanishes_along`` and ``generic_arc_order`` run Horner in x on dicts keyed by
+integer y-exponents over one denominator.  The
 references below are the earlier implementations, which ran the same Horner
 on ``Fraction``-keyed series: ``PuiseuxSeries`` multiplication and addition,
 with their pessimistic truncation rule.  The two must agree term for term,
@@ -30,7 +31,7 @@ from polartree import (
 )
 from polartree import jacoracle
 from polartree.pipeline import analyze_pair
-from polartree.puiseux import substitute_arc
+from polartree.puiseux import substitute_arc, vanishes_along
 
 K12 = CycloField(12)
 SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
@@ -141,6 +142,20 @@ def test_substitute_arc_matches_series_horner(F_, xi):
     assert _order_or_error(order_along_arc, F_, xi) == _order_or_error(
         _reference_order, F_, xi
     )
+
+
+@SETTINGS
+@given(_laurent_polys(), _arcs(exact=True),
+       st.lists(st.tuples(st.integers(-3, 8), _coeffs), max_size=3,
+                unique_by=lambda t: t[0]))
+def test_vanishes_along_matches_the_series_horner(F_, xi, root):
+    # F_ itself, and F_ times x - root(y), which vanishes along root
+    assert vanishes_along(F_, xi) == (_reference_order(F_, xi) is INF)
+    root_arc = PuiseuxSeries(K12, sorted((F(e), c) for e, c in root), INF)
+    x_minus_root = BiPoly(K12, {(1, 0): K12.one}, laurent=True) - BiPoly(
+        K12, {(0, e): c for e, c in root}, laurent=True)
+    assert vanishes_along(F_ * x_minus_root, root_arc)
+    assert order_along_arc(F_ * x_minus_root, root_arc) is INF
 
 
 def test_negative_leading_exponent_and_truncated_arc():

@@ -56,7 +56,7 @@ def test_substitute_grows_the_branch_denominator():
     assert (edge.slope, edge.extent) == (F(4, 3), 6)
     # x = y^(4/3) (1 + x): the constant and linear terms at y^8 cancel,
     # exponents are counted in thirds and shifted down by 24
-    step1, q = _substitute(f.terms, 1, edge.slope, K4.one, K4)
+    step1, q, _ = _substitute(f.terms, 1, edge.slope, K4.one, K4, F(4))
     assert q == 3
     assert step1 == {
         (k, j): K4.rational(c)
@@ -71,7 +71,7 @@ def test_substitute_grows_the_branch_denominator():
     assert (edge.top, edge.bottom, edge.slope) == ((0, 3), (2, 0), F(1, 2))
     # x = y^(1/2) (1 + x): exponents in sixths, j -> 2j + 3i, shifted by 6;
     # every x-free term cancels because y^(4/3) (1 + y^(1/2)) is a root
-    step2, q = _substitute(step1, q, edge.slope, K4.one, K4)
+    step2, q, _ = _substitute(step1, q, edge.slope, K4.one, K4, F(4))
     assert q == 6
     assert step2 == {
         (k, j): K4.rational(c)

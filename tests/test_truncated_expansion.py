@@ -1,0 +1,328 @@
+"""The cut Newton-Puiseux expansion against the expansion that keeps every term.
+
+``npsolve._Expander`` drops, at each Newton node, the terms that cannot reach
+a coefficient below the target, and decides an empty x^0 column on a cut
+path by substituting the prefix exactly.  The reference below is the
+expander as it was before the cut: every term is carried through every
+substitution, an empty x^0 column is an exact root, and each steep edge
+emits its own truncated root.  The pipeline runs the three benchmark pools
+on the reference, recording every ``expand_roots`` call: the germs at their
+start depth and at their final depth, and the Jacobian at the oracle depth.
+The cut expansion must give the same outcome on each call, term for term
+(roots, multiplicities, branches, unresolved groups, or the same error).
+
+The same pool runs check the two tree reads that replaced series
+comparisons: the merge walk of ``contact_order`` against the order of the
+difference series, and the truncated intersection sums read from each
+P-group member's climb against the sums over its cut arc's series.
+"""
+
+import importlib.util
+import math
+from fractions import Fraction as F
+from pathlib import Path
+
+import pytest
+
+from polartree import (
+    FIXTURES,
+    INF,
+    CycloField,
+    Indeterminate,
+    PuiseuxSeries,
+    contact_order,
+    expand_roots,
+    jacoracle,
+    parse_expression,
+    pipeline,
+)
+from polartree.cli import run as cli_run
+from polartree import npsolve
+from polartree.errors import InternalInconsistency, NeedsLargerField, PolartreeError
+from polartree.exactalg import roots_in_field
+from polartree.puiseux import vanishes_along
+from polartree.factorrep import order_sum_via_contacts, order_sum_via_trace
+from polartree.jacoracle import PolarRootRecord
+from polartree.treemodel import ArcTrace
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+# -- the reference: the expansion before the cut ------------------------------
+
+
+class _UncutExpander(npsolve._Expander):
+    def run(self, component, terms, multiplicity):
+        self._recurse(terms, 1, F(0), [], multiplicity, 0)
+
+    def _recurse(self, terms, q, base, prefix, multiplicity, stage):
+        if stage > self.max_stages:
+            raise npsolve.TruncationBudgetExceeded(
+                f"expansion exceeded {self.max_stages} Newton-polygon stages"
+            )
+        xmin = min(i for (i, _) in terms)
+        if xmin >= 1:
+            self._emit_exact(list(prefix), multiplicity)
+            terms = {(i - xmin, j): c for (i, j), c in terms.items()}
+            if xmin > 1:
+                raise InternalInconsistency("repeated branch in squarefree expansion")
+        for edge in npsolve._polygon_data(terms, q).edges:
+            abs_exp = base + edge.slope
+            if abs_exp >= self.target:
+                self._emit_truncated(list(prefix), multiplicity, edge.extent)
+                continue
+            epoly = npsolve._edge_poly(terms, edge, self.field)
+            found, unresolved_deg = roots_in_field(epoly, self.candidates)
+            if unresolved_deg:
+                chi = epoly.monic()
+                for c, r in found:
+                    for _ in range(r):
+                        chi = chi.shift_strip_root(c)
+                enlarge = self._field_hint(edge, epoly, chi)
+                if enlarge is not None:
+                    raise NeedsLargerField(enlarge)
+                self._emit_unresolved(list(prefix), abs_exp, chi, multiplicity)
+            for c, _r in found:
+                sub, sub_q = _uncut_substitute(terms, q, edge.slope, c, self.field)
+                self._recurse(sub, sub_q, abs_exp, list(prefix) + [(abs_exp, c)],
+                              multiplicity, stage + 1)
+
+
+def _uncut_substitute(terms, q, m, c, field):
+    new_q = q * m.denominator // math.gcd(q, m.denominator)
+    scale = new_q // q
+    step = m.numerator * (new_q // m.denominator)
+    out = {}
+    cpow = [field.one]
+    rows = {}
+    for (i, j), a in terms.items():
+        row = rows.get(i)
+        if row is None:
+            while len(cpow) <= i:
+                cpow.append(cpow[-1] * c)
+            row = rows[i] = [cpow[i - k] * math.comb(i, k) for k in range(i)] + [1]
+        for k in range(i + 1):
+            coeff = a * row[k]
+            key = (k, j * scale + i * step)
+            cur = out.get(key)
+            out[key] = coeff if cur is None else cur + coeff
+    out = {k: v for k, v in out.items() if not v.is_zero()}
+    mu = min(j for (_, j) in out)
+    return {(i, j - mu): v for (i, j), v in out.items()}, new_q
+
+
+def _reference_expand_roots(Fp, target, mode="strict", extra_candidates=()):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(npsolve, "_Expander", _UncutExpander)
+        return expand_roots(Fp, target, mode, extra_candidates)
+
+
+def _outcome(expand, *args, **kwargs):
+    try:
+        return _described(expand(*args, **kwargs))
+    except PolartreeError as err:  # the same error must come out of both
+        return _described(err)
+
+
+def _described(e):
+    if isinstance(e, PolartreeError):
+        return type(e).__name__, str(e)
+    return (
+        [(r.series.terms, r.series.trunc, r.multiplicity, r.branches) for r in e.roots],
+        [(g.prefix.terms, g.exponent, str(g.coeff_poly), g.multiplicity, g.count)
+         for g in e.unresolved],
+        e.y_content, e.x_order, e.target,
+    )
+
+
+# -- the three benchmark pools, run once ---------------------------------------
+
+
+def _load_workloads():
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture(scope="module")
+def pools():
+    """Every pool pair run through ``analyze_pair`` on the uncut expansion,
+    with each ``expand_roots`` call (by call site) and its outcome, and the
+    arguments of each ``build_tree`` call."""
+    workloads = _load_workloads()
+    calls = {"germ": [], "oracle": []}
+    trees = []
+    runs = []
+
+    def recording(site):
+        def wrapper(*args, **kwargs):
+            try:
+                result = _reference_expand_roots(*args, **kwargs)
+            except PolartreeError as err:
+                calls[site].append((args, kwargs, _described(err)))
+                raise
+            calls[site].append((args, kwargs, _described(result)))
+            return result
+        return wrapper
+
+    def recording_tree(*args):
+        trees.append(args)
+        return build_tree(*args)
+
+    build_tree = pipeline.build_tree
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pipeline, "expand_roots", recording("germ"))
+        mp.setattr(jacoracle, "expand_roots", recording("oracle"))
+        mp.setattr(pipeline, "build_tree", recording_tree)
+        for workload in workloads.WORKLOADS:
+            for _id, f, g in workloads.pool_pairs(workload, FIXTURES):
+                runs.append(pipeline.analyze_pair(f, g))
+    return calls, trees, runs
+
+
+@pytest.mark.parametrize("site", ["germ", "oracle"])
+def test_cut_expansion_matches_uncut_expansion_on_the_pools(pools, site):
+    calls, _trees, _runs = pools
+    for args, kwargs, want in calls[site]:
+        assert _outcome(expand_roots, *args, **kwargs) == want, (str(args[0]), args[1])
+
+
+def test_pool_calls_cover_start_final_and_oracle_depths(pools):
+    calls, _trees, runs = pools
+    assert len(runs) == 14 + 130 + 128
+    assert all(run.verification.passed for run in runs)
+    germ_depths = {(str(args[0]), args[1]) for args, _, _ in calls["germ"]}
+    starts = {}
+    for poly, depth in germ_depths:
+        starts.setdefault(poly, set()).add(depth)
+    # the germ stage deepened or settled at max_contact + 2 on some germs
+    assert any(len(depths) > 1 for depths in starts.values())
+    assert len(calls["oracle"]) >= len(runs)
+
+
+def _contact_by_subtraction(a, b):
+    diff = a - b
+    if diff.terms:
+        return diff.terms[0][0]
+    if diff.trunc is INF:
+        return INF
+    raise Indeterminate(
+        f"contact order unresolved: series agree up to O(y^{diff.trunc})"
+    )
+
+
+def _contact_or_error(contact, a, b):
+    try:
+        return contact(a, b)
+    except Indeterminate as e:
+        return str(e)
+
+
+def test_contact_walk_matches_series_difference(pools):
+    _calls, trees, _runs = pools
+    compared = 0
+    for alphas, betas, *_ in trees:
+        roots = list(alphas) + list(betas)
+        for k, a in enumerate(roots):
+            for b in roots[k + 1:]:
+                got = _contact_or_error(contact_order, a, b)
+                assert got == _contact_or_error(_contact_by_subtraction, a, b)
+                assert got == _contact_or_error(contact_order, b, a)
+                compared += 1
+    assert compared > 5000
+
+
+def test_contact_walk_edge_cases():
+    K = CycloField(1)
+    s = lambda terms, t=INF: PuiseuxSeries(K, [(F(e), c) for e, c in terms], t)
+    cases = [
+        (s([(1, 1)]), s([(1, 1)])),                       # equal exact
+        (s([(1, 1)]), s([(1, 1), (2, 3)])),               # one longer
+        (s([(1, 1), (3, 2)], F(3)), s([(1, 1)])),         # difference at the cut
+        (s([(1, 1)], F(5, 2)), s([(1, 1), (2, 1)], F(4))),
+        (s([(1, 1), (2, 2)]), s([(1, 1), (2, 3)], F(2))),
+        (s([]), s([], F(1))),
+        (s([(1, 2)]), s([(1, 3)])),
+        (s([(1, 2)], F(1)), s([(1, 3)])),
+    ]
+    for a, b in cases:
+        assert (_contact_or_error(contact_order, a, b)
+                == _contact_or_error(_contact_by_subtraction, a, b))
+
+
+def _cut_record_sum(tree, kind, r):
+    """The truncated sum as it was computed before: contacts of the cut arc's
+    series with every germ root."""
+    bar = tree.bars[r.trace.leave_bar_id]
+    if r.trace.leave_point is not None:
+        cut = bar.prefix + PuiseuxSeries(tree.field, [(bar.height, r.trace.leave_point)])
+        rec = PolarRootRecord(cut, r.count, 1, ArcTrace(()))
+    else:
+        rec = PolarRootRecord(bar.prefix, r.multiplicity, r.branch_count, r.trace,
+                              bar.height, r.trace.leave_poly)
+    return order_sum_via_contacts(tree, kind, rec) * rec.count
+
+
+def test_truncated_sums_from_the_climb_match_the_cut_series(pools):
+    _calls, _trees, runs = pools
+    members = 0
+    for run in runs:
+        for rep in run.factors.classes:
+            if rep.collinear:
+                continue
+            for idx in rep.p_records:
+                r = run.oracle.records[idx]
+                for kind in "fg":
+                    assert (order_sum_via_trace(run.tree, kind, r.trace) * r.count
+                            == _cut_record_sum(run.tree, kind, r))
+                members += 1
+    assert members > 500
+
+
+# -- the bundle rule -------------------------------------------------------------
+
+
+def test_roots_past_the_target_are_one_bundle_per_node():
+    # x = y + y^5 and x = y + y^6 share y + O(y^3); past the target they
+    # would separate on two edges, of slopes 4 and 5 over the prefix y
+    K = CycloField(1)
+    e = expand_roots(parse_expression("(x-y-y^5)*(x-y-y^6)", K), F(3))
+    assert [(str(r.series), r.multiplicity, r.branches) for r in e.roots] == [
+        ("y + O(y^3)", 1, 2)
+    ]
+    # the uncut expansion emitted one root per steep edge
+    ref = _reference_expand_roots(parse_expression("(x-y-y^5)*(x-y-y^6)", K), F(3))
+    assert [r.branches for r in ref.roots] == [1, 1]
+
+
+def test_cli_bundle_below_the_pinned_depth_exits_3(capsys):
+    code = cli_run(["verify", "--f", "(x-y-y^5)*(x-y-y^6)", "--g", "x", "--trunc", "3"])
+    err = capsys.readouterr().err
+    assert code == 3 and "limitation" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, roots", [
+    # along x = y^2 the cut drops y^9 (x + y), so the x^0 column is empty,
+    # and only the substitution shows that y^2 is no root
+    ("(x - y^2 - y^9)*(x + y)", ["-y", "y^2 + O(y^4)"]),
+    # the cut leaves x^2 along x = y^2: y^2 is an exact simple root
+    ("(x - y^2)*(x - y^2 - y^10)", ["y^2", "y^2 + O(y^4)"]),
+    # the cut leaves x^3 - y^2 x^2: 0 is no root, two roots lie past y^4
+    ("(x - y^2)*(x^2 - y^20)", ["O(y^4)", "y^2"]),
+])
+def test_cut_path_decides_an_empty_x0_column_exactly(text, roots):
+    K = CycloField(1)
+    tested = []
+
+    def recording(*args):
+        tested.append(args)
+        return vanishes_along(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(npsolve, "vanishes_along", recording)
+        got = _outcome(expand_roots, parse_expression(text, K), F(4))
+    assert tested
+    assert got == _outcome(_reference_expand_roots, parse_expression(text, K), F(4))
+    assert sorted(str(PuiseuxSeries(K, t, tr)) for t, tr, _m, _b in got[0]) == roots
