@@ -656,8 +656,6 @@ def squarefree_decompose(p: UniPoly) -> list[tuple[UniPoly, int]]:
         raise ZeroPolynomial("cannot decompose the zero polynomial")
     if p.degree() == 0:
         return []
-    if p.degree() == 1:
-        return [(p.monic(), 1)]
     d = p.derivative()
     g = poly_gcd(p, d)
     if g.degree() == 0:

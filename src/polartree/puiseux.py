@@ -272,8 +272,7 @@ def _over(e, d: int) -> int:
     return e.numerator * (d // e.denominator)
 
 
-def _horner(F: BiPoly, arc, arc_trunc: int | None, d: int, lift,
-            cut: int | None = None):
+def _horner(F: BiPoly, arc, arc_trunc: int | None, d: int, lift):
     """F(arc, y) by Horner in x, with every y-exponent an int over d.
 
     ``arc`` lists the arc's terms as (exponent times d, coefficient) in
@@ -284,15 +283,13 @@ def _horner(F: BiPoly, arc, arc_trunc: int | None, d: int, lift,
     where ord is the first exponent, or the truncation when no term is
     left; adding an exact row keeps the truncation.  Returns the nonzero
     terms keyed by exponent times d, and the truncation times d (None when
-    exact).  An exact arc with no negative exponent may be given a ``cut``:
-    terms at or above it are dropped as they appear (multiplying by the
-    arc never lowers an exponent), and the cut comes back as the truncation.
+    exact).
     """
     rows: dict[int, dict[int, object]] = {}
     for (i, j), c in F.terms.items():
         rows.setdefault(i, {})[j * d] = lift(c)
     acc: dict = {}
-    trunc = cut
+    trunc = None
     arc_order = arc[0][0] if arc else arc_trunc
     for i in range(max(rows, default=0), -1, -1):
         if acc or trunc is not None:  # acc * arc; the exact zero stays zero
@@ -335,10 +332,16 @@ def _arc_over(xi: PuiseuxSeries):
     return [(_over(e, d), c) for e, c in xi.terms], t, d
 
 
+def _substituted(F: BiPoly, xi: PuiseuxSeries):
+    """F(xi(y), y) as (terms, trunc, d) from :func:`_horner`."""
+    arc, t, d = _arc_over(xi)
+    terms, trunc = _horner(F, arc, t, d, lambda c: c)
+    return terms, trunc, d
+
+
 def substitute_arc(F: BiPoly, xi: PuiseuxSeries) -> PuiseuxSeries:
     """F(xi(y), y) as a series, with honest truncation propagation."""
-    arc, t, d = _arc_over(xi)
-    terms, trunc = _horner(F, arc, t, d, _same)
+    terms, trunc, d = _substituted(F, xi)
     return PuiseuxSeries(
         xi.field,
         [(Fraction(e, d), terms[e]) for e in sorted(terms)],
@@ -346,35 +349,13 @@ def substitute_arc(F: BiPoly, xi: PuiseuxSeries) -> PuiseuxSeries:
     )
 
 
-def _same(c):
-    return c
-
-
 def order_along_arc(F: BiPoly, xi: PuiseuxSeries):
     """The exact y-order of F(xi(y), y); INF when xi is an exact root.
 
-    An exact arc with no negative exponent is substituted under a rising
-    cut: every term of F(xi) has order at least g, the least order of a
-    term of F along the leading term of xi, so Horner first keeps only the
-    exponents below g + max(g, 1) and doubles the window above g until a
-    term survives or the cut passes the degree of F(xi).
     Raises :class:`TruncationTooShort` when unknown tail terms of xi could
     cancel the would-be leading term.
     """
-    arc, t, d = _arc_over(xi)
-    if t is None and arc and arc[0][0] >= 0:
-        lead, last = arc[0][0], arc[-1][0]
-        g = min((j * d + i * lead for i, j in F.terms), default=0)
-        top = max((j * d + i * last for i, j in F.terms), default=-1)
-        width = max(g, d)
-        while True:
-            terms, _ = _horner(F, arc, None, d, _same, g + width)
-            if terms:
-                return Fraction(min(terms), d)
-            if g + width > top:
-                return INF
-            width *= 2
-    terms, trunc = _horner(F, arc, t, d, _same)
+    terms, trunc, d = _substituted(F, xi)
     if terms:
         return Fraction(min(terms), d)
     if trunc is None:
@@ -404,7 +385,7 @@ def vanishes_along(F: BiPoly, xi: PuiseuxSeries) -> bool:
         value = value * x0
         if i in rows:
             value = value + rows[i]
-    return value.is_zero() and not _horner(F, arc, None, d, _same)[0]
+    return value.is_zero() and not _substituted(F, xi)[0]
 
 
 def _two_to(n: int):

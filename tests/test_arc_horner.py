@@ -1,11 +1,11 @@
 """Arc substitution on integer exponents against the series-arithmetic Horner.
 
-``substitute_arc``, ``order_along_arc`` (under its rising cut on exact arcs),
-``vanishes_along`` and ``generic_arc_order`` run Horner in x on dicts keyed by
-integer y-exponents over one denominator.  The
-references below are the earlier implementations, which ran the same Horner
-on ``Fraction``-keyed series: ``PuiseuxSeries`` multiplication and addition,
-with their pessimistic truncation rule.  The two must agree term for term,
+``substitute_arc``, ``order_along_arc``, ``vanishes_along`` and
+``generic_arc_order`` run Horner in x on dicts keyed by integer y-exponents
+over one denominator.  The references below are the earlier implementations,
+which ran the same Horner on ``Fraction``-keyed series: ``PuiseuxSeries``
+multiplication and addition, with their pessimistic truncation rule.  The two
+must agree term for term,
 truncation included, on drawn inputs (Laurent polynomials, mixed exponent
 denominators, exact and truncated arcs, negative leading exponents) and on
 every arc that verification builds for two benchmark pool sets.
