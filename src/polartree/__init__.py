@@ -54,7 +54,6 @@ from .npsolve import (
     ExpandedRoot,
     Expansion,
     NewtonPolygon,
-    UnresolvedGroup,
     expand_roots,
     multiplicity_split,
     newton_polygon,

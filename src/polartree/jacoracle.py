@@ -44,9 +44,11 @@ def jacobian(f: BiPoly, g: BiPoly) -> BiPoly:
 class PolarRootRecord:
     """An expanded polar root (or bundle) with its position on the tree.
 
-    ``branch_count`` > 1 bundles conjugate branches sharing the known prefix;
-    their next coefficient is then an unknown root of ``coeff_poly``.  The
-    total number of polar roots carried is multiplicity * branch_count.
+    The fields are those of the :class:`~polartree.npsolve.ExpandedRoot` it
+    places: ``branch_count`` roots share the series, which is exact below
+    its truncation; when ``branch_exp`` is set, their coefficient there is
+    an unknown root of ``coeff_poly``.  The total number of polar roots
+    carried is multiplicity * branch_count.
     """
 
     series: PuiseuxSeries
@@ -86,8 +88,8 @@ MAX_DEEPEN = 6  # truncation doublings before placement gives up
 def polar_roots(f: BiPoly, g: BiPoly, tree: Tree, target=None) -> OracleResult:
     """Expand the Jacobian and place every polar root on the tree.
 
-    Runs in count mode: branches whose coefficients fall outside the field
-    are kept as exactly counted bundles.  The truncation starts at the
+    Branches whose coefficients fall outside the field are kept as exactly
+    counted bundles.  The truncation starts at the
     session default (max pairwise root contact + 2) and deepens on demand
     when a placement needs more terms.
     """
@@ -115,26 +117,18 @@ def polar_roots(f: BiPoly, g: BiPoly, tree: Tree, target=None) -> OracleResult:
 
 
 def _expand_and_place(J: BiPoly, tree: Tree, depth: Fraction, candidates) -> OracleResult:
-    expansion = expand_roots(J, depth, mode="count", extra_candidates=candidates)
+    expansion = expand_roots(J, depth, extra_candidates=candidates)
     records: list[PolarRootRecord] = []
     for root in expansion.roots:
-        trace = tree.trace_arc(ArcView(root.series))
+        trace = tree.trace_arc(ArcView(root.series, root.branch_exp, root.coeff_poly))
         if trace.is_root:
             raise InternalInconsistency(
                 "a Jacobian root coincides with a root of the product germ "
                 "despite the simple-roots validation"
             )
         records.append(
-            PolarRootRecord(root.series, root.multiplicity, root.branches, trace)
-        )
-    for grp in expansion.unresolved:
-        view = ArcView(grp.prefix, grp.exponent, grp.coeff_poly)
-        trace = tree.trace_arc(view)
-        records.append(
-            PolarRootRecord(
-                grp.prefix, grp.multiplicity, grp.count, trace,
-                grp.exponent, grp.coeff_poly,
-            )
+            PolarRootRecord(root.series, root.multiplicity, root.branches, trace,
+                            root.branch_exp, root.coeff_poly)
         )
     total = sum(r.count for r in records)
     if total != expansion.x_order:

@@ -3,10 +3,10 @@
 The engine walks the classical Newton-polygon iteration: pick an edge of
 positive slope m, solve the edge polynomial for the leading coefficient c,
 substitute x = y^m (c + x') and repeat.  All coefficient arithmetic happens
-in Q(zeta_N); when an edge polynomial has no root there, the solver either
-raises (strict mode) or records the branch bundle as an unresolved group
-whose count and prefix stay exact (count mode).  Multiplicities are made
-exact by splitting the input into squarefree-in-x components first.
+in Q(zeta_N); when an edge polynomial has no root there, the solver records
+the branch bundle as a root whose count and prefix stay exact, and leaves
+it to the caller whether such a bundle is acceptable.  Multiplicities are
+made exact by splitting the input into squarefree-in-x components first.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from typing import Iterable, Sequence
 from .errors import (
     NeedsLargerField,
     TruncationBudgetExceeded,
-    UnresolvedBranch,
     ZeroPolynomial,
     InternalInconsistency,
 )
@@ -37,6 +36,8 @@ from .puiseux import INF, PuiseuxSeries, vanishes_along
 # internal working form: (x_exponent, y_exponent times q) -> coefficient, where
 # q is the ramification denominator the expansion branch carries
 _RamTerms = dict[tuple[int, int], CycloRational]
+
+MAX_STAGES = 64  # Newton-polygon stages along one branch before expansion gives up
 
 
 # ---------------------------------------------------------------------------
@@ -116,55 +117,38 @@ def _edge_poly(terms: _RamTerms, edge: PolygonEdge, field: CycloField) -> UniPol
 
 @dataclass(frozen=True)
 class ExpandedRoot:
-    """One (bundle of) expanded Newton-Puiseux root(s).
+    """One (bundle of) expanded Newton-Puiseux root(s), its series known
+    exactly below ``series.trunc``.
 
-    An exact root has ``branches`` = 1.  A truncated root stands for every
-    root that shares its known prefix and whose next term lies at or beyond
-    the truncation: ``branches`` counts them, however they would separate
-    past it, so one prefix is never emitted twice.  The total root count
-    contributed is multiplicity * branches.
+    An exact root has ``branches`` = 1 and no truncation.  A truncated root
+    stands for every root that shares its known prefix and whose next term
+    lies at or beyond the target: ``branches`` counts them, however they
+    would separate past it, so one prefix is never emitted twice.  An
+    unresolved bundle is cut at ``branch_exp``, where its ``branches`` =
+    deg(coeff_poly) branches take the roots of ``coeff_poly`` as their
+    coefficients; none of them lies in the working field or among the
+    caller's candidate points.  The total root count contributed is
+    multiplicity * branches.
     """
 
     series: PuiseuxSeries
     multiplicity: int
     branches: int = 1
-
-
-@dataclass(frozen=True)
-class UnresolvedGroup:
-    """A bundle of branches whose next coefficient lies outside the field.
-
-    The possible coefficients at ``exponent`` are exactly the roots of
-    ``coeff_poly`` (which has no root in the working field, nor among the
-    caller-provided candidate points).  ``count`` = deg(coeff_poly) branches
-    continue through this bundle, each with the given multiplicity.
-    """
-
-    prefix: PuiseuxSeries          # exact known part (all exponents < exponent)
-    exponent: Fraction
-    coeff_poly: UniPoly
-    multiplicity: int
-    count: int
-
-    def series_view(self) -> PuiseuxSeries:
-        """The shared prefix viewed as a series truncated at the branch point."""
-        return PuiseuxSeries(self.prefix.field, self.prefix.terms, self.exponent)
+    branch_exp: Fraction | None = None
+    coeff_poly: UniPoly | None = None
 
 
 @dataclass
 class Expansion:
-    """Result of expanding a polynomial: roots, bookkeeping orders, leftovers."""
+    """Result of expanding a polynomial: roots and bookkeeping orders."""
 
     roots: list[ExpandedRoot]
-    unresolved: list[UnresolvedGroup]
     y_content: int        # E: largest power of y dividing the input
     x_order: int          # K: x-order of F / y^E at the origin
     target: Fraction
 
     def total_count(self) -> int:
-        n = sum(r.multiplicity * r.branches for r in self.roots)
-        n += sum(g.multiplicity * g.count for g in self.unresolved)
-        return n
+        return sum(r.multiplicity * r.branches for r in self.roots)
 
 
 # ---------------------------------------------------------------------------
@@ -324,21 +308,12 @@ class _Expander:
     root per node carries all of them as branches.
     """
 
-    def __init__(
-        self,
-        field: CycloField,
-        target: Fraction,
-        mode: str,
-        candidates: Sequence[CycloRational],
-        max_stages: int = 64,
-    ):
+    def __init__(self, field: CycloField, target: Fraction,
+                 candidates: Sequence[CycloRational]):
         self.field = field
         self.target = target
-        self.mode = mode
         self.candidates = list(candidates)
-        self.max_stages = max_stages
         self.roots: list[ExpandedRoot] = []
-        self.unresolved: list[UnresolvedGroup] = []
         self.component: BiPoly | None = None  # the one being expanded
 
     def run(self, component: BiPoly, terms: _RamTerms, multiplicity: int) -> None:
@@ -363,21 +338,9 @@ class _Expander:
         )
 
     def _emit_unresolved(self, prefix, exponent, chi, multiplicity):
-        count = chi.degree()
-        if self.mode == "strict":
-            raise UnresolvedBranch(
-                count * multiplicity,
-                f"edge coefficient polynomial {chi} has no root in "
-                f"Q(zeta_{self.field.conductor})",
-            )
-        self.unresolved.append(
-            UnresolvedGroup(
-                PuiseuxSeries(self.field, prefix, INF),
-                exponent,
-                chi,
-                multiplicity,
-                count,
-            )
+        self.roots.append(
+            ExpandedRoot(PuiseuxSeries(self.field, prefix, exponent), multiplicity,
+                         chi.degree(), exponent, chi)
         )
 
     def _is_root(self, F: BiPoly, prefix) -> bool:
@@ -408,9 +371,9 @@ class _Expander:
 
     def _recurse(self, terms: _RamTerms, q: int, base: Fraction, prefix, multiplicity,
                  stage, lossy):
-        if stage > self.max_stages:
+        if stage > MAX_STAGES:
             raise TruncationBudgetExceeded(
-                f"expansion exceeded {self.max_stages} Newton-polygon stages"
+                f"expansion exceeded {MAX_STAGES} Newton-polygon stages"
             )
         if not terms:
             raise InternalInconsistency("expansion reached the zero polynomial")
@@ -547,22 +510,20 @@ def _binomial_field_hint(chi: UniPoly, conductor: int) -> int | None:
 def expand_roots(
     F: BiPoly,
     target_trunc: Fraction,
-    mode: str = "strict",
     extra_candidates: Sequence[CycloRational] = (),
-    max_stages: int = 64,
 ) -> Expansion:
     """All Newton-Puiseux roots of F with positive order, to a truncation.
 
-    Strict mode raises :class:`UnresolvedBranch` when a branch coefficient
-    falls outside the working field; count mode records the bundle instead,
-    with its exact count and coefficient polynomial.  Roots are reported
-    with exact multiplicities (via :func:`multiplicity_split`); series that
-    would only separate beyond the truncation are merged with a branch count.
+    Roots are reported with exact multiplicities (via
+    :func:`multiplicity_split`); series that would only separate beyond the
+    truncation are merged with a branch count, and a bundle whose next
+    coefficient falls outside the working field (and ``extra_candidates``)
+    is kept with its exact count and coefficient polynomial.  Resolved
+    roots come first, by leading term, then the bundles.  An edge that a
+    larger conductor would resolve raises :class:`NeedsLargerField`.
     """
     if F.is_zero():
         raise ZeroPolynomial("cannot expand the zero polynomial")
-    if mode not in ("strict", "count"):
-        raise ValueError(f"unknown mode {mode!r}")
     field = F.field
     E = F.y_content()
     Fstar = F.shift_y(-E) if E else F
@@ -570,25 +531,26 @@ def expand_roots(
         K = Fstar.x_order_at_origin()
     except ValueError:
         raise InternalInconsistency("y-content removal left no pure-x term")
-    expander = _Expander(field, Fraction(target_trunc), mode, extra_candidates, max_stages)
+    expander = _Expander(field, Fraction(target_trunc), extra_candidates)
     for component, mult in multiplicity_split(Fstar):
         comp_terms = component.terms
         mu = min(j for (_, j) in comp_terms)
         if mu:
             comp_terms = {(i, j - mu): c for (i, j), c in comp_terms.items()}
         expander.run(component, comp_terms, mult)
-    result = Expansion(expander.roots, expander.unresolved, E, K, Fraction(target_trunc))
+    result = Expansion(expander.roots, E, K, Fraction(target_trunc))
     if result.total_count() != K:
         raise InternalInconsistency(
             f"root count {result.total_count()} does not match x-order {K}"
         )
     result.roots.sort(key=_root_sort_key)
-    result.unresolved.sort(key=lambda g: (g.exponent, str(g.coeff_poly)))
     return result
 
 
 def _root_sort_key(r: ExpandedRoot):
-    lead = r.series.terms[0] if r.series.terms else (INF, None)
-    if lead[1] is None:
+    if r.branch_exp is not None:
+        return (2, r.branch_exp, str(r.coeff_poly))
+    if not r.series.terms:
         return (1, Fraction(0), ())
-    return (0, lead[0], lead[1].sort_key())
+    e, c = r.series.terms[0]
+    return (0, e, c.sort_key())

@@ -18,6 +18,7 @@ from .errors import (
     LimitationError,
     NeedsLargerField,
     TruncationTooShort,
+    UnresolvedBranch,
 )
 from .exactalg import BiPoly, CycloField
 from .npsolve import Expansion, expand_roots, multiplicity_split
@@ -164,10 +165,13 @@ def _germ_stage(f: BiPoly, g: BiPoly, trunc: Fraction | None,
                 E1: int = 0, E2: int = 0) -> tuple[Expansion, Expansion, Tree]:
     """Expand both germs and build their tree, adding E1/E2 to the y-content.
 
-    Unless pinned, the depth doubles while a contact is undetermined and ends
-    at no less than ``max_contact + 2``, so that everything strictly between
-    consecutive bar heights is visible.  Before the first doubling, a
-    repeated component of f*g through the origin is refused."""
+    A germ root whose next coefficient lies outside the field is refused,
+    but only once both germs have expanded, so that a larger field either
+    germ asks for is tried first.  Unless pinned, the depth doubles while a
+    contact is undetermined and ends at no less than ``max_contact + 2``, so
+    that everything strictly between consecutive bar heights is visible.
+    Before the first doubling, a repeated component of f*g through the
+    origin is refused."""
     if trunc is not None and trunc <= 0:
         raise InputError(f"truncation depth must be positive, not {trunc}")
     ydeg = max(j for h in (f, g) for (_, j) in h.terms)
@@ -177,6 +181,13 @@ def _germ_stage(f: BiPoly, g: BiPoly, trunc: Fraction | None,
         try:
             ef = expand_roots(f, depth)
             eg = expand_roots(g, depth)
+            for r in ef.roots + eg.roots:
+                if r.coeff_poly is not None:
+                    raise UnresolvedBranch(
+                        r.branches * r.multiplicity,
+                        f"edge coefficient polynomial {r.coeff_poly} has no root "
+                        f"in Q(zeta_{f.field.conductor})",
+                    )
             alphas = [r.series for r in ef.roots
                       for _ in range(r.multiplicity * r.branches)]
             betas = [r.series for r in eg.roots
@@ -287,8 +298,7 @@ def run_document(run: Run) -> dict:
     records = []
     for r in run.oracle.records:
         rec = {
-            "series": str(r.series if r.branch_exp is None
-                          else r.series.truncate_to(r.branch_exp)),
+            "series": str(r.series),
             "multiplicity": r.multiplicity,
             "branches": r.branch_count,
             "climb": [
@@ -427,8 +437,6 @@ def render_run(run: Run) -> str:
     out.append(f"polar roots: x-order {run.oracle.x_order}, "
                f"y-content {run.oracle.y_content}")
     for r in run.oracle.records:
-        desc = str(r.series if r.branch_exp is None
-                   else r.series.truncate_to(r.branch_exp))
         tag = f" x{r.count}" if r.count > 1 else ""
         if r.trace.leave_bar_id:
             where = (f"leaves on {r.trace.leave_bar_id} at "
@@ -436,7 +444,7 @@ def render_run(run: Run) -> str:
         else:
             where = (f"bounded by {r.trace.bounded_by} "
                      f"(separates at height {r.trace.leave_height})")
-        out.append(f"  {desc}{tag}: {where}")
+        out.append(f"  {r.series}{tag}: {where}")
     out.append("")
     out.append(run.verification.render())
     return "\n".join(out)

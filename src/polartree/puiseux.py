@@ -105,18 +105,6 @@ class PuiseuxSeries:
     def is_certified_zero(self) -> bool:
         return not self.terms and self.trunc is INF
 
-    def order(self):
-        """The y-order: smallest exponent, INF for the exact zero series.
-
-        Raises :class:`Indeterminate` when the series is zero up to a finite
-        truncation (the order could be anything at or beyond it).
-        """
-        if self.terms:
-            return self.terms[0][0]
-        if self.trunc is INF:
-            return INF
-        raise Indeterminate(f"order unresolved: zero up to O(y^{self.trunc})")
-
     def order_lower_bound(self):
         return self.terms[0][0] if self.terms else self.trunc
 
@@ -136,9 +124,6 @@ class PuiseuxSeries:
         if not (h <= self.trunc):
             raise Indeterminate(f"prefix below y^{h} not determined (trunc {self.trunc})")
         return PuiseuxSeries(self.field, [(e, c) for e, c in self.terms if e < h], INF)
-
-    def truncate_to(self, t) -> "PuiseuxSeries":
-        return PuiseuxSeries(self.field, self.terms, exp_min(self.trunc, t))
 
     def exponent_denominator(self) -> int:
         d = 1
@@ -163,13 +148,6 @@ class PuiseuxSeries:
 
     def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         return self + (-other)
-
-    def scale(self, c) -> "PuiseuxSeries":
-        if not isinstance(c, CycloRational):
-            c = self.field.rational(c)
-        if c.is_zero():
-            return PuiseuxSeries.zero(self.field)
-        return PuiseuxSeries(self.field, [(e, tc * c) for e, tc in self.terms], self.trunc)
 
     def shift(self, e) -> "PuiseuxSeries":
         """Multiply by y^e."""

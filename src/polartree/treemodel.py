@@ -95,15 +95,15 @@ class ArcView:
     """An arc for placement: a series plus an optional unresolved branch point.
 
     When ``branch_exp`` is set, the series is exact below it and the
-    coefficient at ``branch_exp`` is an unknown nonzero root of ``chi``
-    (which has no root in the working field).
+    coefficient at ``branch_exp`` is an unknown nonzero root of
+    ``coeff_poly`` (which has no root in the working field).
     """
 
     def __init__(self, series: PuiseuxSeries, branch_exp: Fraction | None = None,
-                 chi: UniPoly | None = None):
+                 coeff_poly: UniPoly | None = None):
         self.series = series
         self.branch_exp = branch_exp
-        self.chi = chi
+        self.coeff_poly = coeff_poly
 
     def _known_diff(self, prefix: PuiseuxSeries):
         """Terms of (arc - prefix) below the knowledge cut, plus the cut.
@@ -132,11 +132,11 @@ class ArcView:
             cp = prefix.coefficient_at(self.branch_exp)
         except Indeterminate as e:
             raise TruncationTooShort(str(e))
-        if self.chi.evaluate(cp).is_zero():
+        if self.coeff_poly.evaluate(cp).is_zero():
             raise PlacementUnresolved(
                 "unresolved branch coefficient may coincide with a tree point"
             )
-        return _shift_poly(self.chi, cp)
+        return _shift_poly(self.coeff_poly, cp)
 
     def contact_with(self, prefix: PuiseuxSeries):
         """Contact order with a series; INF only when provably equal."""

@@ -141,6 +141,44 @@ def test_cli_field_limitation(capsys):
     assert code == 3 and "limitation" in err
 
 
+# z^2 + z + 1 has no root in Q(zeta_4), but x^3 - y^10 asks for Q(zeta_12),
+# where it does: the germ bundle must not end the field search
+BUNDLE_F, BUNDLE_G = "(x^2+x*y+y^2)*(x^3-y^10)", "x-2*y"
+
+
+def test_cli_germ_bundle_waits_for_the_field_search(capsys):
+    code, out, err = _cli(capsys, "verify", "--f", BUNDLE_F, "--g", BUNDLE_G)
+    assert (code, err) == (0, "")
+    assert out.startswith("field: Q(zeta_12) ")
+    assert "verification: PASS" in out
+
+
+def test_germ_bundle_waits_for_the_field_search():
+    from polartree import analyze_pair
+
+    run = analyze_pair(BUNDLE_F, BUNDLE_G)
+    assert run.field.conductor == 12
+
+
+def test_cli_germ_bundle_in_the_settled_field_exits_3(capsys):
+    code, out, err = _cli(capsys, "verify", "--f", "x^2-5/2*y^8", "--g", "x")
+    assert (code, out) == (3, "")
+    assert err == ("limitation: edge coefficient polynomial z^2 - 5/2 "
+                   "has no root in Q(zeta_4)\n")
+    code, out, err = _cli(capsys, "verify", "--f", BUNDLE_F, "--g", BUNDLE_G,
+                          "--field", "4")
+    assert (code, out) == (3, "")
+    assert err == "limitation: working field must contain the 12-th roots of unity\n"
+
+
+def test_germ_bundle_in_the_settled_field_is_unresolved():
+    from polartree import UnresolvedBranch, analyze_pair
+
+    with pytest.raises(UnresolvedBranch) as e:
+        analyze_pair("x^2-5/2*y^8", "x")
+    assert e.value.count == 2
+
+
 def test_cli_compare(capsys):
     code, out, _err = _cli(
         capsys, "compare", "--fixture", "ex61", "--fixture2", "ex61-e9"

@@ -12,7 +12,6 @@ from polartree import (
     CycloField,
     INF,
     NeedsLargerField,
-    UnresolvedBranch,
     conjugate_series,
     expand_roots,
     jacobian,
@@ -145,15 +144,12 @@ def test_expand_zero_root():
 def test_count_mode_bundles():
     x, y = _vars(K4)
     toy = x * x - y**8 * F(5, 2)
-    with pytest.raises(UnresolvedBranch) as e:
-        expand_roots(toy, F(10))
-    assert e.value.count == 2
-    out = expand_roots(toy, F(10), mode="count")
-    assert not out.roots and len(out.unresolved) == 1
-    grp = out.unresolved[0]
-    assert grp.exponent == F(4) and grp.count == 2
+    out = expand_roots(toy, F(10))
+    assert len(out.roots) == 1
+    grp = out.roots[0]
+    assert grp.branch_exp == F(4) and grp.branches == 2
     assert str(grp.coeff_poly) == "z^2 - 5/2"
-    assert grp.series_view().trunc == F(4)
+    assert grp.series.trunc == F(4)
     assert out.total_count() == out.x_order == 2
 
 
@@ -482,9 +478,10 @@ def test_conjugation_closure_of_root_set():
             assert any(img == t for t in series)
 
 
-def test_truncation_budget_cap():
-    from polartree import TruncationBudgetExceeded
+def test_truncation_budget_cap(monkeypatch):
+    from polartree import TruncationBudgetExceeded, npsolve
 
+    monkeypatch.setattr(npsolve, "MAX_STAGES", 0)
     x, y = _vars(K4)
     with pytest.raises(TruncationBudgetExceeded):
-        expand_roots(x - y, F(10), max_stages=0)
+        expand_roots(x - y, F(10))

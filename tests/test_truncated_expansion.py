@@ -9,7 +9,7 @@ emits its own truncated root.  The pipeline runs the three benchmark pools
 on the reference, recording every ``expand_roots`` call: the germs at their
 start depth and at their final depth, and the Jacobian at the oracle depth.
 The cut expansion must give the same outcome on each call, term for term
-(roots, multiplicities, branches, unresolved groups, or the same error).
+(roots, multiplicities, branches, unresolved bundles, or the same error).
 
 The same pool runs check the two tree reads that replaced series
 comparisons: the merge walk of ``contact_order`` against the order of the
@@ -56,9 +56,9 @@ class _UncutExpander(npsolve._Expander):
         self._recurse(terms, 1, F(0), [], multiplicity, 0)
 
     def _recurse(self, terms, q, base, prefix, multiplicity, stage):
-        if stage > self.max_stages:
+        if stage > npsolve.MAX_STAGES:
             raise npsolve.TruncationBudgetExceeded(
-                f"expansion exceeded {self.max_stages} Newton-polygon stages"
+                f"expansion exceeded {npsolve.MAX_STAGES} Newton-polygon stages"
             )
         xmin = min(i for (i, _) in terms)
         if xmin >= 1:
@@ -111,10 +111,10 @@ def _uncut_substitute(terms, q, m, c, field):
     return {(i, j - mu): v for (i, j), v in out.items()}, new_q
 
 
-def _reference_expand_roots(Fp, target, mode="strict", extra_candidates=()):
+def _reference_expand_roots(Fp, target, extra_candidates=()):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(npsolve, "_Expander", _UncutExpander)
-        return expand_roots(Fp, target, mode, extra_candidates)
+        return expand_roots(Fp, target, extra_candidates)
 
 
 def _outcome(expand, *args, **kwargs):
@@ -128,9 +128,8 @@ def _described(e):
     if isinstance(e, PolartreeError):
         return type(e).__name__, str(e)
     return (
-        [(r.series.terms, r.series.trunc, r.multiplicity, r.branches) for r in e.roots],
-        [(g.prefix.terms, g.exponent, str(g.coeff_poly), g.multiplicity, g.count)
-         for g in e.unresolved],
+        [(r.series.terms, r.series.trunc, r.multiplicity, r.branches,
+          r.branch_exp, str(r.coeff_poly)) for r in e.roots],
         e.y_content, e.x_order, e.target,
     )
 
@@ -325,4 +324,4 @@ def test_cut_path_decides_an_empty_x0_column_exactly(text, roots):
         got = _outcome(expand_roots, parse_expression(text, K), F(4))
     assert tested
     assert got == _outcome(_reference_expand_roots, parse_expression(text, K), F(4))
-    assert sorted(str(PuiseuxSeries(K, t, tr)) for t, tr, _m, _b in got[0]) == roots
+    assert sorted(str(PuiseuxSeries(K, t, tr)) for t, tr, *_ in got[0]) == roots
