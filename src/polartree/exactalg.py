@@ -96,6 +96,8 @@ class CycloField:
         self._modulus = _cyclotomic_int_coeffs(conductor)
         # zeta^d = sum of h * zeta^i over these (i, h): the nonzero terms only
         self._head = tuple((i, -c) for i, c in enumerate(self._modulus[:d]) if c)
+        # the exponents k of the Galois automorphisms zeta -> zeta^k other than 1
+        self._units = tuple(k for k in range(2, conductor) if math.gcd(k, conductor) == 1)
         self._zeros = (0,) * (d - 1)
         self.zero = CycloRational(self, (0,) * d, 1)
         self.one = CycloRational(self, (1,) + self._zeros, 1)
@@ -138,9 +140,9 @@ class CycloField:
         den = math.lcm(*(c.denominator for c in coords))
         return _canon(self, tuple([c.numerator * (den // c.denominator) for c in coords]), den)
 
-    def _reduce(self, raw: list[int], den: int) -> CycloRational:
-        """The element raw / den, for a power-basis numerator list of any
-        length (consumed) and a nonzero denominator."""
+    def _fold(self, raw: list[int]) -> list[int]:
+        """A power-basis numerator list of any length (consumed), reduced
+        modulo the cyclotomic polynomial to its phi(N) coordinates."""
         d = self.degree
         if len(raw) < d:
             raw += [0] * (d - len(raw))
@@ -151,7 +153,12 @@ class CycloField:
                 base = k - d
                 for i, h in head:
                     raw[base + i] += c * h
-        return _canon(self, tuple(raw[:d]), den)
+        return raw[:d]
+
+    def _reduce(self, raw: list[int], den: int) -> CycloRational:
+        """The element raw / den, for a power-basis numerator list of any
+        length (consumed) and a nonzero denominator."""
+        return _canon(self, tuple(self._fold(raw)), den)
 
     def __repr__(self) -> str:
         return f"CycloField({self.conductor})"
@@ -181,6 +188,17 @@ def join_terms(parts) -> str:
     return parts[0] + "".join(
         f" - {p[1:]}" if p.startswith("-") else f" + {p}" for p in parts[1:]
     )
+
+
+def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """The product of two integer coefficient lists, unreduced."""
+    raw = [0] * (len(a) + len(b) - 1)
+    for i, u in enumerate(a):
+        if u:
+            for j, v in enumerate(b):
+                if v:
+                    raw[i + j] += u * v
+    return raw
 
 
 def _canon(field: CycloField, num: tuple[int, ...], den: int) -> "CycloRational":
@@ -311,13 +329,7 @@ class CycloRational:
             return self._scaled(b[0], other.den)
         if not any(a[1:]):
             return other._scaled(a[0], self.den)
-        raw = [0] * (2 * len(a) - 1)
-        for i, u in enumerate(a):
-            if u:
-                for j, v in enumerate(b):
-                    if v:
-                        raw[i + j] += u * v
-        return self.field._reduce(raw, self.den * other.den)
+        return self.field._reduce(_convolve(a, b), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -328,14 +340,20 @@ class CycloRational:
         if not any(num[1:]):
             n, d = (self.den, num[0]) if num[0] > 0 else (-self.den, -num[0])
             return CycloRational(self.field, (n,) + self.field._zeros, d)
-        # (num / den)^-1 = den * s for s * num = 1 modulo the cyclotomic polynomial
-        num = list(num)
-        while not num[-1]:
-            num.pop()
-        s = _poly_modular_inverse(num, list(self.field._modulus))
-        den = math.lcm(*(c.denominator for c in s))
-        return self.field._reduce(
-            [c.numerator * (den // c.denominator) * self.den for c in s], den)
+        # (num / den)^-1 = den * adj / norm: adj is the product of the
+        # conjugates sigma_k(num), zeta -> zeta^k for the units k != 1 of
+        # Z/N, so num * adj is the norm of num, a nonzero rational integer
+        field = self.field
+        n = field.conductor
+        adj = None
+        for k in field._units:
+            raw = [0] * n
+            for i, u in enumerate(num):
+                raw[i * k % n] += u
+            conj = field._fold(raw)
+            adj = conj if adj is None else field._fold(_convolve(adj, conj))
+        norm = field._fold(_convolve(num, adj))[0]
+        return _canon(field, tuple([u * self.den for u in adj]), norm)
 
     def __truediv__(self, other):
         if type(other) is CycloRational:
@@ -419,28 +437,6 @@ def _qdivmod(num: Sequence[Rat | int], den: Sequence[Rat | int]) -> tuple[list[R
     while rem and not rem[-1]:
         rem.pop()
     return q, rem
-
-
-def _poly_modular_inverse(a: list[int], mod: list[int]) -> list[Rat]:
-    """Inverse of the polynomial ``a`` modulo ``mod`` over Q (both ascending,
-    without trailing zeros), by the extended Euclidean algorithm."""
-    r0, r1 = mod, a
-    s0: list[Rat] = []
-    s1: list[Rat] = [Rat(1)]
-    while len(r1) > 1:
-        q, r = _qdivmod(r0, r1)
-        r0, r1 = r1, r
-        # s_next = s0 - q*s1
-        s = list(s0) + [_ZERO] * max(len(q) + len(s1) - 1 - len(s0), 0)
-        for i, qc in enumerate(q):
-            if qc:
-                for j, sc in enumerate(s1):
-                    s[i + j] -= qc * sc
-        s0, s1 = s1, s
-    if not r1:
-        raise DivisionByZero("element is not invertible (shares a factor with the modulus)")
-    c = r1[0]
-    return [s / c for s in s1]
 
 
 # ---------------------------------------------------------------------------
@@ -757,21 +753,22 @@ def _rational_roots(int_coeffs: list[int]) -> list[Rat]:
     if len(int_coeffs) <= 1:
         return roots
 
-    def value(r: Rat) -> bool:
-        acc = Rat(0)
+    def vanishes(p: int, q: int) -> bool:
+        # q^n times the value at p/q, by Horner on the homogenized polynomial
+        acc, qk = 0, 1
         for c in reversed(int_coeffs):
-            acc = acc * r + c
+            acc = acc * p + c * qk
+            qk *= q
         return acc == 0
 
     for p in _divisors(int_coeffs[0]):
         for q in _divisors(int_coeffs[-1]):
             if math.gcd(p, q) != 1:
                 continue
-            cand = Rat(p, q)
-            if value(cand):
-                roots.append(cand)
-            if value(-cand):
-                roots.append(-cand)
+            if vanishes(p, q):
+                roots.append(Rat(p, q))
+            if vanishes(-p, q):
+                roots.append(Rat(-p, q))
     return roots
 
 
@@ -807,43 +804,140 @@ def _rational_gcd_roots(coord_polys: list[list[int]]) -> list[Rat]:
     return _rational_roots(ints)
 
 
+def _rational_root(a: Rat, e: int) -> Rat | None:
+    """The rational e-th root of a >= 0, if there is one."""
+
+    def iroot(v: int) -> int | None:
+        lo, hi = 0, 1 << ((v.bit_length() + e - 1) // e + 1)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if mid**e < v:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo if lo**e == v else None
+
+    p, q = iroot(a.numerator), iroot(a.denominator)
+    return None if p is None or q is None else Rat(p, q)
+
+
+def rational_radical(w: Rat, e: int, conductor: int) -> tuple[list[tuple[int, Rat]], int] | None:
+    """The solutions t*zeta^j (t rational) of z^e = w in Q(zeta_conductor),
+    for a nonzero rational w.
+
+    None when |w| has no rational e-th root r.  Otherwise the pairs (j, t),
+    t = +-r, each solution once at its least j, and the conductor that
+    holds all e solutions: lcm(conductor, 2e) for w < 0 and e even,
+    lcm(conductor, e) otherwise.
+    """
+    r = _rational_root(abs(w), e)
+    if r is None:
+        return None
+    n = conductor
+    sign = 1 if w > 0 else -1
+    odd = e % 2
+    pairs = []
+    # (t zeta^j)^e = w needs zeta^(je) = +-1: je = 0 or n/2 modulo n; for
+    # even n, t zeta^j = -t zeta^(j + n/2), so j < n/2 reaches every solution
+    for j in range(n // 2 if n % 2 == 0 else n):
+        k = j * e % n
+        if k and 2 * k != n:
+            continue
+        unit = 1 if k == 0 else -1
+        for s in (1, -1):
+            if unit * (s if odd else 1) == sign:
+                pairs.append((j, r if s > 0 else -r))
+    need = 2 * e if sign < 0 and not odd else e
+    return pairs, n * need // math.gcd(n, need)
+
+
+def _root_key(pair: tuple[int, Rat]):
+    """The order of in-field roots t*zeta^j, each at its least j."""
+    j, t = pair
+    return j, abs(t.numerator), t.denominator, t < 0
+
+
+def _lacunary_roots(f: UniPoly) -> list[CycloRational] | None:
+    """The roots t*zeta^j (t rational) of a monic f = psi(z^e) with e >= 2,
+    where psi has rational coefficients, degree at most 2 and only rational
+    roots; in the order of :func:`_root_key`.  None for any other f."""
+    c = f.coeffs
+    d = len(c) - 1
+    if c[0].is_zero():
+        return None
+    e = 0
+    for i in range(1, d + 1):
+        if not c[i].is_zero():
+            e = math.gcd(e, i)
+    if e < 2 or d > 2 * e:
+        return None
+    psi = [c[i].as_rational() for i in range(0, d + 1, e)]
+    if any(a is None for a in psi):
+        return None
+    if len(psi) == 2:
+        ws = [-psi[0]]
+    else:
+        b = psi[1]
+        disc = b * b - 4 * psi[0]
+        s = _rational_root(disc, 2) if disc >= 0 else None
+        if s is None:
+            return None
+        ws = {(-b + s) / 2, (-b - s) / 2}
+    field = f.field
+    pairs = []
+    for w in ws:
+        radical = rational_radical(w, e, field.conductor)
+        if radical is not None:
+            pairs += radical[0]
+    return [field.zeta(j) * t for j, t in sorted(pairs, key=_root_key)]
+
+
+def _rotation_roots(f: UniPoly, found: list[CycloRational]) -> None:
+    """Append to ``found`` the roots t*zeta^j (t rational) of f it lacks:
+    the rational roots of f(zeta^j z) for j = 0, 1, ... in turn, in the
+    order of :func:`_root_key`, until at most one root of f is missing."""
+    field = f.field
+    n = field.conductor
+    # for even n, the roots of f(-zeta^j z) are those of f(zeta^j z), negated
+    for j in range(n // 2 if n % 2 == 0 else n):
+        if len(found) >= f.degree() - 1:
+            return
+        zj = field.zeta(j)
+        rotated = f.compose_scale(zj) if j else f
+        pairs = [(j, t) for t in _rational_gcd_roots(rotated.coordinate_polys())]
+        for _j, t in sorted(pairs, key=_root_key):
+            root = zj * t
+            if root not in found:
+                found.append(root)
+
+
 def roots_in_field(
     p: UniPoly, extra_candidates: Iterable[CycloRational] = ()
 ) -> tuple[list[tuple[CycloRational, int]], int]:
     """Roots of ``p`` that lie in the working field, with multiplicities.
 
     Returns ``(roots, unresolved_degree)`` where the unresolved degree counts
-    roots (with multiplicity) outside the reach of the search: rational-root
-    search lifted through the power basis (candidates ``r * zeta^j`` with r
-    rational), linear factors, and the caller-supplied candidate points.
-    Anything irreducible of degree >= 2 over that search is reported as
-    unresolved rather than approximated.
+    roots (with multiplicity) outside the reach of the search: the
+    caller-supplied candidate points, the roots ``t * zeta^j`` with t
+    rational, and a last root once all others are known.  Anything beyond
+    that is reported as unresolved rather than approximated.
+
+    The roots come in one order.  For each squarefree factor f, in
+    :func:`squarefree_decompose` order: the candidate points that are roots
+    of f, in candidate order; then the other roots ``t * zeta^j``, each at
+    its least j, by (j, |numerator t|, denominator t, t < 0); then, if
+    exactly one root of f is left, that root, from the sum of the roots of
+    f.  A linear p is solved directly; f = psi(z^e) with psi of degree at
+    most 2 splitting over Q has its roots in closed form; any other f is
+    searched through its rotations f(zeta^j z).
     """
     if p.is_zero():
         raise ZeroPolynomial("zero polynomial has every point as a root")
+    if p.degree() == 1:
+        return [(-(p[0] / p[1]), 1)], 0
     field = p.field
-    candidates = list(extra_candidates)
-    roots: list[tuple[CycloRational, int]] = []
-    unresolved = 0
-    for factor, mult in squarefree_decompose(p):
-        f = factor
-        while f.degree() >= 1:
-            if f.degree() == 1:
-                roots.append((-(f[0] / f[1]), mult))
-                f = UniPoly.constant(field, 1, f.var)
-                break
-            found = _find_one_root(f, candidates)
-            if found is None:
-                unresolved += mult * f.degree()
-                break
-            roots.append((found, mult))
-            f = f.shift_strip_root(found)
-    return roots, unresolved
-
-
-def _find_one_root(f: UniPoly, candidates: list[CycloRational]) -> CycloRational | None:
-    field = f.field
-    for cand in candidates:
+    candidates = []
+    for cand in extra_candidates:
         if not isinstance(cand, CycloRational):
             cand = field.rational(cand)
         elif cand.field is not field:
@@ -851,16 +945,28 @@ def _find_one_root(f: UniPoly, candidates: list[CycloRational]) -> CycloRational
             if r is None:
                 continue
             cand = field.rational(r)
-        if f.evaluate(cand).is_zero():
-            return cand
-    n = field.conductor
-    for j in range(n):
-        rotated = f if j == 0 else f.compose_scale(field.zeta(j))
-        for r in _rational_gcd_roots(rotated.coordinate_polys()):
-            root = field.zeta(j) * field.rational(r) if j else field.rational(r)
-            if f.evaluate(root).is_zero():
-                return root
-    return None
+        candidates.append(cand)
+    roots: list[tuple[CycloRational, int]] = []
+    unresolved = 0
+    for f, mult in squarefree_decompose(p):
+        d = f.degree()
+        found: list[CycloRational] = []
+        for cand in candidates:
+            if len(found) >= d - 1:
+                break
+            if cand not in found and f.evaluate(cand).is_zero():
+                found.append(cand)
+        if len(found) < d - 1:
+            lacunary = _lacunary_roots(f)
+            if lacunary is None:
+                _rotation_roots(f, found)
+            else:
+                found += [r for r in lacunary if r not in found]
+        if len(found) == d - 1:
+            found.append(-f[d - 1] - sum(found))  # f is monic
+        roots += [(r, mult) for r in found]
+        unresolved += mult * (d - len(found))
+    return roots, unresolved
 
 
 # ---------------------------------------------------------------------------

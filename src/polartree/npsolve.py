@@ -28,6 +28,7 @@ from .exactalg import (
     CycloRational,
     UniPoly,
     poly_gcd,
+    rational_radical,
     roots_in_field,
     squarefree_decompose,
 )
@@ -464,25 +465,6 @@ def _substitute(
     return {k: v for k, v in out.items() if not v.is_zero()}, new_q, dropped
 
 
-def _nth_root_rational(r: Fraction, n: int) -> Fraction | None:
-    if r <= 0:
-        return None
-    def iroot(v: int) -> int | None:
-        lo, hi = 0, 1 << ((v.bit_length() + n - 1) // n + 1)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mid**n < v:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo if lo**n == v else None
-    p = iroot(r.numerator)
-    q = iroot(r.denominator)
-    if p is None or q is None:
-        return None
-    return Fraction(p, q)
-
-
 def _binomial_field_hint(chi: UniPoly, conductor: int) -> int | None:
     """If chi = z^k - u with a rational radical solvable by roots of unity,
     return the enlarged conductor that would resolve it."""
@@ -491,20 +473,11 @@ def _binomial_field_hint(chi: UniPoly, conductor: int) -> int | None:
         return None
     if any(not chi[d].is_zero() for d in range(1, k)):
         return None
-    u = -chi[0]
-    r = u.as_rational()
-    if r is None or r == 0:
+    u = (-chi[0]).as_rational()
+    radical = rational_radical(u, k, conductor) if u else None
+    if radical is None or radical[1] == conductor:
         return None
-    if r > 0:
-        if _nth_root_rational(r, k) is None:
-            return None
-        need = k
-    else:
-        if _nth_root_rational(-r, k) is None:
-            return None
-        need = 2 * k if k % 2 == 0 else k
-    new = conductor * need // math.gcd(conductor, need)
-    return new if new != conductor else None
+    return radical[1]
 
 
 def expand_roots(

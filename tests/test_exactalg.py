@@ -196,3 +196,31 @@ def test_pollard_rho_failure_is_a_polartree_error(monkeypatch):
     with pytest.raises(PolartreeError) as e:
         exactalg._factorize(91)
     assert isinstance(e.value, InternalInconsistency)
+
+
+@pytest.mark.parametrize("n, coeffs, roots, unresolved", [
+    # z^2 + z + 1 does not split over Q; its roots zeta^8 = -zeta^2 and
+    # zeta^4 come from the rotation search
+    (12, (1, 1, 1), ["-zeta^2", "-1 + zeta^2"], 0),
+    # psi = (u - 1)(u - 2) at u = z^3: the cube roots of 1 in the field, in
+    # the order of their least j; the cube roots of 2 stay unresolved
+    (12, (2, 0, 0, -3, 0, 0, 1), ["1", "-zeta^2", "-1 + zeta^2"], 3),
+    (4, (2, 0, 0, -3, 0, 0, 1), ["1"], 5),
+    (12, (1, 0, 0, 0, 1), [], 4),    # z^4 + 1: primitive 8th roots of unity
+    (4, (-4, 0, 0, 0, 1), [], 4),    # z^4 - 4: +-sqrt(2), +-i*sqrt(2)
+])
+def test_roots_in_field_pins(n, coeffs, roots, unresolved):
+    found, left = roots_in_field(P(*coeffs, field=CycloField(n)))
+    assert [str(r) for r, _ in found] == roots
+    assert all(m == 1 for _, m in found)
+    assert left == unresolved
+
+
+def test_norm_inverse_of_a_unit_and_a_non_unit():
+    z = K12.zeta()
+    u = K12.one + z                      # a unit of Z[zeta_12]: its norm is 1
+    assert u.inverse() * u == K12.one
+    assert all(c.denominator == 1 for c in u.inverse().coords)
+    a = (K12.rational(2) + z) / 3        # norm of 2 + zeta_12 is 13
+    assert a.inverse() * a == K12.one
+    assert a.inverse().den == 13

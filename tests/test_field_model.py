@@ -23,7 +23,9 @@ CYCLOTOMIC = {
     4: (1, 0, 1),
     5: (1, 1, 1, 1, 1),
     8: (1, 0, 0, 0, 1),
+    9: (1, 0, 0, 1, 0, 0, 1),                 # Phi_3(x^3)
     12: (1, 0, -1, 0, 1),
+    15: (1, -1, 0, 1, -1, 1, 0, -1, 1),       # (x^10 + x^5 + 1) / (x^2 + x + 1)
 }
 CONDUCTORS = sorted(CYCLOTOMIC)
 SETTINGS = settings(derandomize=True, max_examples=150, deadline=None)
