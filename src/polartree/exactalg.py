@@ -20,6 +20,8 @@ negative y exponents.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from fractions import Fraction
 from functools import lru_cache
 from operator import add, sub
@@ -144,8 +146,8 @@ class CycloField:
         """A power-basis numerator list of any length (consumed), reduced
         modulo the cyclotomic polynomial to its phi(N) coordinates."""
         d = self.degree
-        if len(raw) < d:
-            raw += [0] * (d - len(raw))
+        if len(raw) <= d:
+            return raw + [0] * (d - len(raw))
         head = self._head
         for k in range(len(raw) - 1, d - 1, -1):
             c = raw[k]
@@ -970,6 +972,185 @@ def roots_in_field(
 
 
 # ---------------------------------------------------------------------------
+# packed integers (Kronecker substitution)
+# ---------------------------------------------------------------------------
+#
+# A polynomial in (x, y^(1/d), zeta) over one common denominator is packed
+# into one Python int: every power of zeta, left unreduced, has a slot of
+# ``bits`` bits, each monomial in x and y a cell of Z consecutive slots, Z
+# the highest zeta index used plus one.  A slot holds a signed digit, so the
+# packed value is the polynomial evaluated at zeta = 2^bits and at powers of
+# 2^(bits*Z) for x and y^(1/d), and products and sums of packed values are
+# exact.  The digits of a result can be read back when an l1 height bound
+# puts every one of them below 2^(bits - 1) in absolute value.
+
+
+def _slot_bits(bound: int) -> int:
+    """Bits per slot for signed digits of absolute value at most ``bound``:
+    the magnitude and a sign bit, rounded up to 8, 16, 32 or 64 bits, or to
+    a multiple of 64, so that the slots read back as machine words."""
+    need = bound.bit_length() + 1
+    for bits in (8, 16, 32):
+        if need <= bits:
+            return bits
+    return -(-need // 64) * 64
+
+
+def _packed(cells, bits: int) -> int:
+    """The sum of digits[k] * 2^(pos + k*bits) over the (pos, digits) cells."""
+    out = 0
+    for pos, digits in cells:
+        for u in digits:
+            if u:
+                out += u << pos
+            pos += bits
+    return out
+
+
+# array typecodes of unsigned 1-, 2-, 4- and 8-byte words
+_WORD = {array(code).itemsize: code for code in "QLIHB"}
+
+
+def _cells(packed: int, count: int, bits: int, z: int) -> list[tuple[int, list[int]]]:
+    """The nonzero cells of z slots among the lowest ``count`` cells of
+    ``packed``, lowest first, as (index, signed digits).
+
+    Every digit is raised by 2^(bits - 1), so that no slot borrows from the
+    next, and the slots are read back as machine words.
+    """
+    nb = bits // 8
+    half = 1 << (bits - 1)
+    slots = count * z
+    bias = int.from_bytes((bytes(nb - 1) + b"\x80") * slots, "little")
+    raw = (packed + bias).to_bytes(nb * slots, "little")
+    if nb > 8:
+        digits = [int.from_bytes(raw[k:k + nb], "little") - half for k in range(0, len(raw), nb)]
+    else:
+        words = array(_WORD[nb], raw)
+        if sys.byteorder == "big":
+            words.byteswap()
+        digits = [u - half for u in words.tolist()]
+    return [(c, digits[c * z:c * z + z])
+            for c in dict.fromkeys([k // z for k, u in enumerate(digits) if u])]
+
+
+def _integer_digits(coeffs: Sequence[CycloRational]) -> tuple[int, list[tuple[int, ...]]]:
+    """The coefficients over their least common denominator: that
+    denominator, and each numerator's digits without trailing zeros."""
+    den = math.lcm(*[c.den for c in coeffs])
+    out = []
+    for c in coeffs:
+        num = c.num
+        m = den // c.den
+        if not any(num[1:]):
+            out.append((num[0] * m,))
+            continue
+        k = len(num)
+        while not num[k - 1]:
+            k -= 1
+        out.append(tuple([u * m for u in num[:k]]))
+    return den, out
+
+
+def _fold_field(fa: CycloField, za: int, fb: CycloField, zb: int) -> CycloField:
+    """The field in which a product of digits from fa (za slots) and fb (zb
+    slots) is folded: only a rational side, one slot wide, can move."""
+    if fa is fb or zb == 1:
+        return fa
+    if za == 1:
+        return fb
+    raise ValueError("cannot mix elements of different cyclotomic fields")
+
+
+class _Integers:
+    """A :class:`BiPoly`'s coefficients as integer digits over one common
+    denominator ``den``: ``rows`` maps each x-exponent i to its (j, digits)
+    terms, ``row_l1`` to the sum of the absolute digits of that row.
+    ``zeta`` is the longest digit tuple and ``l1`` the sum of all absolute
+    digits; i and j range over [imin, imax] and [jmin, jmax]."""
+
+    __slots__ = ("den", "rows", "row_l1", "zeta", "l1", "imin", "imax", "jmin", "jmax")
+
+    def __init__(self, poly: "BiPoly"):
+        self.den, digits = _integer_digits(list(poly.terms.values()))
+        rows: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        row_l1: dict[int, int] = {}
+        for (i, j), ds in zip(poly.terms, digits):
+            a = sum(map(abs, ds))
+            if i in rows:
+                rows[i].append((j, ds))
+                row_l1[i] += a
+            else:
+                rows[i] = [(j, ds)]
+                row_l1[i] = a
+        js = [j for _, j in poly.terms]
+        self.rows = rows
+        self.row_l1 = row_l1
+        self.zeta = max(map(len, digits), default=1)
+        self.l1 = sum(row_l1.values())
+        self.imin = min(rows, default=0)
+        self.imax = max(rows, default=0)
+        self.jmin = min(js, default=0)
+        self.jmax = max(js, default=0)
+
+
+def arc_order(F: "BiPoly", arc: Sequence[tuple[int, CycloRational]], d: int) -> int | None:
+    """The least exponent n with a nonzero coefficient of t^n in
+    F(A(t), t^d), for the Laurent polynomial A(t) = sum of c * t^n over the
+    (n, c) of ``arc`` in increasing n; None when F(A(t), t^d) is zero.
+
+    With A = A_int / D over integers and m = deg_x F, the packed value of
+    R = sum_i F_i(t^d) A_int^i D^(m-i) comes from Horner in x with one big
+    integer product per x-degree.  Every digit of R is at most
+    sum_i |F_i|_1 |A_int|_1^i D^(m-i) in absolute value.  Laurent rows of
+    F and a negative leading exponent of A are shifted to non-negative
+    slots.  The 2-adic valuation of R falls in the cell of its lowest
+    nonzero digits; their unreduced zeta digits are folded in the field,
+    and a cell that folds to zero is dropped for the next one.
+    """
+    ints = F._integers()
+    rows = ints.rows
+    if not rows:
+        return None
+    den, arc_digits = _integer_digits([c for _, c in arc])
+    za = max(map(len, arc_digits), default=1)
+    field = _fold_field(F.field, ints.zeta, arc[0][1].field if arc else F.field, za)
+    m = ints.imax
+    z = ints.zeta + m * (za - 1)
+    a_l1 = sum(abs(u) for ds in arc_digits for u in ds)
+    bound, dp = 0, 1
+    for i in range(m, -1, -1):
+        bound = bound * a_l1 + ints.row_l1.get(i, 0) * dp
+        dp *= den
+    bits = _slot_bits(bound)
+    w = bits * z
+    row_shift = max(-ints.jmin * d, 0)
+    arc_shift = max(-arc[0][0], 0) if arc else 0
+    packed_arc = _packed((((n + arc_shift) * w, ds) for (n, _), ds in zip(arc, arc_digits)), bits)
+    acc, dp = 0, 1
+    for i in range(m, -1, -1):
+        acc *= packed_arc
+        row = rows.get(i)
+        if row:
+            shift = row_shift + (m - i) * arc_shift
+            acc += dp * _packed((((j * d + shift) * w, ds) for j, ds in row), bits)
+        dp *= den
+    if not acc:
+        return None
+    # acc is R times t^(row_shift + m * arc_shift); every cell below the one
+    # that holds its lowest set bit is zero
+    cell = ((acc & -acc).bit_length() - 1) // w
+    base = cell - row_shift - m * arc_shift
+    if z <= field.degree:  # digits already reduced: a nonzero cell is nonzero
+        return base
+    acc >>= cell * w
+    for k, digits in _cells(acc, (acc.bit_length() // bits + z) // z, bits, z):
+        if any(field._fold(digits)):
+            return base + k
+    return None
+
+
+# ---------------------------------------------------------------------------
 # bivariate polynomials
 # ---------------------------------------------------------------------------
 
@@ -978,10 +1159,12 @@ class BiPoly:
     """Sparse bivariate polynomial ``sum c[i,j] x^i y^j`` over the field.
 
     Negative y exponents require ``laurent=True``; x exponents are always
-    non-negative.  No zero coefficients are stored.
+    non-negative.  No zero coefficients are stored.  ``terms`` is never
+    changed after construction, so its integer form is built once, on first
+    use by a product or an arc order.
     """
 
-    __slots__ = ("field", "terms", "laurent")
+    __slots__ = ("field", "terms", "laurent", "_ints")
 
     def __init__(
         self,
@@ -1005,6 +1188,7 @@ class BiPoly:
         self.field = field
         self.terms = clean
         self.laurent = laurent
+        self._ints: _Integers | None = None
 
     # -- constructors -----------------------------------------------------
     @classmethod
@@ -1047,6 +1231,11 @@ class BiPoly:
     def __neg__(self) -> "BiPoly":
         return self._wrap({k: -c for k, c in self.terms.items()})
 
+    def _integers(self) -> _Integers:
+        if self._ints is None:
+            self._ints = _Integers(self)
+        return self._ints
+
     def __mul__(self, other) -> "BiPoly":
         if isinstance(other, (int, Fraction, CycloRational)):
             if not isinstance(other, CycloRational):
@@ -1054,18 +1243,48 @@ class BiPoly:
             if other.is_zero():
                 return BiPoly.zero(self.field, self.laurent)
             return self._wrap({k: c * other for k, c in self.terms.items()})
+        a, b = self.terms, other.terms
+        if len(b) == 1:
+            ((i2, j2), c2), = b.items()
+            terms = {(i + i2, j + j2): c * c2 for (i, j), c in a.items()}
+        elif len(a) == 1:
+            ((i1, j1), c1), = a.items()
+            terms = {(i1 + i, j1 + j): c1 * c for (i, j), c in b.items()}
+        elif a and b:
+            terms = self._packed_product(other)
+        else:
+            terms = {}
+        return BiPoly(self.field, terms, self.laurent or other.laurent)
+
+    def _packed_product(self, other: "BiPoly") -> dict[tuple[int, int], CycloRational]:
+        """The terms of self * other from one product of packed integers.
+
+        Cells run over x, then y, then the unreduced zeta slots, wide
+        enough for the product; each digit is at most |a|_1 |b|_1.  Each
+        nonzero cell is folded and put over the product of the two
+        denominators.
+        """
+        fa, fb = self._integers(), other._integers()
+        field = _fold_field(self.field, fa.zeta, other.field, fb.zeta)
+        z = fa.zeta + fb.zeta - 1
+        ny = fa.jmax - fa.jmin + fb.jmax - fb.jmin + 1
+        nx = fa.imax - fa.imin + fb.imax - fb.imin + 1
+        bits = _slot_bits(fa.l1 * fb.l1)
+        w = bits * z
+
+        def pack(f: _Integers) -> int:
+            return _packed(((((i - f.imin) * ny + j - f.jmin) * w, ds)
+                            for i, row in f.rows.items() for j, ds in row), bits)
+
+        den = fa.den * fb.den
+        i0, j0 = fa.imin + fb.imin, fa.jmin + fb.jmin
         out: dict[tuple[int, int], CycloRational] = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                k = (i1 + i2, j1 + j2)
-                prod = c1 * c2
-                s = out.get(k)
-                out[k] = prod if s is None else s + prod
-        return BiPoly(
-            self.field,
-            {k: c for k, c in out.items() if not c.is_zero()},
-            self.laurent or other.laurent,
-        )
+        for k, digits in _cells(pack(fa) * pack(fb), nx * ny, bits, z):
+            num = field._fold(digits)
+            if any(num):
+                i, j = divmod(k, ny)
+                out[(i0 + i, j0 + j)] = _canon(field, tuple(num), den)
+        return out
 
     __rmul__ = __mul__
 

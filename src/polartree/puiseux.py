@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .errors import FieldTooSmall, Indeterminate, TruncationTooShort
 from .exactalg import (
-    BiPoly, CycloField, CycloRational, UniPoly, coeff_term, join_terms,
+    BiPoly, CycloField, CycloRational, UniPoly, arc_order, coeff_term, join_terms,
 )
 
 
@@ -330,9 +330,15 @@ def substitute_arc(F: BiPoly, xi: PuiseuxSeries) -> PuiseuxSeries:
 def order_along_arc(F: BiPoly, xi: PuiseuxSeries):
     """The exact y-order of F(xi(y), y); INF when xi is an exact root.
 
-    Raises :class:`TruncationTooShort` when unknown tail terms of xi could
-    cancel the would-be leading term.
+    An exact arc goes through the packed-integer kernel
+    :func:`~polartree.exactalg.arc_order`; a truncated one through
+    :func:`_horner`.  Raises :class:`TruncationTooShort` when unknown tail
+    terms of xi could cancel the would-be leading term.
     """
+    if xi.trunc is INF:
+        arc, _t, d = _arc_over(xi)
+        n = arc_order(F, arc, d)
+        return INF if n is None else Fraction(n, d)
     terms, trunc, d = _substituted(F, xi)
     if terms:
         return Fraction(min(terms), d)
@@ -348,7 +354,8 @@ def vanishes_along(F: BiPoly, xi: PuiseuxSeries) -> bool:
 
     With y = t^d, F(xi) is a Laurent polynomial in t.  Its value at t = 2
     costs one evaluation, and a nonzero value proves it nonzero; only a
-    zero value runs the substitution itself, over every exponent.
+    zero value runs :func:`~polartree.exactalg.arc_order`, whose packed
+    integers grow with the arc's length and denominators.
     """
     arc, _t, d = _arc_over(xi)
     x0 = F.field.zero
@@ -363,7 +370,7 @@ def vanishes_along(F: BiPoly, xi: PuiseuxSeries) -> bool:
         value = value * x0
         if i in rows:
             value = value + rows[i]
-    return value.is_zero() and not _substituted(F, xi)[0]
+    return value.is_zero() and arc_order(F, arc, d) is None
 
 
 def _two_to(n: int):

@@ -1,14 +1,18 @@
 """Arc substitution on integer exponents against the series-arithmetic Horner.
 
-``substitute_arc``, ``order_along_arc``, ``vanishes_along`` and
-``generic_arc_order`` run Horner in x on dicts keyed by integer y-exponents
-over one denominator.  The references below are the earlier implementations,
-which ran the same Horner on ``Fraction``-keyed series: ``PuiseuxSeries``
+``substitute_arc``, ``generic_arc_order`` and ``order_along_arc`` on a
+truncated arc run Horner in x on dicts keyed by integer y-exponents over one
+denominator.  The references below are the earlier implementations, which
+ran the same Horner on ``Fraction``-keyed series: ``PuiseuxSeries``
 multiplication and addition, with their pessimistic truncation rule.  The two
-must agree term for term,
-truncation included, on drawn inputs (Laurent polynomials, mixed exponent
-denominators, exact and truncated arcs, negative leading exponents) and on
-every arc that verification builds for two benchmark pool sets.
+must agree term for term, truncation included, on drawn inputs (Laurent
+polynomials, mixed exponent denominators, exact and truncated arcs, negative
+leading exponents) and on every arc that verification builds for two
+benchmark pool sets.
+
+On an exact arc, ``order_along_arc`` and ``vanishes_along`` read the order
+from one packed integer (``exactalg.arc_order``); the dict Horner
+``puiseux._horner`` is their reference.
 """
 
 import importlib.util
@@ -31,7 +35,7 @@ from polartree import (
 )
 from polartree import jacoracle
 from polartree.pipeline import analyze_pair
-from polartree.puiseux import substitute_arc, vanishes_along
+from polartree.puiseux import _horner, _arc_over, substitute_arc, vanishes_along
 
 K12 = CycloField(12)
 SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
@@ -179,6 +183,71 @@ def test_generic_arc_order_matches_series_horner(F_, prefix, h):
             generic_arc_order(F_, prefix, h)
         return
     assert generic_arc_order(F_, prefix, h) == _reference_generic_arc_order(F_, prefix, h)
+
+
+# -- the packed order on exact arcs -------------------------------------------
+
+ORDER_FIELDS = tuple(CycloField(n) for n in (1, 3, 4, 12))
+
+
+def _horner_order(F_, xi):
+    arc, _t, d = _arc_over(xi)
+    terms, _trunc = _horner(F_, arc, None, d, lambda c: c)
+    return F(min(terms), d) if terms else INF
+
+
+@st.composite
+def _elements(draw, field):
+    """Small field elements, and some with numerator or denominator near
+    10^30."""
+    coords = [draw(st.sampled_from((0, 0, 0, 1, -1, 2))) for _ in range(field.degree)]
+    coords[0] += draw(st.integers(-3, 3)) + draw(st.sampled_from((0,) * 6 + (10**30, -10**30)))
+    den = draw(st.sampled_from((1,) * 5 + (2, 3, 10**30 + 1)))
+    return field.from_coords([F(c, den) for c in coords])
+
+
+@st.composite
+def _order_inputs(draw):
+    field = draw(st.sampled_from(ORDER_FIELDS))
+    keys = draw(st.lists(
+        st.tuples(st.integers(0, 4), st.integers(-3, 5)), max_size=6, unique=True
+    ))
+    F_ = BiPoly(field, {k: draw(_elements(field)) for k in keys}, laurent=True)
+    es = draw(st.lists(st.builds(F, st.integers(-6, 14), st.sampled_from((1, 2, 3, 6))),
+                       max_size=4, unique=True))
+    xi = PuiseuxSeries(field, [(e, draw(_elements(field))) for e in sorted(es)], INF)
+    return F_, xi
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_order_inputs())
+def test_packed_order_matches_the_dict_horner(inputs):
+    F_, xi = inputs
+    assert order_along_arc(F_, xi) == _horner_order(F_, xi)
+    # with xi's exponents scaled to integers, G = F_ * (x - xi) vanishes
+    # along the scaled arc; along xi itself its order is the Horner one
+    q = xi.exponent_denominator()
+    scaled = PuiseuxSeries(F_.field, [(e * q, c) for e, c in xi.terms], INF)
+    x_minus = BiPoly(F_.field, {(1, 0): F_.field.one}, laurent=True) - BiPoly(
+        F_.field, {(0, int(e)): c for e, c in scaled.terms}, laurent=True)
+    G = F_ * x_minus
+    assert order_along_arc(G, scaled) is INF
+    assert vanishes_along(G, scaled)
+    assert order_along_arc(G, xi) == _horner_order(G, xi)
+
+
+@pytest.mark.parametrize("n, power", [(3, 1), (12, 4)])
+def test_cells_that_fold_to_zero(n, power):
+    # along zeta*y, zeta a primitive cube root of unity, x^2 + x*y + y^2 is
+    # (zeta^2 + zeta + 1)*y^2 = 0: its unreduced zeta digits are nonzero
+    field = CycloField(n)
+    arc = PuiseuxSeries(field, [(F(1), field.zeta(power))], INF)
+    x, y = BiPoly.variable(field, "x"), BiPoly.variable(field, "y")
+    quadric = x * x + x * y + y * y
+    assert order_along_arc(quadric + y * y * y, arc) == 3
+    assert order_along_arc(quadric, arc) is INF
+    assert vanishes_along(quadric, arc)
+    assert not vanishes_along(quadric + y * y * y, arc)
 
 
 # -- arcs built by verification ----------------------------------------------

@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polartree import (
     BiPoly,
@@ -188,6 +189,96 @@ def test_bipoly_shear():
     y = BiPoly.variable(K4, "y")
     sheared = (x * x - y * y).substitute_shear(K4.one)
     assert str(sheared) == "-2*x*y - y^2"
+
+
+# -- BiPoly products through packed integers ----------------------------------
+
+
+def _schoolbook_mul(a, b):
+    """BiPoly.__mul__ as it was before products went through packed
+    integers: one field product per pair of terms."""
+    out: dict[tuple[int, int], object] = {}
+    for (i1, j1), c1 in a.terms.items():
+        for (i2, j2), c2 in b.terms.items():
+            k = (i1 + i2, j1 + j2)
+            prod = c1 * c2
+            s = out.get(k)
+            out[k] = prod if s is None else s + prod
+    return BiPoly(
+        a.field,
+        {k: c for k, c in out.items() if not c.is_zero()},
+        a.laurent or b.laurent,
+    )
+
+
+MUL_FIELDS = tuple(CycloField(n) for n in (1, 3, 5, 12))
+
+
+@st.composite
+def _elements(draw, field):
+    """Small field elements, and some with numerator or denominator near
+    10^30."""
+    coords = [draw(st.sampled_from((0, 0, 0, 1, -1, 2))) for _ in range(field.degree)]
+    coords[0] += draw(st.integers(-3, 3)) + draw(st.sampled_from((0,) * 6 + (10**30, -10**30)))
+    den = draw(st.sampled_from((1,) * 5 + (2, 3, 10**30 + 1)))
+    return field.from_coords([F(c, den) for c in coords])
+
+
+@st.composite
+def _factors(draw):
+    field = draw(st.sampled_from(MUL_FIELDS))
+
+    def poly():
+        keys = draw(st.lists(st.tuples(st.integers(0, 4), st.integers(-3, 5)),
+                             max_size=5, unique=True))
+        return BiPoly(field, {k: draw(_elements(field)) for k in keys}, laurent=True)
+
+    p, q = poly(), poly()
+    if draw(st.booleans()):
+        return p + q, p - q  # p^2 - q^2: the cross terms cancel
+    return p, q
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_factors())
+def test_packed_product_matches_the_schoolbook_loop(factors):
+    a, b = factors
+    for got, want in ((a * b, _schoolbook_mul(a, b)), (b * a, _schoolbook_mul(b, a))):
+        assert got.terms == want.terms
+        assert got.field is want.field and got.laurent == want.laurent
+
+
+@pytest.mark.parametrize("n, text", [
+    (1, "x^2 - 2*x*y + y^2"),
+    (3, "x^2 + x*y + y^2"),
+    (4, "x^2 + y^2"),
+    (5, "x^2 + (1 + zeta^2 + zeta^3)*x*y + y^2"),
+    (12, "x^2 + (-2*zeta + zeta^3)*x*y + y^2"),
+])
+def test_product_of_conjugate_linear_factors(n, text):
+    # (x - zeta*y)*(x - zeta^-1*y): the y^2 cell folds zeta^k * zeta^-k
+    field = CycloField(n)
+    x, y = BiPoly.variable(field, "x"), BiPoly.variable(field, "y")
+    a, b = x - y * field.zeta(), x - y * field.zeta(-1)
+    assert a * b == _schoolbook_mul(a, b)
+    assert str(a * b) == text
+
+
+def test_product_across_fields_moves_the_rational_factor():
+    # pinned from the term-by-term product (values; a rational coefficient
+    # may sit in either field): only a rational factor moves;
+    # the result keeps the left factor's field
+    a = BiPoly(K4, {(1, 0): 1, (0, 1): 2, (0, 0): F(1, 2)})
+    b = BiPoly(K12, {(1, 0): 1, (0, 1): -K12.zeta(), (0, 0): F(1, 3)})
+    z = K12.zeta()
+    want = {(2, 0): 1, (1, 1): 2 - z, (1, 0): F(5, 6), (0, 2): -2 * z,
+            (0, 1): F(2, 3) - z / 2, (0, 0): F(1, 6)}
+    for p, field in ((a * b, K4), (b * a, K12)):
+        assert p.field is field and not p.laurent
+        assert p.terms == want
+        assert str(p) == "x^2 + 5/6*x + (2 - zeta)*x*y + 1/6 + (2/3 - 1/2*zeta)*y - 2*zeta*y^2"
+    with pytest.raises(ValueError):
+        BiPoly(K4, {(1, 0): K4.zeta(), (0, 1): 1}) * b
 
 
 def test_pollard_rho_failure_is_a_polartree_error(monkeypatch):
