@@ -36,13 +36,13 @@ from .exactalg import (
     CycloRational,
     UniPoly,
     equal_up_to_constant,
-    field_arith,
     poly_gcd,
     roots_in_field,
     squarefree_decompose,
 )
 from .puiseux import (
     INF,
+    ExpandedRoot,
     PuiseuxSeries,
     conjugate_series,
     contact_order,
@@ -51,7 +51,6 @@ from .puiseux import (
     truncate_relative,
 )
 from .npsolve import (
-    ExpandedRoot,
     Expansion,
     NewtonPolygon,
     expand_roots,
@@ -60,7 +59,6 @@ from .npsolve import (
 )
 from .treemodel import (
     ArcTrace,
-    ArcView,
     Bar,
     Tree,
     Trunk,
@@ -75,19 +73,16 @@ from .baranalysis import (
     BarAnalysis,
     analyze_all,
     analyze_bar,
-    check_N,
     compute_nu,
     ground_residual,
     mero_function,
     predict_C,
-    predict_T,
     total_via_basics,
     weeds,
 )
 from .jacoracle import (
     Comparison,
     OracleResult,
-    PolarRootRecord,
     VerificationReport,
     identity_check,
     jacobian,

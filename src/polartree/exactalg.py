@@ -419,28 +419,6 @@ class CycloRational:
         return f"<{self} in Q(zeta_{self.field.conductor})>"
 
 
-# -- dense polynomials over Q, ascending coefficients, no trailing zeros --------
-
-
-def _qdivmod(num: Sequence[Rat | int], den: Sequence[Rat | int]) -> tuple[list[Rat], list[Rat]]:
-    """Quotient and remainder of dense polynomials over Q; ``den`` is nonzero."""
-    rem = list(num)
-    dd = len(den) - 1
-    lead = Rat(den[-1])
-    q = [_ZERO] * max(len(rem) - dd, 0)
-    while len(rem) > dd:
-        c = rem.pop()
-        if c:
-            k = len(rem) - dd
-            c = c / lead
-            q[k] = c
-            for i in range(dd):
-                rem[k + i] -= c * den[i]
-    while rem and not rem[-1]:
-        rem.pop()
-    return q, rem
-
-
 # ---------------------------------------------------------------------------
 # univariate polynomials over the field
 # ---------------------------------------------------------------------------
@@ -630,21 +608,6 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic()
 
 
-def field_arith(a: CycloRational, b: CycloRational, op: str) -> CycloRational:
-    """Basic field operation dispatch: add, sub, mul, div."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    if op == "div":
-        if b.is_zero():
-            raise DivisionByZero("division by zero field element")
-        return a / b
-    raise ValueError(f"unknown op {op!r}")
-
-
 def squarefree_decompose(p: UniPoly) -> list[tuple[UniPoly, int]]:
     """Yun decomposition: pairwise-coprime squarefree factors with multiplicities.
 
@@ -776,34 +739,15 @@ def _rational_roots(int_coeffs: list[int]) -> list[Rat]:
 
 def _rational_gcd_roots(coord_polys: list[list[int]]) -> list[Rat]:
     """Rational roots common to all integer coordinate polynomials."""
-    g: list[Rat | int] = []
+    Q = CycloField(1)
+    g = UniPoly.zero(Q)
     for p in coord_polys:
-        p = list(p)
-        while p and not p[-1]:
-            p.pop()
-        if not p:
-            continue
-        if not g:
-            g = p
-            continue
-        a, b = g, p
-        while b:
-            a, b = b, _qdivmod(a, b)[1]
-        g = a
-        if len(g) == 1:
+        g = poly_gcd(g, UniPoly(Q, p))
+        if g.degree() == 0:
             return []
-    if not g:
-        return []
-    lcm = 1
-    for c in g:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in g]
-    cont = 0
-    for c in ints:
-        cont = math.gcd(cont, abs(c))
-    if cont > 1:
-        ints = [c // cont for c in ints]
-    return _rational_roots(ints)
+    # the monic gcd times the lcm of its denominators is primitive
+    lcm = math.lcm(*(c.den for c in g.coeffs))
+    return _rational_roots([c.num[0] * (lcm // c.den) for c in g.coeffs])
 
 
 def _rational_root(a: Rat, e: int) -> Rat | None:

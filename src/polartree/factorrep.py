@@ -26,12 +26,11 @@ from .errors import (
     SNotLargeEnough,
 )
 from .exactalg import BiPoly, CycloRational
-from .puiseux import INF, PuiseuxSeries
+from .puiseux import INF, ExpandedRoot, PuiseuxSeries
 from .treemodel import ArcTrace, Bar, Tree, cover_of
 from .baranalysis import BarAnalysis
 from .jacoracle import (
     OracleResult,
-    PolarRootRecord,
     is_bounded_by,
     jacobian,
 )
@@ -197,7 +196,7 @@ def _minimal_noncollinear(tree: Tree, analyses) -> list[str]:
     return sorted(out)
 
 
-def _in_q_group(tree, analyses, record: PolarRootRecord, cls) -> bool:
+def _in_q_group(tree, analyses, record: ExpandedRoot, cls) -> bool:
     for bid in cls:
         _climbs, z = record.trace.climb(bid)
         if z is None or z not in analyses[bid].collinear_points:
@@ -266,15 +265,14 @@ def _truncation_product(tree: Tree, records, indices) -> BiPoly:
 # ---------------------------------------------------------------------------
 
 
-def order_sum_via_contacts(tree: Tree, kind: str, record: PolarRootRecord) -> Fraction:
+def order_sum_via_contacts(tree: Tree, kind: str, record: ExpandedRoot) -> Fraction:
     """E + sum of contacts with the germ's roots; exact for bundles too."""
     E = tree.E1 if kind == "f" else tree.E2
     total = Fraction(E)
-    view = record.arc_view()
     for info in tree.roots.values():
         if info.kind != kind:
             continue
-        t = view.contact_with(info.series)
+        t = record.contact_with(info.series)
         if t is INF:
             raise InternalInconsistency("polar root equals a germ root")
         total += t

@@ -11,7 +11,7 @@ again.  Verification failures are report content, not exceptions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
 from .errors import (
@@ -23,9 +23,9 @@ from .errors import (
     TruncationTooShort,
 )
 from .exactalg import BiPoly, CycloRational, UniPoly, squarefree_decompose
-from .puiseux import INF, PuiseuxSeries, order_along_arc
+from .puiseux import ExpandedRoot, PuiseuxSeries, order_along_arc
 from .npsolve import expand_roots
-from .treemodel import ArcTrace, ArcView, Bar, Tree, cover_of, repair_of
+from .treemodel import ArcTrace, Bar, Tree, cover_of, repair_of
 from .baranalysis import (
     BarAnalysis,
     ground_residual,
@@ -40,42 +40,9 @@ def jacobian(f: BiPoly, g: BiPoly) -> BiPoly:
     return f.diff_y() * g.diff_x() - f.diff_x() * g.diff_y()
 
 
-@dataclass(frozen=True)
-class PolarRootRecord:
-    """An expanded polar root (or bundle) with its position on the tree.
-
-    The fields are those of the :class:`~polartree.npsolve.ExpandedRoot` it
-    places: ``branch_count`` roots share the series, which is exact below
-    its truncation; when ``branch_exp`` is set, their coefficient there is
-    an unknown root of ``coeff_poly``.  The total number of polar roots
-    carried is multiplicity * branch_count.
-    """
-
-    series: PuiseuxSeries
-    multiplicity: int
-    branch_count: int
-    trace: ArcTrace
-    branch_exp: Fraction | None = None
-    coeff_poly: UniPoly | None = None
-
-    @property
-    def count(self) -> int:
-        return self.multiplicity * self.branch_count
-
-    def arc_view(self) -> ArcView:
-        return ArcView(self.series, self.branch_exp, self.coeff_poly)
-
-    def order(self):
-        if self.series.terms:
-            return self.series.terms[0][0]
-        if self.branch_exp is not None:
-            return self.branch_exp
-        return INF
-
-
 @dataclass
 class OracleResult:
-    records: list[PolarRootRecord]
+    records: list[ExpandedRoot]     # each placed, with its trace
     jac: BiPoly
     y_content: int     # E
     x_order: int       # K
@@ -118,18 +85,15 @@ def polar_roots(f: BiPoly, g: BiPoly, tree: Tree, target=None) -> OracleResult:
 
 def _expand_and_place(J: BiPoly, tree: Tree, depth: Fraction, candidates) -> OracleResult:
     expansion = expand_roots(J, depth, extra_candidates=candidates)
-    records: list[PolarRootRecord] = []
+    records: list[ExpandedRoot] = []
     for root in expansion.roots:
-        trace = tree.trace_arc(ArcView(root.series, root.branch_exp, root.coeff_poly))
+        trace = tree.trace_arc(root)
         if trace.is_root:
             raise InternalInconsistency(
                 "a Jacobian root coincides with a root of the product germ "
                 "despite the simple-roots validation"
             )
-        records.append(
-            PolarRootRecord(root.series, root.multiplicity, root.branches, trace,
-                            root.branch_exp, root.coeff_poly)
-        )
+        records.append(replace(root, trace=trace))
     total = sum(r.count for r in records)
     if total != expansion.x_order:
         raise InternalInconsistency(
@@ -160,7 +124,7 @@ def climbers_at(records, bar: Bar):
     return located, pooled
 
 
-def is_bounded_by(record: PolarRootRecord, bar: Bar) -> bool:
+def is_bounded_by(record: ExpandedRoot, bar: Bar) -> bool:
     return not record.trace.climb(bar.id)[0]
 
 

@@ -32,7 +32,7 @@ from .exactalg import (
     roots_in_field,
     squarefree_decompose,
 )
-from .puiseux import INF, PuiseuxSeries, vanishes_along
+from .puiseux import INF, ExpandedRoot, PuiseuxSeries, vanishes_along
 
 # internal working form: (x_exponent, y_exponent times q) -> coefficient, where
 # q is the ramification denominator the expansion branch carries
@@ -116,29 +116,6 @@ def _edge_poly(terms: _RamTerms, edge: PolygonEdge, field: CycloField) -> UniPol
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ExpandedRoot:
-    """One (bundle of) expanded Newton-Puiseux root(s), its series known
-    exactly below ``series.trunc``.
-
-    An exact root has ``branches`` = 1 and no truncation.  A truncated root
-    stands for every root that shares its known prefix and whose next term
-    lies at or beyond the target: ``branches`` counts them, however they
-    would separate past it, so one prefix is never emitted twice.  An
-    unresolved bundle is cut at ``branch_exp``, where its ``branches`` =
-    deg(coeff_poly) branches take the roots of ``coeff_poly`` as their
-    coefficients; none of them lies in the working field or among the
-    caller's candidate points.  The total root count contributed is
-    multiplicity * branches.
-    """
-
-    series: PuiseuxSeries
-    multiplicity: int
-    branches: int = 1
-    branch_exp: Fraction | None = None
-    coeff_poly: UniPoly | None = None
-
-
 @dataclass
 class Expansion:
     """Result of expanding a polynomial: roots and bookkeeping orders."""
@@ -149,7 +126,7 @@ class Expansion:
     target: Fraction
 
     def total_count(self) -> int:
-        return sum(r.multiplicity * r.branches for r in self.roots)
+        return sum(r.count for r in self.roots)
 
 
 # ---------------------------------------------------------------------------

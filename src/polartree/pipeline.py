@@ -184,14 +184,12 @@ def _germ_stage(f: BiPoly, g: BiPoly, trunc: Fraction | None,
             for r in ef.roots + eg.roots:
                 if r.coeff_poly is not None:
                     raise UnresolvedBranch(
-                        r.branches * r.multiplicity,
+                        r.count,
                         f"edge coefficient polynomial {r.coeff_poly} has no root "
                         f"in Q(zeta_{f.field.conductor})",
                     )
-            alphas = [r.series for r in ef.roots
-                      for _ in range(r.multiplicity * r.branches)]
-            betas = [r.series for r in eg.roots
-                     for _ in range(r.multiplicity * r.branches)]
+            alphas = [r.series for r in ef.roots for _ in range(r.count)]
+            betas = [r.series for r in eg.roots for _ in range(r.count)]
             tree = build_tree(alphas, betas, E1 + ef.y_content, E2 + eg.y_content)
         except TruncationTooShort:
             if trunc is not None:
@@ -300,7 +298,7 @@ def run_document(run: Run) -> dict:
         rec = {
             "series": str(r.series),
             "multiplicity": r.multiplicity,
-            "branches": r.branch_count,
+            "branches": r.branches,
             "climb": [
                 {"bar": b, "point": None if z is None else str(z)}
                 for b, z in r.trace.path

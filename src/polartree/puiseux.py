@@ -14,13 +14,17 @@ and substituted values may carry negative exponents in Laurent contexts.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
-from .errors import FieldTooSmall, Indeterminate, TruncationTooShort
+from .errors import FieldTooSmall, Indeterminate, PlacementUnresolved, TruncationTooShort
 from .exactalg import (
     BiPoly, CycloField, CycloRational, UniPoly, arc_order, coeff_term, join_terms,
 )
+
+if TYPE_CHECKING:
+    from .treemodel import ArcTrace
 
 
 class _Infinity:
@@ -245,6 +249,125 @@ def _agree_up_to(trunc):
     )
 
 
+@dataclass(frozen=True)
+class ExpandedRoot:
+    """One (bundle of) Newton-Puiseux root(s), its series known exactly
+    below ``series.trunc``.
+
+    An exact root has ``branches`` = 1 and no truncation.  A truncated root
+    stands for every root that shares its known prefix and whose next term
+    lies at or beyond the target: ``branches`` counts them, however they
+    would separate past it, so one prefix is never emitted twice.  An
+    unresolved bundle is cut at ``branch_exp``, where its ``branches`` =
+    deg(coeff_poly) branches take the roots of ``coeff_poly`` as their
+    coefficients; none of them lies in the working field or among the
+    caller's candidate points.  ``count`` is the number of roots carried.
+    A polar root placed on the tree carries its climb in ``trace``.
+    """
+
+    series: PuiseuxSeries
+    multiplicity: int
+    branches: int = 1
+    branch_exp: Fraction | None = None
+    coeff_poly: UniPoly | None = None
+    trace: ArcTrace | None = None
+
+    @property
+    def count(self) -> int:
+        return self.multiplicity * self.branches
+
+    def order(self):
+        if self.series.terms:
+            return self.series.terms[0][0]
+        if self.branch_exp is not None:
+            return self.branch_exp
+        return INF
+
+    def _known_diff(self, prefix: PuiseuxSeries):
+        """Terms of (arc - prefix) below the knowledge cut, plus the cut.
+
+        The cut is where certainty about the difference ends: the joint
+        truncation of the two series, capped at the unresolved branch point.
+        ``at_branch`` flags that the binding cut is the branch point itself.
+        """
+        diff = self.series - prefix
+        cut = diff.trunc
+        at_branch = False
+        if self.branch_exp is not None and (cut is INF or self.branch_exp <= cut):
+            cut = self.branch_exp
+            at_branch = True
+        terms = [(e, c) for e, c in diff.terms if cut is INF or e < cut]
+        return terms, cut, at_branch
+
+    def _branch_coeff_vs(self, prefix: PuiseuxSeries) -> UniPoly:
+        """Possible values of (arc - prefix)'s coefficient at the branch point.
+
+        Raises when the comparison prefix is too short there, or when the
+        unresolved coefficient could coincide with the prefix's (so the
+        difference might vanish at the branch point).
+        """
+        try:
+            cp = prefix.coefficient_at(self.branch_exp)
+        except Indeterminate as e:
+            raise TruncationTooShort(str(e))
+        if self.coeff_poly.evaluate(cp).is_zero():
+            raise PlacementUnresolved(
+                "unresolved branch coefficient may coincide with a tree point"
+            )
+        return _shift_poly(self.coeff_poly, cp)
+
+    def contact_with(self, prefix: PuiseuxSeries):
+        """Contact order with a series; INF only when provably equal."""
+        terms, cut, at_branch = self._known_diff(prefix)
+        if terms:
+            return terms[0][0]
+        if at_branch:
+            self._branch_coeff_vs(prefix)
+            return self.branch_exp
+        if cut is INF:
+            return INF
+        raise Indeterminate(f"arcs agree up to O(y^{cut}); contact unresolved")
+
+    def coefficient_relative(self, prefix: PuiseuxSeries, h: Fraction):
+        """Classify the arc against a bar: bounded below h, or its coefficient at h.
+
+        Returns one of
+          ("below", t)                   contact t < h
+          ("coeff", z)                   exact coefficient at height h
+          ("coeff-unresolved", shifted)  coefficient at h is a root of ``shifted``
+        """
+        terms, cut, at_branch = self._known_diff(prefix)
+        if terms:
+            e, c = terms[0]
+            if e < h:
+                return ("below", e)
+            if e == h:
+                return ("coeff", c)
+            return ("coeff", self.series.field.zero)
+        # no known difference below the cut
+        if at_branch:
+            be = self.branch_exp
+            if be < h:
+                self._branch_coeff_vs(prefix)
+                return ("below", be)
+            if be == h:
+                return ("coeff-unresolved", self._branch_coeff_vs(prefix))
+            # the branch point sits above h and nothing differs below it
+            return ("coeff", self.series.field.zero)
+        if cut is INF or h < cut:
+            return ("coeff", self.series.field.zero)
+        raise TruncationTooShort(f"arc known only to O(y^{cut}), need height {h}")
+
+
+def _shift_poly(p: UniPoly, c: CycloRational) -> UniPoly:
+    """p(w + c) as a polynomial in w."""
+    out = UniPoly.zero(p.field, p.var)
+    lin = UniPoly(p.field, (c, p.field.one), p.var)
+    for k in range(p.degree(), -1, -1):
+        out = out * lin + UniPoly.constant(p.field, p[k], p.var)
+    return out
+
+
 def _over(e, d: int) -> int:
     """The exponent e times d, for d a multiple of its denominator."""
     return e.numerator * (d // e.denominator)
@@ -432,21 +555,18 @@ def truncate_relative(xi: PuiseuxSeries, tree) -> PuiseuxSeries:
     """Cut an arc at the bar where it leaves the tree: lambda_B + a*y^h(B).
 
     Roots of the modelled pair are returned unchanged.  Raises
-    :class:`Indeterminate` when the arc's truncation does not reach its
-    leave height, and :class:`ValueError` for arcs that separate strictly
-    between bar heights (those have no bar-relative truncation).
+    :class:`TruncationTooShort` when the arc's truncation does not reach
+    its leave height, and :class:`ValueError` for arcs that separate
+    strictly between bar heights (those have no bar-relative truncation).
     """
     for info in tree.roots.values():
         if info.series == xi:
             return xi
-    trace = tree.trace_arc(xi)
+    trace = tree.trace_arc(ExpandedRoot(xi, 1))
     if trace.is_root:
         return xi
     if trace.leave_bar_id is None:
         raise ValueError("arc separates between bar heights; no relative truncation")
     bar = tree.bars[trace.leave_bar_id]
-    coeff = trace.leave_point
-    base = bar.prefix
-    if coeff is None:
-        raise Indeterminate("leave coefficient not determined in the working field")
-    return base + PuiseuxSeries(xi.field, [(bar.height, coeff)], INF)
+    # an arc without a branch point leaves at a determined coefficient
+    return bar.prefix + PuiseuxSeries(xi.field, [(bar.height, trace.leave_point)], INF)

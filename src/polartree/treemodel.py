@@ -24,14 +24,13 @@ from .errors import (
     TruncationTooShort,
 )
 from .exactalg import CycloField, CycloRational, UniPoly
-from .puiseux import INF, PuiseuxSeries, contact_order
+from .puiseux import INF, ExpandedRoot, PuiseuxSeries, contact_order
 
 
 @dataclass(frozen=True)
 class RootInfo:
     id: str
     kind: str                  # "f" or "g"
-    index: int
     series: PuiseuxSeries
 
 
@@ -89,105 +88,6 @@ class ArcTrace:
             if bid == bar_id:
                 return True, z
         return False, None
-
-
-class ArcView:
-    """An arc for placement: a series plus an optional unresolved branch point.
-
-    When ``branch_exp`` is set, the series is exact below it and the
-    coefficient at ``branch_exp`` is an unknown nonzero root of
-    ``coeff_poly`` (which has no root in the working field).
-    """
-
-    def __init__(self, series: PuiseuxSeries, branch_exp: Fraction | None = None,
-                 coeff_poly: UniPoly | None = None):
-        self.series = series
-        self.branch_exp = branch_exp
-        self.coeff_poly = coeff_poly
-
-    def _known_diff(self, prefix: PuiseuxSeries):
-        """Terms of (arc - prefix) below the knowledge cut, plus the cut.
-
-        The cut is where certainty about the difference ends: the joint
-        truncation of the two series, capped at the unresolved branch point.
-        ``at_branch`` flags that the binding cut is the branch point itself.
-        """
-        diff = self.series - prefix
-        cut = diff.trunc
-        at_branch = False
-        if self.branch_exp is not None and (cut is INF or self.branch_exp <= cut):
-            cut = self.branch_exp
-            at_branch = True
-        terms = [(e, c) for e, c in diff.terms if cut is INF or e < cut]
-        return terms, cut, at_branch
-
-    def _branch_coeff_vs(self, prefix: PuiseuxSeries) -> UniPoly:
-        """Possible values of (arc - prefix)'s coefficient at the branch point.
-
-        Raises when the comparison prefix is too short there, or when the
-        unresolved coefficient could coincide with the prefix's (so the
-        difference might vanish at the branch point).
-        """
-        try:
-            cp = prefix.coefficient_at(self.branch_exp)
-        except Indeterminate as e:
-            raise TruncationTooShort(str(e))
-        if self.coeff_poly.evaluate(cp).is_zero():
-            raise PlacementUnresolved(
-                "unresolved branch coefficient may coincide with a tree point"
-            )
-        return _shift_poly(self.coeff_poly, cp)
-
-    def contact_with(self, prefix: PuiseuxSeries):
-        """Contact order with a series; INF only when provably equal."""
-        terms, cut, at_branch = self._known_diff(prefix)
-        if terms:
-            return terms[0][0]
-        if at_branch:
-            self._branch_coeff_vs(prefix)
-            return self.branch_exp
-        if cut is INF:
-            return INF
-        raise Indeterminate(f"arcs agree up to O(y^{cut}); contact unresolved")
-
-    def coefficient_relative(self, prefix: PuiseuxSeries, h: Fraction):
-        """Classify the arc against a bar: bounded below h, or its coefficient at h.
-
-        Returns one of
-          ("below", t)                   contact t < h
-          ("coeff", z)                   exact coefficient at height h
-          ("coeff-unresolved", shifted)  coefficient at h is a root of ``shifted``
-        """
-        terms, cut, at_branch = self._known_diff(prefix)
-        if terms:
-            e, c = terms[0]
-            if e < h:
-                return ("below", e)
-            if e == h:
-                return ("coeff", c)
-            return ("coeff", self.series.field.zero)
-        # no known difference below the cut
-        if at_branch:
-            be = self.branch_exp
-            if be < h:
-                self._branch_coeff_vs(prefix)
-                return ("below", be)
-            if be == h:
-                return ("coeff-unresolved", self._branch_coeff_vs(prefix))
-            # the branch point sits above h and nothing differs below it
-            return ("coeff", self.series.field.zero)
-        if cut is INF or h < cut:
-            return ("coeff", self.series.field.zero)
-        raise TruncationTooShort(f"arc known only to O(y^{cut}), need height {h}")
-
-
-def _shift_poly(p: UniPoly, c: CycloRational) -> UniPoly:
-    """p(w + c) as a polynomial in w."""
-    out = UniPoly.zero(p.field, p.var)
-    lin = UniPoly(p.field, (c, p.field.one), p.var)
-    for k in range(p.degree(), -1, -1):
-        out = out * lin + UniPoly.constant(p.field, p[k], p.var)
-    return out
 
 
 class Tree:
@@ -252,10 +152,8 @@ class Tree:
         return [(self.trunks[tid].point, self.trunks[tid]) for tid in bar.trunk_ids]
 
     # -- arc placement ------------------------------------------------------
-    def trace_arc(self, arc) -> ArcTrace:
+    def trace_arc(self, arc: ExpandedRoot) -> ArcTrace:
         """Climb the tree with an arc and report where it leaves or is bounded."""
-        if isinstance(arc, PuiseuxSeries):
-            arc = ArcView(arc)
         path: list[tuple[str, CycloRational | None]] = []
         bar = self.ground
         while True:
@@ -307,9 +205,9 @@ def build_tree(
     field = (alpha[0] if alpha else beta[0]).field
     infos: dict[str, RootInfo] = {}
     for k, s in enumerate(alpha):
-        infos[f"a{k}"] = RootInfo(f"a{k}", "f", k, s)
+        infos[f"a{k}"] = RootInfo(f"a{k}", "f", s)
     for k, s in enumerate(beta):
-        infos[f"b{k}"] = RootInfo(f"b{k}", "g", k, s)
+        infos[f"b{k}"] = RootInfo(f"b{k}", "g", s)
     ids = sorted(infos)
     contacts: dict[tuple[str, str], Fraction] = {}
     for i, r1 in enumerate(ids):

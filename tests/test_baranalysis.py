@@ -7,15 +7,14 @@ import pytest
 from polartree import (
     NoPostbar,
     NotApplicable,
-    check_N,
     compute_nu,
     generic_arc_order,
     ground_residual,
     predict_C,
-    predict_T,
     total_via_basics,
     weeds,
 )
+from polartree.baranalysis import check_N, predict_T
 
 
 def _bar_at(tree, h):

@@ -1,6 +1,7 @@
 """The Jacobian oracle: expansion, placement, verification."""
 
 import importlib.util
+from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from polartree import (
     BiPoly,
     CycloField,
     equal_up_to_constant,
+    expand_roots,
     identity_check,
     jacobian,
     verify,
@@ -245,7 +247,7 @@ def _replaced(record, bar):
 
     Returns ((climbs, point), coefficient polynomial at an unresolved climb).
     """
-    rel = record.arc_view().coefficient_relative(bar.prefix, bar.height)
+    rel = record.coefficient_relative(bar.prefix, bar.height)
     if rel[0] == "below":
         return (False, None), None
     if rel[0] == "coeff":
@@ -271,3 +273,19 @@ def test_trace_placement_matches_replacement(run_pair):
                     assert r.trace.leave_poly == poly
                     unresolved += 1
     assert unresolved >= 20  # the sets were chosen for their unresolved bundles
+
+
+def test_records_are_the_roots_they_place(run_fixture):
+    # a record is the expanded root itself, with its trace added: stripping
+    # the trace gives back the expansion, root for root and in order
+    for name in CORPUS:
+        run = run_fixture(name)
+        candidates = []
+        for bar in run.tree.finite_bars():
+            for z, _trunk in run.tree.growth_points(bar):
+                if z not in candidates:
+                    candidates.append(z)
+        expansion = expand_roots(run.oracle.jac, run.oracle.truncation,
+                                 extra_candidates=candidates)
+        assert all(r.trace is not None for r in run.oracle.records), name
+        assert [replace(r, trace=None) for r in run.oracle.records] == expansion.roots, name

@@ -175,6 +175,16 @@ def test_truncate_relative_ground_leave(run_fixture):
     assert cut == S((1, 5))
 
 
+def test_truncate_relative_short_arc(run_fixture):
+    # 5*y + O(y) keeps no term: it is O(y), which cannot tell its
+    # coefficient at the height-1 bar where it would leave
+    run = run_fixture("sec2")
+    arc = S((1, 5), trunc=F(1))
+    with pytest.raises(TruncationTooShort, match="need height 1"):
+        truncate_relative(arc, run.tree)
+    assert truncate_relative(S((1, 5), trunc=F(2)), run.tree) == S((1, 5))
+
+
 def test_series_rendering():
     s = PuiseuxSeries(K4, [(F(3, 2), K4.rational(F(1, 2)))], F(4))
     assert str(s) == "1/2*y^(3/2) + O(y^4)"

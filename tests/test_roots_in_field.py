@@ -163,6 +163,56 @@ def test_every_binomial_and_split_lacunary_shape(n):
         _agree(z ** (2 * e) + z**e + UniPoly(K, [1]))
 
 
+# -- the common rational roots of integer polynomials ------------------------------
+
+
+def _times_linear(p, r):
+    """p * (den*x - num) for the rational r = num/den, ascending coefficients."""
+    out = [0] * (len(p) + 1)
+    for k, c in enumerate(p):
+        out[k] -= c * r.numerator
+        out[k + 1] += c * r.denominator
+    return out
+
+
+def _value(p, x):
+    acc = F(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+_small_rationals = st.builds(F, st.integers(-9, 9), st.integers(1, 6))
+
+
+@st.composite
+def _polys_with_common_roots(draw):
+    """Integer polynomials, each a product of drawn linear factors and an
+    integer cofactor, and the drawn roots that all of them share."""
+    shared = draw(st.lists(_small_rationals, max_size=3))
+    polys, root_sets = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        roots = shared + draw(st.lists(_small_rationals, max_size=2))
+        p = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=3)
+                 .filter(lambda c: any(c)))
+        for r in roots:
+            p = _times_linear(p, r)
+        polys.append(p)
+        root_sets.append(set(roots))
+    return polys, set.intersection(*root_sets)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_polys_with_common_roots())
+def test_rational_gcd_roots_are_the_common_roots(data):
+    polys, common = data
+    got = _rational_gcd_roots([list(p) for p in polys])
+    for r in got:
+        assert all(_value(p, r) == 0 for p in polys), (polys, r)
+    for r in common:
+        assert got.count(r) == 1, (polys, r, got)
+
+
 # -- the pipeline's own calls --------------------------------------------------------
 
 

@@ -40,9 +40,8 @@ from polartree.cli import run as cli_run
 from polartree import npsolve
 from polartree.errors import InternalInconsistency, NeedsLargerField, PolartreeError
 from polartree.exactalg import roots_in_field
-from polartree.puiseux import vanishes_along
+from polartree.puiseux import ExpandedRoot, vanishes_along
 from polartree.factorrep import order_sum_via_contacts, order_sum_via_trace
-from polartree.jacoracle import PolarRootRecord
 from polartree.treemodel import ArcTrace
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -257,10 +256,10 @@ def _cut_record_sum(tree, kind, r):
     bar = tree.bars[r.trace.leave_bar_id]
     if r.trace.leave_point is not None:
         cut = bar.prefix + PuiseuxSeries(tree.field, [(bar.height, r.trace.leave_point)])
-        rec = PolarRootRecord(cut, r.count, 1, ArcTrace(()))
+        rec = ExpandedRoot(cut, r.count, trace=ArcTrace(()))
     else:
-        rec = PolarRootRecord(bar.prefix, r.multiplicity, r.branch_count, r.trace,
-                              bar.height, r.trace.leave_poly)
+        rec = ExpandedRoot(bar.prefix, r.multiplicity, r.branches, bar.height,
+                           r.trace.leave_poly, trace=r.trace)
     return order_sum_via_contacts(tree, kind, rec) * rec.count
 
 
