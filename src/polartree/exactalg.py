@@ -608,15 +608,62 @@ def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     return a.monic()
 
 
+# the prime of the squarefree certificate; below 2^30, so that a residue is
+# one digit of a Python int
+_CERTIFICATE_PRIME = 1073741789
+
+
+def _squarefree_mod_prime(p: UniPoly) -> bool:
+    """Whether p has rational coefficients and, cleared of denominators,
+    a leading coefficient prime to P = _CERTIFICATE_PRIME and no common
+    factor with its derivative modulo P.  True proves p squarefree over Q;
+    False proves nothing."""
+    P = _CERTIFICATE_PRIME
+    coeffs = p.coeffs
+    if any(any(c.num[1:]) for c in coeffs):
+        return False
+    den = math.lcm(*[c.den for c in coeffs])
+    a = [c.num[0] * (den // c.den) % P for c in coeffs]
+    if not a[-1]:
+        return False
+    b = [k * u % P for k, u in enumerate(a)][1:]
+    # Euclid in GF(P); a keeps a nonzero leading entry
+    while True:
+        while b and not b[-1]:
+            b.pop()
+        if not b:
+            return len(a) == 1
+        inv = pow(b[-1], -1, P)
+        db = len(b) - 1
+        while len(a) > db:
+            f = a.pop() * inv % P
+            if f:
+                s = len(a) - db
+                for i in range(db):
+                    a[s + i] = (a[s + i] - f * b[i]) % P
+        a, b = b, a
+
+
 def squarefree_decompose(p: UniPoly) -> list[tuple[UniPoly, int]]:
     """Yun decomposition: pairwise-coprime squarefree factors with multiplicities.
 
     The product of factor**multiplicity equals ``p`` up to a constant.
+
+    A rational input is first certified squarefree modulo one fixed prime
+    P: clear its denominators, and if P does not divide the leading
+    coefficient and gcd(p mod P, p' mod P) = 1 in GF(P), the answer is
+    [(p.monic(), 1)], as Yun would find.  The certificate is exact: a
+    common factor g of p and p' over Q can be taken primitive in Z[x]
+    (Gauss), and then lc(g) divides lc(p), so g mod P keeps its degree
+    and divides both images.  Every other input (a failed certificate, a
+    coefficient outside Q) runs Yun over the field.
     """
     if p.is_zero():
         raise ZeroPolynomial("cannot decompose the zero polynomial")
     if p.degree() == 0:
         return []
+    if _squarefree_mod_prime(p):
+        return [(p.monic(), 1)]
     d = p.derivative()
     g = poly_gcd(p, d)
     if g.degree() == 0:
@@ -1092,6 +1139,79 @@ def arc_order(F: "BiPoly", arc: Sequence[tuple[int, CycloRational]], d: int) -> 
         if any(field._fold(digits)):
             return base + k
     return None
+
+
+def taylor_shift(field: CycloField, rows: dict[int, dict[int, CycloRational]],
+                 c: CycloRational) -> list[tuple[tuple[int, int], CycloRational]]:
+    """P_e(c + x) for each polynomial P_e = sum of a_i x^i over the (i, a_i)
+    of ``rows[e]``: the nonzero coefficients b_k of every row, as
+    ((k, e), b_k).
+
+    With n the largest i of a row, b_n = a_n.  For the others, write
+    a_i = A_i / D over one common denominator and c = p / Q with Q > 0.
+    B(x) = sum_i A_i Q^(n-i) x^i has integer coefficients and
+    B(Q x + p) = D Q^n P_e(c + x), so b_k = [x^k] B(x + p) / (D Q^(n-k)).
+    B(x + p) is the classical Taylor shift by Horner's rule: n(n+1)/2
+    steps, each one multiplication by p and one addition (von zur Gathen
+    and Gerhard, ISSAC 1997).  When c and every a_i are rational, an entry
+    is one int.  Otherwise an entry packs its zeta digits, left unreduced,
+    into the Z slots of one int (zeta = 2^bits, as in :func:`arc_order`),
+    so that one product by the packed p serves every slot.  Every digit of
+    B(x + p) is at most sum_i |A_i|_1 Q^(n-i) (1 + |p|_1)^i
+    <= |A|_1 max(Q, 1 + |p|_1)^n in absolute value.  The entries of all
+    rows are read back from one int, and each b_k is folded and put in
+    lowest terms once.
+    """
+    out = []
+    shifted = []  # (e, n, row) for the rows of positive degree
+    for e, row in rows.items():
+        n = max(row)
+        out.append(((n, e), row[n]))
+        if n:
+            shifted.append((e, n, row))
+    if not shifted:
+        return out
+    den, digits = _integer_digits([a for _, _, row in shifted for a in row.values()])
+    q, (pd,) = _integer_digits([c])
+    top = max(n for _, n, _ in shifted)
+    qpow = [1]
+    for _ in range(top):
+        qpow.append(qpow[-1] * q)
+    z = max(map(len, digits)) + top * (len(pd) - 1)
+    if z == 1:
+        p = pd[0]
+        lift = lambda ds: ds[0]
+    else:
+        l1 = sum(abs(u) for ds in digits for u in ds)
+        bits = _slot_bits(l1 * max(q, sum(map(abs, pd)) + 1) ** top)
+        p = _packed(((0, pd),), bits)
+        lift = lambda ds: _packed(((0, ds),), bits)
+    it = iter(digits)
+    entries = []  # (e, n, k, [x^k] B(x + p)) for k < n
+    for e, n, row in shifted:
+        b = [0] * (n + 1)
+        for i in row:
+            b[i] = lift(next(it)) * qpow[n - i]
+        for i in range(n):
+            for k in range(n - 1, i - 1, -1):
+                b[k] += p * b[k + 1]
+        entries += [(e, n, k, v) for k, v in enumerate(b[:-1])]
+    if z == 1:
+        zeros = field._zeros
+        for e, n, k, v in entries:
+            if v:
+                d = den * qpow[n - k]
+                g = _gcd(v, d)
+                out.append(((k, e), CycloRational(field, (v // g,) + zeros, d // g)))
+        return out
+    w = z * bits
+    packed = sum(v << (pos * w) for pos, (_, _, _, v) in enumerate(entries))
+    for pos, num in _cells(packed, len(entries), bits, z):
+        num = field._fold(num)
+        if any(num):
+            e, n, k, _ = entries[pos]
+            out.append(((k, e), _canon(field, tuple(num), den * qpow[n - k])))
+    return out
 
 
 # ---------------------------------------------------------------------------

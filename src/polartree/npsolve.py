@@ -31,6 +31,7 @@ from .exactalg import (
     rational_radical,
     roots_in_field,
     squarefree_decompose,
+    taylor_shift,
 )
 from .puiseux import INF, ExpandedRoot, PuiseuxSeries, vanishes_along
 
@@ -192,7 +193,7 @@ def _certified(G: BiPoly, split: list[tuple[BiPoly, int]], y0: int) -> bool:
         s = s * _eval_at_y(A, y0)
     if s.degree() != sum(A.x_degree() for A, _ in split):
         return False
-    return poly_gcd(s, s.derivative()).degree() == 0
+    return [m for _, m in squarefree_decompose(s)] == [1]
 
 
 def multiplicity_split(F: BiPoly) -> list[tuple[BiPoly, int]]:
@@ -411,35 +412,25 @@ def _substitute(
     The terms of P carry y-exponents times q; the result carries them times
     lcm(q, denominator of m), which is returned with it, and with whether
     the cut dropped a term.  All outputs of an input term (i, j) share the
-    exponent j + i m - mu, so one comparison skips the term's whole
-    binomial row.
+    exponent e = j + i m - mu, so one comparison keeps or drops the term,
+    and the kept terms with one e form a polynomial P_e in x whose output
+    row is P_e(c + x): one integer Taylor shift per row
+    (:func:`~polartree.exactalg.taylor_shift`).
     """
     new_q = q * m.denominator // math.gcd(q, m.denominator)
     scale = new_q // q
     step = m.numerator * (new_q // m.denominator)  # m times new_q
     mu = min(j * scale + i * step for (i, j) in terms)
-    cut = mu + _ceil(bound * new_q)
-    out: _RamTerms = {}
+    cut = _ceil(bound * new_q)
+    rows: dict[int, dict[int, CycloRational]] = {}  # e -> P_e as {i: a}
     dropped = False
-    cpow = [field.one]
-    rows: dict[int, list] = {}  # i -> [C(i, k) * c^(i-k) for k = 0..i]
     for (i, j), a in terms.items():
-        ybase = j * scale + i * step
-        if ybase >= cut:
+        e = j * scale + i * step - mu
+        if e >= cut:
             dropped = True
-            continue
-        row = rows.get(i)
-        if row is None:
-            while len(cpow) <= i:
-                cpow.append(cpow[-1] * c)
-            row = rows[i] = [cpow[i - k] * math.comb(i, k) for k in range(i)] + [1]
-        ybase -= mu
-        for k in range(i + 1):
-            coeff = a * row[k]
-            key = (k, ybase)
-            cur = out.get(key)
-            out[key] = coeff if cur is None else cur + coeff
-    return {k: v for k, v in out.items() if not v.is_zero()}, new_q, dropped
+        else:
+            rows.setdefault(e, {})[i] = a
+    return dict(taylor_shift(field, rows, c)), new_q, dropped
 
 
 def _binomial_field_hint(chi: UniPoly, conductor: int) -> int | None:

@@ -22,6 +22,11 @@ from .exactalg import BiPoly, CycloField
 
 MAX_GERM_DEGREE = 256
 
+# the largest degree phi(N) of a working field Q(zeta_N).  Every fixture and
+# benchmark pair works in degree 8 or less; at degree 64 (N = 240) one field
+# inverse takes about 20 ms, and it grows about as phi(N)^3.
+MAX_FIELD_DEGREE = 64
+
 
 def _degrees(p: BiPoly) -> tuple[int, int]:
     """(x-degree, largest |y-exponent|) of a polynomial; (0, 0) for zero."""

@@ -20,9 +20,9 @@ from .errors import (
     TruncationTooShort,
     UnresolvedBranch,
 )
-from .exactalg import BiPoly, CycloField
+from .exactalg import BiPoly, CycloField, _euler_phi
 from .npsolve import Expansion, expand_roots, multiplicity_split
-from .parsing import expression_mentions_zeta, parse_expression
+from .parsing import MAX_FIELD_DEGREE, expression_mentions_zeta, parse_expression
 from .puiseux import INF
 from .treemodel import Tree, build_tree, conjugacy_classes, render_tree
 from .baranalysis import BarAnalysis, analyze_all
@@ -70,7 +70,9 @@ class CurveSpec:
 
 def _in_field(opts: Options, texts, attempt):
     """``attempt(field)`` in the pinned field, or from Q(zeta_4) up to the
-    lcm of every conductor an expansion asks for."""
+    lcm of every conductor an expansion asks for.  A field of degree above
+    ``MAX_FIELD_DEGREE`` is never built: a pinned one is an input error,
+    an enlargement past the cap a limitation."""
     pinned = opts.field is not None
     if pinned and opts.field < 1:
         raise InputError(f"field conductor must be at least 1, not {opts.field}")
@@ -78,6 +80,13 @@ def _in_field(opts: Options, texts, attempt):
         raise InputError("input using zeta needs an explicit --field")
     conductor = opts.field if pinned else 4
     for _ in range(8):
+        degree = _euler_phi(conductor)
+        if degree > MAX_FIELD_DEGREE:
+            field = f"Q(zeta_{conductor}) of degree {degree}"
+            cap = f"above the field degree cap {MAX_FIELD_DEGREE}"
+            if pinned:
+                raise InputError(f"field conductor {conductor} gives {field}, {cap}")
+            raise LimitationError(f"the expansion needs {field}, {cap}")
         try:
             return attempt(CycloField(conductor))
         except NeedsLargerField as e:

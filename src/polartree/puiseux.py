@@ -222,22 +222,42 @@ class PuiseuxSeries:
 # ---------------------------------------------------------------------------
 
 
+def _first_difference(a: PuiseuxSeries, b: PuiseuxSeries, cut):
+    """(e, a_e, b_e) for the least exponent e below ``cut`` where the terms
+    of a and b differ, with the two coefficients there; None when they
+    agree below ``cut``.
+
+    A merge walk over the two sorted term tuples: no difference series is
+    built.
+    """
+    zero = a.field.zero
+    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
+        if ea == eb:
+            if ca != cb:
+                return (ea, ca, cb) if ea < cut else None
+        elif ea < eb:
+            return (ea, ca, zero) if ea < cut else None
+        else:
+            return (eb, zero, cb) if eb < cut else None
+    n = min(len(a.terms), len(b.terms))
+    if len(a.terms) > n:
+        e, c = a.terms[n]
+        return (e, c, zero) if e < cut else None
+    if len(b.terms) > n:
+        e, c = b.terms[n]
+        return (e, zero, c) if e < cut else None
+    return None
+
+
 def contact_order(a: PuiseuxSeries, b: PuiseuxSeries):
     """O(a, b): the y-order of a - b; INF when both are exactly equal.
 
-    A merge walk over the two sorted term tuples: the contact is the first
-    exponent below the joint truncation where the coefficients differ.
+    The contact is the first exponent below the joint truncation where the
+    coefficients differ (:func:`_first_difference`).
     """
     trunc = exp_min(a.trunc, b.trunc)
-    for (ea, ca), (eb, cb) in zip(a.terms, b.terms):
-        if ea != eb or ca != cb:
-            e = exp_min(ea, eb)
-            return e if e < trunc else _agree_up_to(trunc)
-    n = min(len(a.terms), len(b.terms))
-    rest = a.terms[n:] or b.terms[n:]
-    if rest and rest[0][0] < trunc:
-        return rest[0][0]
-    return _agree_up_to(trunc)
+    first = _first_difference(a, b, trunc)
+    return first[0] if first else _agree_up_to(trunc)
 
 
 def _agree_up_to(trunc):
@@ -284,20 +304,20 @@ class ExpandedRoot:
         return INF
 
     def _known_diff(self, prefix: PuiseuxSeries):
-        """Terms of (arc - prefix) below the knowledge cut, plus the cut.
+        """The first term of (arc - prefix) below the knowledge cut, as
+        :func:`_first_difference` gives it (None when there is none), plus
+        the cut.
 
         The cut is where certainty about the difference ends: the joint
         truncation of the two series, capped at the unresolved branch point.
         ``at_branch`` flags that the binding cut is the branch point itself.
         """
-        diff = self.series - prefix
-        cut = diff.trunc
+        cut = exp_min(self.series.trunc, prefix.trunc)
         at_branch = False
         if self.branch_exp is not None and (cut is INF or self.branch_exp <= cut):
             cut = self.branch_exp
             at_branch = True
-        terms = [(e, c) for e, c in diff.terms if cut is INF or e < cut]
-        return terms, cut, at_branch
+        return _first_difference(self.series, prefix, cut), cut, at_branch
 
     def _branch_coeff_vs(self, prefix: PuiseuxSeries) -> UniPoly:
         """Possible values of (arc - prefix)'s coefficient at the branch point.
@@ -318,9 +338,9 @@ class ExpandedRoot:
 
     def contact_with(self, prefix: PuiseuxSeries):
         """Contact order with a series; INF only when provably equal."""
-        terms, cut, at_branch = self._known_diff(prefix)
-        if terms:
-            return terms[0][0]
+        first, cut, at_branch = self._known_diff(prefix)
+        if first:
+            return first[0]
         if at_branch:
             self._branch_coeff_vs(prefix)
             return self.branch_exp
@@ -336,13 +356,13 @@ class ExpandedRoot:
           ("coeff", z)                   exact coefficient at height h
           ("coeff-unresolved", shifted)  coefficient at h is a root of ``shifted``
         """
-        terms, cut, at_branch = self._known_diff(prefix)
-        if terms:
-            e, c = terms[0]
+        first, cut, at_branch = self._known_diff(prefix)
+        if first:
+            e, ca, cb = first
             if e < h:
                 return ("below", e)
             if e == h:
-                return ("coeff", c)
+                return ("coeff", ca - cb)
             return ("coeff", self.series.field.zero)
         # no known difference below the cut
         if at_branch:

@@ -1,8 +1,12 @@
 """Expression parsing and the command-line surface."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +19,9 @@ from polartree import (
     parse_expression,
 )
 from polartree.cli import run
-from polartree.parsing import MAX_GERM_DEGREE
+from polartree.parsing import MAX_FIELD_DEGREE, MAX_GERM_DEGREE
+
+ROOT = Path(__file__).resolve().parents[1]
 
 K4 = CycloField(4)
 K12 = CycloField(12)
@@ -255,6 +261,33 @@ def test_cli_degree_cap_exits_3_at_once(capsys, f, g):
     assert code == 3 and out == ""
     assert err.startswith("limitation: ") and err.count("\n") == 1
     assert f"germ degree cap {MAX_GERM_DEGREE}" in err
+
+
+def test_cli_pinned_field_over_the_cap_exits_2_at_once():
+    # building Q(zeta_30030) alone took more than 30 s before the cap
+    argv = ["verify", "--f", "x^2-y^3", "--g", "x-y", "--field", "30030"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    done = subprocess.run([sys.executable, "-m", "polartree.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=20)
+    assert done.returncode == 2 and done.stdout == ""
+    assert done.stderr == (
+        "error: field conductor 30030 gives Q(zeta_30030) of degree 5760, "
+        f"above the field degree cap {MAX_FIELD_DEGREE}\n")
+
+
+def test_field_degree_cap_boundary(capsys):
+    # phi(240) = 64 is at the cap, phi(241) = 240 above it
+    assert _cli(capsys, "verify", "--f", "x^2-y^3", "--g", "x-y", "--field", "240")[0] == 0
+    code, out, err = _cli(capsys, "verify", "--f", "x^2-y^3", "--g", "x-y", "--field", "241")
+    assert code == 2 and out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_cli_field_enlargement_past_the_cap_exits_3(capsys):
+    # the edge of slope 1/67 asks for Q(zeta_268), of degree 132
+    code, out, err = _cli(capsys, "verify", "--f", "x^67-y", "--g", "x-y")
+    assert code == 3 and out == ""
+    assert err == ("limitation: the expansion needs Q(zeta_268) of degree 132, "
+                   f"above the field degree cap {MAX_FIELD_DEGREE}\n")
 
 
 def test_degree_cap_covers_products_and_poles():

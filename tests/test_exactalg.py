@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 
+import kernel_references
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -107,6 +108,51 @@ def test_squarefree_reconstruction_random():
             BiPoly.from_x_coefficients(K4, [prod]),
             BiPoly.from_x_coefficients(K4, [p]),
         )
+
+
+SQUAREFREE_FIELDS = tuple(CycloField(n) for n in (1, 4, 12))
+
+
+@st.composite
+def _squarefree_inputs(draw):
+    """Products of powers of small factors over Q(zeta_N), N in {1, 4, 12};
+    most have rational coefficients, like the inputs of the pipeline."""
+    field = draw(st.sampled_from(SQUAREFREE_FIELDS))
+    rational = field.degree == 1 or draw(st.integers(0, 3)) > 0
+
+    def element():
+        coords = [draw(st.integers(-4, 4)) if k == 0 or not rational else 0
+                  for k in range(field.degree)]
+        return field.from_coords([F(u, draw(st.sampled_from((1, 1, 2, 5)))) for u in coords])
+
+    p = UniPoly.constant(field, draw(st.sampled_from((1, 2, F(-3, 4)))))
+    for _ in range(draw(st.integers(1, 3))):
+        lead = element()
+        f = UniPoly(field, [element() for _ in range(draw(st.integers(1, 2)))]
+                    + [lead if not lead.is_zero() else field.one])
+        p = p * f ** draw(st.sampled_from((1, 1, 2, 3)))
+    return p
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_squarefree_inputs())
+def test_squarefree_certificate_matches_yun(p):
+    assert squarefree_decompose(p) == kernel_references.squarefree(p)
+
+
+@pytest.mark.parametrize("coeffs", [
+    # the leading coefficient vanishes modulo the prime
+    (-1, 0, exactalg._CERTIFICATE_PRIME),
+    (F(1, 3), 1, 2 * exactalg._CERTIFICATE_PRIME),
+    # x^2 - P is squarefree over Q but x^2 modulo P
+    (-exactalg._CERTIFICATE_PRIME, 0, 1),
+    # squarefree over Q, with a double root 1 modulo P
+    (exactalg._CERTIFICATE_PRIME + 1, -2, 1),
+])
+def test_squarefree_certificate_falls_back_to_yun(coeffs):
+    p = UniPoly(CycloField(1), coeffs)
+    assert not exactalg._squarefree_mod_prime(p)
+    assert squarefree_decompose(p) == kernel_references.squarefree(p) == [(p.monic(), 1)]
 
 
 def test_roots_rational():

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction as F
 
+import kernel_references
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -82,6 +83,56 @@ def test_substitute_grows_the_branch_denominator():
             (1, 12): 6, (2, 12): 15, (3, 12): 20, (4, 12): 15, (5, 12): 6, (6, 12): 1,
         }.items()
     }
+
+
+SUB_FIELDS = tuple(CycloField(n) for n in (1, 4, 12))
+
+
+@st.composite
+def _substitutions(draw):
+    """Arguments of ``_substitute``: terms over Q(zeta_N) for N in {1, 4, 12},
+    a rational or zeta-valued c, and a cut that may drop terms."""
+    field = draw(st.sampled_from(SUB_FIELDS))
+    rational = field.degree == 1 or draw(st.booleans())
+
+    def element(rational):
+        coords = [draw(st.integers(-3, 3)) if k == 0 or not rational else 0
+                  for k in range(field.degree)]
+        coords[0] += draw(st.sampled_from((0,) * 6 + (10**20,)))
+        if not any(coords):
+            coords[0] = 1
+        den = draw(st.sampled_from((1, 1, 1, 2, 3, 10**12 + 39)))
+        return field.from_coords([F(u, den) for u in coords])
+
+    keys = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 12)),
+                         min_size=1, max_size=8, unique=True))
+    terms = {k: element(draw(st.booleans()) or rational) for k in keys}
+    q = draw(st.sampled_from((1, 2, 3)))
+    m = F(draw(st.integers(1, 5)), draw(st.integers(1, 3)))
+    bound = F(draw(st.integers(0, 24)), draw(st.integers(1, 4)))
+    return terms, q, m, element(rational), field, bound
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_substitutions())
+def test_taylor_shift_matches_the_per_term_substitution(args):
+    from polartree.npsolve import _substitute
+
+    assert _substitute(*args) == kernel_references.substitute(*args)
+
+
+def test_taylor_shift_cut_drops_a_row_and_cancels_an_entry():
+    # x^3 - y^4 + x*y^3 - y^7 along x = y^(4/3) (w + x), w^3 = 1: in thirds
+    # the terms land at 12, 12, 13 and 21; mu = 12, the cut at 12 + 9 drops
+    # y^7, and the row (w + x)^3 - 1 loses its constant term
+    from polartree.npsolve import _substitute
+
+    f = parse_expression("x^3 - y^4 + x*y^3 - y^7", K12)
+    args = (f.terms, 1, F(4, 3), K12.zeta(4), K12, F(3))
+    got, q, dropped = _substitute(*args)
+    assert (got, q, dropped) == kernel_references.substitute(*args)
+    assert q == 3 and dropped
+    assert sorted(got) == [(0, 1), (1, 0), (1, 1), (2, 0), (3, 0)]
 
 
 def test_expand_conjugate_pair():

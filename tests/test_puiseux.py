@@ -8,6 +8,7 @@ import pytest
 from polartree import (
     BiPoly,
     CycloField,
+    ExpandedRoot,
     INF,
     Indeterminate,
     PuiseuxSeries,
@@ -75,6 +76,18 @@ def test_contact_ultrametric_on_fixture_triples():
         for b in roots:
             if a is not b:
                 assert contact_order(a, b) == contact_order(b, a)
+
+
+def test_root_reads_take_the_difference_at_the_first_differing_term():
+    root = ExpandedRoot(S((1, 1), (2, 3)), 1)
+    assert root.coefficient_relative(S((1, 1), (2, 1)), F(2)) == ("coeff", K4.rational(2))
+    assert root.coefficient_relative(S((1, 1)), F(2)) == ("coeff", K4.rational(3))
+    assert root.coefficient_relative(S((1, 1), (2, 3)), F(2)) == ("coeff", K4.zero)
+    assert root.coefficient_relative(S((1, 1), (3, 1)), F(3)) == ("below", F(2))
+    assert root.contact_with(S((1, 1), (2, 3), (4, 1))) == 4
+    assert root.contact_with(S((1, 1), (2, 3))) is INF
+    with pytest.raises(Indeterminate):
+        root.contact_with(S((1, 1), trunc=F(2)))
 
 
 def test_order_along_arc_examples():

@@ -9,12 +9,17 @@ emits its own truncated root.  The pipeline runs the three benchmark pools
 on the reference, recording every ``expand_roots`` call: the germs at their
 start depth and at their final depth, and the Jacobian at the oracle depth.
 The cut expansion must give the same outcome on each call, term for term
-(roots, multiplicities, branches, unresolved bundles, or the same error).
+(roots, multiplicities, branches, unresolved bundles, or the same error),
+and each of its substitutions must equal the per-term reference of the
+Taylor shift (``kernel_references``).  Each distinct input of
+``squarefree_decompose`` in the pool runs is decomposed again by Yun's
+algorithm alone, without the certificate modulo a prime.
 
-The same pool runs check the two tree reads that replaced series
-comparisons: the merge walk of ``contact_order`` against the order of the
-difference series, and the truncated intersection sums read from each
-P-group member's climb against the sums over its cut arc's series.
+The same pool runs check the tree reads that replaced series comparisons:
+the merge walk of ``contact_order``, and the one behind a polar root's
+contact and bar-relative coefficient, against the difference series, and
+the truncated intersection sums read from each P-group member's climb
+against the sums over its cut arc's series.
 """
 
 import importlib.util
@@ -22,6 +27,7 @@ import math
 from fractions import Fraction as F
 from pathlib import Path
 
+import kernel_references
 import pytest
 
 from polartree import (
@@ -37,7 +43,7 @@ from polartree import (
     pipeline,
 )
 from polartree.cli import run as cli_run
-from polartree import npsolve
+from polartree import exactalg, npsolve
 from polartree.errors import InternalInconsistency, NeedsLargerField, PolartreeError
 from polartree.exactalg import roots_in_field
 from polartree.puiseux import ExpandedRoot, vanishes_along
@@ -147,12 +153,16 @@ def _load_workloads():
 @pytest.fixture(scope="module")
 def pools():
     """Every pool pair run through ``analyze_pair`` on the uncut expansion,
-    with each ``expand_roots`` call (by call site) and its outcome, and the
-    arguments of each ``build_tree`` call."""
+    with each ``expand_roots`` call (by call site) and its outcome, the
+    arguments of each ``build_tree`` call, each distinct input of
+    ``squarefree_decompose`` with its output, and the comparison of every
+    ``ExpandedRoot._known_diff`` read with the difference series."""
     workloads = _load_workloads()
     calls = {"germ": [], "oracle": []}
     trees = []
     runs = []
+    splits = {}  # each distinct squarefree_decompose input -> its output
+    walks = []  # True per placement read that matched the subtraction
 
     def recording(site):
         def wrapper(*args, **kwargs):
@@ -169,26 +179,63 @@ def pools():
         trees.append(args)
         return build_tree(*args)
 
+    def recording_split(p):
+        out = squarefree_decompose(p)
+        splits[p] = out
+        return out
+
+    def checked_walk(root, prefix):
+        first, cut, at_branch = known_diff(root, prefix)
+        got = ((first[0], first[1] - first[2]) if first else None), cut, at_branch
+        walks.append(got == _known_diff_by_subtraction(root, prefix) or (root, prefix))
+        return first, cut, at_branch
+
     build_tree = pipeline.build_tree
+    squarefree_decompose = exactalg.squarefree_decompose
+    known_diff = ExpandedRoot._known_diff
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ExpandedRoot, "_known_diff", checked_walk)
         mp.setattr(pipeline, "expand_roots", recording("germ"))
         mp.setattr(jacoracle, "expand_roots", recording("oracle"))
         mp.setattr(pipeline, "build_tree", recording_tree)
+        for module in (exactalg, npsolve, jacoracle):
+            mp.setattr(module, "squarefree_decompose", recording_split)
         for workload in workloads.WORKLOADS:
             for _id, f, g in workloads.pool_pairs(workload, FIXTURES):
                 runs.append(pipeline.analyze_pair(f, g))
-    return calls, trees, runs
+    return calls, trees, runs, splits, walks
 
 
 @pytest.mark.parametrize("site", ["germ", "oracle"])
 def test_cut_expansion_matches_uncut_expansion_on_the_pools(pools, site):
-    calls, _trees, _runs = pools
-    for args, kwargs, want in calls[site]:
-        assert _outcome(expand_roots, *args, **kwargs) == want, (str(args[0]), args[1])
+    # every substitution of the cut expansion also matches the per-term
+    # reference of the Taylor shift
+    substitutions = []
+
+    def checked(*args):
+        got = substitute(*args)
+        assert got == kernel_references.substitute(*args)
+        substitutions.append(args[3].is_rational())
+        return got
+
+    substitute = npsolve._substitute
+    calls = pools[0]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(npsolve, "_substitute", checked)
+        for args, kwargs, want in calls[site]:
+            assert _outcome(expand_roots, *args, **kwargs) == want, (str(args[0]), args[1])
+    assert substitutions.count(True) > 1000 and substitutions.count(False) > 100
+
+
+def test_squarefree_certificate_matches_yun_on_the_pools(pools):
+    splits = pools[3]
+    assert len(splits) > 1000
+    for p, got in splits.items():
+        assert got == kernel_references.squarefree(p), str(p)
 
 
 def test_pool_calls_cover_start_final_and_oracle_depths(pools):
-    calls, _trees, runs = pools
+    calls, _trees, runs, _splits, _walks = pools
     assert len(runs) == 14 + 130 + 128
     assert all(run.verification.passed for run in runs)
     germ_depths = {(str(args[0]), args[1]) for args, _, _ in calls["germ"]}
@@ -211,6 +258,24 @@ def _contact_by_subtraction(a, b):
     )
 
 
+def _known_diff_by_subtraction(root, prefix):
+    """``ExpandedRoot._known_diff`` as it was: the first term of the
+    difference series below the cut, the cut, and whether the branch point
+    is the cut."""
+    diff = root.series - prefix
+    cut, at_branch = diff.trunc, False
+    if root.branch_exp is not None and (cut is INF or root.branch_exp <= cut):
+        cut, at_branch = root.branch_exp, True
+    terms = [(e, c) for e, c in diff.terms if cut is INF or e < cut]
+    return (terms[0] if terms else None), cut, at_branch
+
+
+def test_placement_walk_matches_series_difference(pools):
+    walks = pools[4]
+    assert len(walks) > 5000
+    assert [w for w in walks if w is not True] == []
+
+
 def _contact_or_error(contact, a, b):
     try:
         return contact(a, b)
@@ -219,7 +284,7 @@ def _contact_or_error(contact, a, b):
 
 
 def test_contact_walk_matches_series_difference(pools):
-    _calls, trees, _runs = pools
+    trees = pools[1]
     compared = 0
     for alphas, betas, *_ in trees:
         roots = list(alphas) + list(betas)
@@ -244,6 +309,9 @@ def test_contact_walk_edge_cases():
         (s([]), s([], F(1))),
         (s([(1, 2)]), s([(1, 3)])),
         (s([(1, 2)], F(1)), s([(1, 3)])),
+        # a term of one series at the other's truncation decides nothing
+        (s([(1, 1), (2, 1)]), s([(1, 1)], F(2))),
+        (s([(1, 1)], F(2)), s([(1, 1), (2, 1)])),
     ]
     for a, b in cases:
         assert (_contact_or_error(contact_order, a, b)
@@ -264,7 +332,7 @@ def _cut_record_sum(tree, kind, r):
 
 
 def test_truncated_sums_from_the_climb_match_the_cut_series(pools):
-    _calls, _trees, runs = pools
+    runs = pools[2]
     members = 0
     for run in runs:
         for rep in run.factors.classes:
