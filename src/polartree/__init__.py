@@ -46,7 +46,6 @@ from .puiseux import (
     PuiseuxSeries,
     conjugate_series,
     contact_order,
-    generic_arc_order,
     order_along_arc,
     truncate_relative,
 )

@@ -7,8 +7,11 @@ either a Fraction or :data:`INF`.  Truncation bookkeeping is pessimistic on
 purpose - an operation refuses to report an order that unknown tail terms
 could still change.
 
-Arcs (inputs to the tree machinery) have non-negative exponents; differences
-and substituted values may carry negative exponents in Laurent contexts.
+Arcs (inputs to the tree machinery) have non-negative exponents; Laurent
+polynomials and arcs may carry negative ones.  The order of a polynomial
+along an arc is read along exact arcs only, by the packed-integer kernel
+:func:`~polartree.exactalg.arc_order`; a truncated arc is refused, because
+its unknown tail could change the order.
 """
 
 from __future__ import annotations
@@ -388,119 +391,42 @@ def _shift_poly(p: UniPoly, c: CycloRational) -> UniPoly:
     return out
 
 
-def _over(e, d: int) -> int:
-    """The exponent e times d, for d a multiple of its denominator."""
-    return e.numerator * (d // e.denominator)
-
-
-def _horner(F: BiPoly, arc, arc_trunc: int | None, d: int, lift):
-    """F(arc, y) by Horner in x, with every y-exponent an int over d.
-
-    ``arc`` lists the arc's terms as (exponent times d, coefficient) in
-    increasing order; ``arc_trunc`` is its truncation times d, or None when
-    the arc is exact.  Coefficients of F enter through ``lift``.
-    Each step keeps the truncation rule of series arithmetic term for term:
-    a product acc * arc is known below min(T_acc + ord(arc), T_arc + ord(acc)),
-    where ord is the first exponent, or the truncation when no term is
-    left; adding an exact row keeps the truncation.  Returns the nonzero
-    terms keyed by exponent times d, and the truncation times d (None when
-    exact).
-    """
-    rows: dict[int, dict[int, object]] = {}
-    for (i, j), c in F.terms.items():
-        rows.setdefault(i, {})[j * d] = lift(c)
-    acc: dict = {}
-    trunc = None
-    arc_order = arc[0][0] if arc else arc_trunc
-    for i in range(max(rows, default=0), -1, -1):
-        if acc or trunc is not None:  # acc * arc; the exact zero stays zero
-            if arc_trunc is not None:  # along an exact arc trunc stays None
-                other = arc_trunc + (min(acc) if acc else trunc)
-                trunc = other if trunc is None else min(trunc + arc_order, other)
-            prod: dict = {}
-            for e1, c1 in acc.items():
-                for e2, c2 in arc:
-                    e = e1 + e2
-                    if trunc is not None and e >= trunc:
-                        break
-                    v = c1 * c2
-                    cur = prod.get(e)
-                    prod[e] = v if cur is None else cur + v
-            acc = {e: c for e, c in prod.items() if not c.is_zero()}
-        for e, c in rows.get(i, {}).items():
-            if trunc is not None and e >= trunc:
-                continue
-            cur = acc.get(e)
-            if cur is None:
-                acc[e] = c
-            else:
-                c = cur + c
-                if c.is_zero():
-                    del acc[e]
-                else:
-                    acc[e] = c
-    return acc, trunc
-
-
 def _arc_over(xi: PuiseuxSeries):
-    """(arc, trunc, d) for :func:`_horner`, over the least d that makes
-    every exponent and the truncation of xi an integer."""
-    d = xi.exponent_denominator()
-    t = None
+    """(arc, d) for :func:`~polartree.exactalg.arc_order`: the terms of the
+    exact arc xi as (exponent times d, coefficient), over the least d that
+    makes every exponent an integer.
+
+    Raises :class:`TruncationTooShort` for a truncated arc, since its unknown
+    tail terms could change any order along it.
+    """
     if xi.trunc is not INF:
-        d = math.lcm(d, xi.trunc.denominator)
-        t = _over(xi.trunc, d)
-    return [(_over(e, d), c) for e, c in xi.terms], t, d
-
-
-def _substituted(F: BiPoly, xi: PuiseuxSeries):
-    """F(xi(y), y) as (terms, trunc, d) from :func:`_horner`."""
-    arc, t, d = _arc_over(xi)
-    terms, trunc = _horner(F, arc, t, d, lambda c: c)
-    return terms, trunc, d
-
-
-def substitute_arc(F: BiPoly, xi: PuiseuxSeries) -> PuiseuxSeries:
-    """F(xi(y), y) as a series, with honest truncation propagation."""
-    terms, trunc, d = _substituted(F, xi)
-    return PuiseuxSeries(
-        xi.field,
-        [(Fraction(e, d), terms[e]) for e in sorted(terms)],
-        INF if trunc is None else Fraction(trunc, d),
-    )
+        raise TruncationTooShort(f"order along an arc cut at O(y^{xi.trunc}) is hidden")
+    d = xi.exponent_denominator()
+    return [(e.numerator * (d // e.denominator), c) for e, c in xi.terms], d
 
 
 def order_along_arc(F: BiPoly, xi: PuiseuxSeries):
     """The exact y-order of F(xi(y), y); INF when xi is an exact root.
 
-    An exact arc goes through the packed-integer kernel
-    :func:`~polartree.exactalg.arc_order`; a truncated one through
-    :func:`_horner`.  Raises :class:`TruncationTooShort` when unknown tail
-    terms of xi could cancel the would-be leading term.
+    The order comes from the packed-integer kernel
+    :func:`~polartree.exactalg.arc_order`.  A truncated arc raises
+    :class:`TruncationTooShort` (:func:`_arc_over`).
     """
-    if xi.trunc is INF:
-        arc, _t, d = _arc_over(xi)
-        n = arc_order(F, arc, d)
-        return INF if n is None else Fraction(n, d)
-    terms, trunc, d = _substituted(F, xi)
-    if terms:
-        return Fraction(min(terms), d)
-    if trunc is None:
-        return INF
-    raise TruncationTooShort(
-        f"order of substituted series hidden beyond O(y^{Fraction(trunc, d)})"
-    )
+    arc, d = _arc_over(xi)
+    n = arc_order(F, arc, d)
+    return INF if n is None else Fraction(n, d)
 
 
 def vanishes_along(F: BiPoly, xi: PuiseuxSeries) -> bool:
-    """Whether F(xi(y), y) is exactly zero, for an exact arc xi.
+    """Whether F(xi(y), y) is exactly zero, for an exact arc xi; a truncated
+    arc raises :class:`TruncationTooShort` (:func:`_arc_over`).
 
     With y = t^d, F(xi) is a Laurent polynomial in t.  Its value at t = 2
     costs one evaluation, and a nonzero value proves it nonzero; only a
     zero value runs :func:`~polartree.exactalg.arc_order`, whose packed
     integers grow with the arc's length and denominators.
     """
-    arc, _t, d = _arc_over(xi)
+    arc, d = _arc_over(xi)
     x0 = F.field.zero
     for n, c in arc:
         x0 = x0 + c * _two_to(n)
@@ -541,34 +467,6 @@ def conjugate_series(a: PuiseuxSeries, k: int, ram: int) -> PuiseuxSeries:
             )
         out.append((e, c * theta ** (int(n) * k)))
     return PuiseuxSeries(a.field, out, a.trunc)
-
-
-# -- generic-arc orders (symbolic coefficient) -------------------------------
-
-
-def generic_arc_order(
-    F: BiPoly, prefix: PuiseuxSeries, h: Fraction
-) -> tuple[Fraction, UniPoly]:
-    """Order of F(prefix(y) + z*y^h, y) for generic z, with certificate.
-
-    The prefix must be exact (infinite truncation).  Returns the y-order and
-    the leading-coefficient polynomial in z; the order is attained exactly at
-    those z where the certificate does not vanish.
-    """
-    if prefix.trunc is not INF:
-        raise Indeterminate("generic-arc order needs an exact prefix")
-    field = F.field
-    h = Fraction(h)
-    d = math.lcm(prefix.exponent_denominator(), h.denominator)
-    zvar = UniPoly(field, (field.zero, field.one), "z")
-    arc = [(_over(e, d), c) for e, c in prefix.terms]
-    arc.append((_over(h, d), zvar))
-    arc.sort(key=lambda t: t[0])
-    terms, _ = _horner(F, arc, None, d, lambda c: UniPoly.constant(field, c, "z"))
-    if not terms:
-        raise ValueError("polynomial is zero along every arc (zero polynomial)")
-    e = min(terms)
-    return Fraction(e, d), terms[e]
 
 
 def truncate_relative(xi: PuiseuxSeries, tree) -> PuiseuxSeries:

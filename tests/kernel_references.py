@@ -4,10 +4,20 @@
 one field product per binomial entry of every kept term.  ``squarefree`` is
 ``exactalg.squarefree_decompose`` without the certificate modulo a prime:
 Yun's algorithm over the field on every input.
+
+The arc references run Horner in x on ``Fraction``-keyed series, with the
+pessimistic truncation rule of ``PuiseuxSeries`` arithmetic:
+``substitute_arc`` gives F(xi(y), y) as a series, ``series_order`` its order,
+and ``generic_arc_order`` the order of F(prefix(y) + z*y^h, y) for a symbolic
+z, with its leading coefficient in z.  ``dict_horner_order`` is the order
+along an exact arc by Horner on dicts keyed by integer y-exponents, fast
+enough for many drawn inputs.
 """
 
 import math
+from fractions import Fraction
 
+from polartree import INF, PuiseuxSeries, TruncationTooShort, UniPoly
 from polartree.exactalg import poly_gcd
 from polartree.npsolve import _ceil
 
@@ -61,3 +71,84 @@ def squarefree(p):
         c = c_next
         i += 1
     return out
+
+
+def substitute_arc(F, xi):
+    rows = {}
+    for (i, j), c in F.terms.items():
+        row = rows.get(i)
+        term = PuiseuxSeries(xi.field, [(Fraction(j), c)], INF)
+        rows[i] = term if row is None else row + term
+    if not rows:
+        return PuiseuxSeries.zero(xi.field)
+    acc = PuiseuxSeries.zero(xi.field)
+    for i in range(max(rows), -1, -1):
+        acc = acc * xi
+        if i in rows:
+            acc = acc + rows[i]
+    return acc
+
+
+def series_order(F, xi):
+    val = substitute_arc(F, xi)
+    if val.terms:
+        return val.terms[0][0]
+    if val.trunc is INF:
+        return INF
+    raise TruncationTooShort("hidden")
+
+
+def generic_arc_order(F, prefix, h):
+    field = F.field
+    zvar = UniPoly(field, (field.zero, field.one), "z")
+
+    def mul_arc(acc):
+        out = {}
+        for e, poly in acc.items():
+            for pe, pc in prefix.terms:
+                k = e + pe
+                add = poly * pc
+                out[k] = out[k] + add if k in out else add
+            k = e + h
+            add = poly * zvar
+            out[k] = out[k] + add if k in out else add
+        return {k: v for k, v in out.items() if not v.is_zero()}
+
+    rows = {}
+    for (i, j), c in F.terms.items():
+        row = rows.setdefault(i, {})
+        key = Fraction(j)
+        add = UniPoly.constant(field, c, "z")
+        row[key] = row[key] + add if key in row else add
+    acc = {}
+    for i in range(max(rows, default=0), -1, -1):
+        acc = mul_arc(acc) if acc else {}
+        if i in rows:
+            for k, v in rows[i].items():
+                acc[k] = acc[k] + v if k in acc else v
+            acc = {k: v for k, v in acc.items() if not v.is_zero()}
+    if not acc:
+        raise ValueError("zero polynomial")
+    e = min(acc)
+    return e, acc[e]
+
+
+def dict_horner_order(F, xi):
+    d = xi.exponent_denominator()
+    arc = [(int(e * d), c) for e, c in xi.terms]
+    rows = {}
+    for (i, j), c in F.terms.items():
+        rows.setdefault(i, {})[j * d] = c
+    acc = {}
+    for i in range(max(rows, default=0), -1, -1):
+        out = {}
+        for e1, c1 in acc.items():
+            for e2, c2 in arc:
+                v = c1 * c2
+                cur = out.get(e1 + e2)
+                out[e1 + e2] = v if cur is None else cur + v
+        for e, c in rows.get(i, {}).items():
+            cur = out.get(e)
+            out[e] = c if cur is None else cur + c
+        acc = {e: c for e, c in out.items() if not c.is_zero()}
+    return Fraction(min(acc), d) if acc else INF

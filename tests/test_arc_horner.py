@@ -1,18 +1,14 @@
-"""Arc substitution on integer exponents against the series-arithmetic Horner.
+"""Orders along arcs against the series-arithmetic Horner.
 
-``substitute_arc``, ``generic_arc_order`` and ``order_along_arc`` on a
-truncated arc run Horner in x on dicts keyed by integer y-exponents over one
-denominator.  The references below are the earlier implementations, which
-ran the same Horner on ``Fraction``-keyed series: ``PuiseuxSeries``
-multiplication and addition, with their pessimistic truncation rule.  The two
-must agree term for term, truncation included, on drawn inputs (Laurent
-polynomials, mixed exponent denominators, exact and truncated arcs, negative
-leading exponents) and on every arc that verification builds for two
-benchmark pool sets.
-
-On an exact arc, ``order_along_arc`` and ``vanishes_along`` read the order
-from one packed integer (``exactalg.arc_order``); the dict Horner
-``puiseux._horner`` is their reference.
+``order_along_arc`` and ``vanishes_along`` read the order of F along an
+exact arc from one packed integer (``exactalg.arc_order``) and refuse a
+truncated arc.  The references in ``kernel_references`` run Horner in x on
+``Fraction``-keyed series (``PuiseuxSeries`` multiplication and addition,
+with their pessimistic truncation rule), or, for many drawn inputs, on dicts
+keyed by integer y-exponents.  The orders must agree on drawn inputs
+(Laurent polynomials, mixed exponent denominators, negative leading
+exponents, large coefficients) and on every arc that verification builds for
+two benchmark pool sets, all of which are exact.
 """
 
 import importlib.util
@@ -22,6 +18,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import kernel_references
 from polartree import (
     FIXTURES,
     INF,
@@ -29,76 +26,14 @@ from polartree import (
     CycloField,
     PuiseuxSeries,
     TruncationTooShort,
-    UniPoly,
-    generic_arc_order,
     order_along_arc,
 )
 from polartree import jacoracle
 from polartree.pipeline import analyze_pair
-from polartree.puiseux import _horner, _arc_over, substitute_arc, vanishes_along
+from polartree.puiseux import vanishes_along
 
 K12 = CycloField(12)
 SETTINGS = settings(derandomize=True, max_examples=300, deadline=None)
-
-
-def _reference_substitute_arc(F_, xi):
-    rows = {}
-    for (i, j), c in F_.terms.items():
-        row = rows.get(i)
-        term = PuiseuxSeries(xi.field, [(F(j), c)], INF)
-        rows[i] = term if row is None else row + term
-    if not rows:
-        return PuiseuxSeries.zero(xi.field)
-    acc = PuiseuxSeries.zero(xi.field)
-    for i in range(max(rows), -1, -1):
-        acc = acc * xi
-        if i in rows:
-            acc = acc + rows[i]
-    return acc
-
-
-def _reference_order(F_, xi):
-    val = _reference_substitute_arc(F_, xi)
-    if val.terms:
-        return val.terms[0][0]
-    if val.trunc is INF:
-        return INF
-    raise TruncationTooShort("hidden")
-
-
-def _reference_generic_arc_order(F_, prefix, h):
-    field = F_.field
-    zvar = UniPoly(field, (field.zero, field.one), "z")
-
-    def mul_arc(acc):
-        out = {}
-        for e, poly in acc.items():
-            for pe, pc in prefix.terms:
-                k = e + pe
-                add = poly * pc
-                out[k] = out[k] + add if k in out else add
-            k = e + h
-            add = poly * zvar
-            out[k] = out[k] + add if k in out else add
-        return {k: v for k, v in out.items() if not v.is_zero()}
-
-    rows = {}
-    for (i, j), c in F_.terms.items():
-        row = rows.setdefault(i, {})
-        key = F(j)
-        add = UniPoly.constant(field, c, "z")
-        row[key] = row[key] + add if key in row else add
-    acc = {}
-    for i in range(max(rows, default=0), -1, -1):
-        acc = mul_arc(acc) if acc else {}
-        if i in rows:
-            for k, v in rows[i].items():
-                acc[k] = acc[k] + v if k in acc else v
-            acc = {k: v for k, v in acc.items() if not v.is_zero()}
-    if not acc:
-        raise ValueError("zero polynomial")
-    e = min(acc)
-    return e, acc[e]
 
 
 # -- drawn inputs ------------------------------------------------------------
@@ -129,23 +64,17 @@ def _arcs(draw, exact=None):
     return PuiseuxSeries(K12, terms, trunc)
 
 
-def _order_or_error(fn, *args):
-    try:
-        return fn(*args)
-    except TruncationTooShort:
-        return "hidden"
-
-
 @SETTINGS
 @given(_laurent_polys(), _arcs())
 def test_substitute_arc_matches_series_horner(F_, xi):
-    got = substitute_arc(F_, xi)
-    want = _reference_substitute_arc(F_, xi)
-    assert got.terms == want.terms
-    assert got.trunc == want.trunc
-    assert _order_or_error(order_along_arc, F_, xi) == _order_or_error(
-        _reference_order, F_, xi
-    )
+    # an exact arc has the reference's order; a truncated one is refused
+    if xi.trunc is INF:
+        assert order_along_arc(F_, xi) == kernel_references.series_order(F_, xi)
+        return
+    with pytest.raises(TruncationTooShort):
+        order_along_arc(F_, xi)
+    with pytest.raises(TruncationTooShort):
+        vanishes_along(F_, xi)
 
 
 @SETTINGS
@@ -154,7 +83,7 @@ def test_substitute_arc_matches_series_horner(F_, xi):
                 unique_by=lambda t: t[0]))
 def test_vanishes_along_matches_the_series_horner(F_, xi, root):
     # F_ itself, and F_ times x - root(y), which vanishes along root
-    assert vanishes_along(F_, xi) == (_reference_order(F_, xi) is INF)
+    assert vanishes_along(F_, xi) == (kernel_references.series_order(F_, xi) is INF)
     root_arc = PuiseuxSeries(K12, sorted((F(e), c) for e, c in root), INF)
     x_minus_root = BiPoly(K12, {(1, 0): K12.one}, laurent=True) - BiPoly(
         K12, {(0, e): c for e, c in root}, laurent=True)
@@ -165,35 +94,20 @@ def test_vanishes_along_matches_the_series_horner(F_, xi, root):
 def test_negative_leading_exponent_and_truncated_arc():
     f = BiPoly(K12, {(2, -1): K12.one, (0, 1): K12.rational(-1), (1, 0): K12.rational(3)},
                laurent=True)
-    xi = PuiseuxSeries(K12, [(F(-1, 2), K12.one), (F(1, 3), K12.zeta())], F(7, 4))
-    got = substitute_arc(f, xi)
-    assert got == _reference_substitute_arc(f, xi)
-    assert got.terms[0][0] == F(-2) and got.trunc == F(1, 4)
-    # along the exact zero arc only the x-free terms survive, exactly
+    terms = [(F(-1, 2), K12.one), (F(1, 3), K12.zeta())]
+    xi = PuiseuxSeries(K12, terms, INF)
+    assert order_along_arc(f, xi) == kernel_references.series_order(f, xi) == F(-2)
+    # cut at y^(7/4) the leading term is still known, but the arc is refused
+    with pytest.raises(TruncationTooShort, match=r"O\(y\^7/4\)"):
+        order_along_arc(f, PuiseuxSeries(K12, terms, F(7, 4)))
+    # along the exact zero arc only the x-free terms survive
     zero = PuiseuxSeries.zero(K12)
-    assert substitute_arc(f, zero) == _reference_substitute_arc(f, zero)
-    assert substitute_arc(f, zero).trunc is INF
-
-
-@settings(derandomize=True, max_examples=150, deadline=None)
-@given(_laurent_polys(), _arcs(exact=True), _exponents)
-def test_generic_arc_order_matches_series_horner(F_, prefix, h):
-    if F_.is_zero():
-        with pytest.raises(ValueError):
-            generic_arc_order(F_, prefix, h)
-        return
-    assert generic_arc_order(F_, prefix, h) == _reference_generic_arc_order(F_, prefix, h)
+    assert order_along_arc(f, zero) == kernel_references.series_order(f, zero) == 1
 
 
 # -- the packed order on exact arcs -------------------------------------------
 
 ORDER_FIELDS = tuple(CycloField(n) for n in (1, 3, 4, 12))
-
-
-def _horner_order(F_, xi):
-    arc, _t, d = _arc_over(xi)
-    terms, _trunc = _horner(F_, arc, None, d, lambda c: c)
-    return F(min(terms), d) if terms else INF
 
 
 @st.composite
@@ -223,7 +137,7 @@ def _order_inputs(draw):
 @given(_order_inputs())
 def test_packed_order_matches_the_dict_horner(inputs):
     F_, xi = inputs
-    assert order_along_arc(F_, xi) == _horner_order(F_, xi)
+    assert order_along_arc(F_, xi) == kernel_references.dict_horner_order(F_, xi)
     # with xi's exponents scaled to integers, G = F_ * (x - xi) vanishes
     # along the scaled arc; along xi itself its order is the Horner one
     q = xi.exponent_denominator()
@@ -233,7 +147,7 @@ def test_packed_order_matches_the_dict_horner(inputs):
     G = F_ * x_minus
     assert order_along_arc(G, scaled) is INF
     assert vanishes_along(G, scaled)
-    assert order_along_arc(G, xi) == _horner_order(G, xi)
+    assert order_along_arc(G, xi) == kernel_references.dict_horner_order(G, xi)
 
 
 @pytest.mark.parametrize("n, power", [(3, 1), (12, 4)])
@@ -273,6 +187,5 @@ def test_verification_arcs_match_series_horner(monkeypatch):
         assert analyze_pair(f, g).verification.passed
     assert len(seen) > 500
     for F_, xi in seen:
-        got = substitute_arc(F_, xi)
-        want = _reference_substitute_arc(F_, xi)
-        assert (got.terms, got.trunc) == (want.terms, want.trunc)
+        assert xi.trunc is INF
+        assert order_along_arc(F_, xi) == kernel_references.series_order(F_, xi)

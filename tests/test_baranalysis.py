@@ -4,11 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
+import kernel_references
 from polartree import (
     NoPostbar,
     NotApplicable,
     compute_nu,
-    generic_arc_order,
     ground_residual,
     predict_C,
     total_via_basics,
@@ -46,7 +46,7 @@ def test_nu_matches_symbolic_generic_arc(run_fixture):
         for bar in run.tree.finite_bars():
             ana = run.analyses[bar.id]
             for germ, nu in ((run.f, ana.nu_f), (run.g, ana.nu_g)):
-                order, cert = generic_arc_order(germ, bar.prefix, bar.height)
+                order, cert = kernel_references.generic_arc_order(germ, bar.prefix, bar.height)
                 assert order == nu
                 assert not cert.is_zero()
 

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import kernel_references
 from polartree import (
     BiPoly,
     CycloField,
@@ -15,10 +16,10 @@ from polartree import (
     TruncationTooShort,
     conjugate_series,
     contact_order,
-    generic_arc_order,
     order_along_arc,
     truncate_relative,
 )
+from polartree.puiseux import vanishes_along
 
 K4 = CycloField(4)
 K12 = CycloField(12)
@@ -106,12 +107,20 @@ def test_order_along_arc_truncation_guard():
         order_along_arc(x * x - y * y, S((1, 1), trunc=F(5)))
 
 
+def test_vanishes_along_refuses_a_truncated_arc():
+    # x - y is zero along the known part of y + O(y^2), but its tail is unknown
+    x = BiPoly.variable(K4, "x")
+    y = BiPoly.variable(K4, "y")
+    with pytest.raises(TruncationTooShort, match=r"O\(y\^2\)"):
+        vanishes_along(x - y, S((1, 1), trunc=F(2)))
+
+
 def test_order_along_generic_arc():
     # the three-factor germ has order 3 along a generic line through 0
     x = BiPoly.variable(K4, "x")
     y = BiPoly.variable(K4, "y")
     f = (x + y) * (x - y**2 + y**3) * (x + y**2 + y**3)
-    e, cert = generic_arc_order(f, PuiseuxSeries.zero(K4), F(1))
+    e, cert = kernel_references.generic_arc_order(f, PuiseuxSeries.zero(K4), F(1))
     assert e == 3
     assert not cert.is_zero()
     # the certificate vanishes exactly at the growth points hit by f's roots
