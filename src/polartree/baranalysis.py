@@ -116,7 +116,9 @@ def analyze_bar(tree: Tree, bar: Bar) -> BarAnalysis:
             num, {}, 0, None, 0, 0, n, c, tau_total, 0, None, 0, None,
         )
 
-    located, unresolved = roots_in_field(
+    # the growth points are candidates, so each zero among them is located
+    # with its exact multiplicity even when other zeros stay unresolved
+    located, rest = roots_in_field(
         num, [z for z, _t in tree.growth_points(bar)]
     )
     mero_zeros = {z: mult for z, mult in located}
@@ -125,25 +127,11 @@ def analyze_bar(tree: Tree, bar: Bar) -> BarAnalysis:
         raise InternalInconsistency(
             f"pole count {n} below zero count {m} + 1 on {bar.id}"
         )
-    # multiplicity at collinear points by repeated exact division: exact even
-    # when other zero locations stay unresolved
-    at_coll = 0
-    for z in coll_pts:
-        at_coll += num.root_multiplicity(z)
-    m_star = m - at_coll
+    m_star = m - sum(mero_zeros.get(z, 0) for z in coll_pts)
 
-    unresolved_poly = None
-    if unresolved:
-        chi = num.monic()
-        for z, mult in located:
-            for _ in range(mult):
-                chi = chi.shift_strip_root(z)
-        unresolved_poly = chi
-        for z, _t in tree.growth_points(bar):
-            if chi.evaluate(z).is_zero():
-                raise InternalInconsistency(
-                    "unresolved zero factor vanishes at a growth point"
-                )
+    unresolved = rest.degree()
+    if unresolved and any(rest.evaluate(z).is_zero() for z, _t in tree.growth_points(bar)):
+        raise InternalInconsistency("unresolved zero factor vanishes at a growth point")
 
     predicted: dict[CycloRational, int] = {}
     points = set(deltas) | set(mero_zeros)
@@ -175,7 +163,7 @@ def analyze_bar(tree: Tree, bar: Bar) -> BarAnalysis:
         )
     return BarAnalysis(
         bar.id, nu_f, nu_g, deltas, coll_pts, tuple(poles), False, purely,
-        num, mero_zeros, unresolved, unresolved_poly, m, m_star, n, c,
+        num, mero_zeros, unresolved, rest if unresolved else None, m, m_star, n, c,
         tau_total, mu_total, predicted, unresolved, predicted_total,
     )
 
@@ -216,8 +204,7 @@ def predict_C(tree: Tree, analyses: dict[str, BarAnalysis], bar: Bar,
     if c not in ana.collinear_points:
         raise ValueError(f"{c} is not a collinear point of {bar.id}")
     cover = cover_of(tree, analyses, bar, c)
-    m_at_c = ana.mero_numerator.root_multiplicity(c)
-    count = m_at_c + sum(analyses[b].n - analyses[b].m for b in cover)
+    count = ana.mero_zeros.get(c, 0) + sum(analyses[b].n - analyses[b].m for b in cover)
     return count, cover
 
 

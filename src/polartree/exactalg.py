@@ -203,6 +203,18 @@ def _convolve(a: Sequence[int], b: Sequence[int]) -> list[int]:
     return raw
 
 
+def _power(base, n: int, one):
+    """base ** n for n >= 0 by repeated squaring; ``one`` is base ** 0."""
+    out = None
+    while n:
+        if n & 1:
+            out = base if out is None else out * base
+        n >>= 1
+        if n:
+            base = base * base
+    return one if out is None else out
+
+
 def _canon(field: CycloField, num: tuple[int, ...], den: int) -> "CycloRational":
     """The element num / den (den nonzero) in lowest terms with den > 0."""
     g = _gcd(den, *num)
@@ -374,15 +386,8 @@ class CycloRational:
 
     def __pow__(self, n: int):
         if n < 0:
-            return self.inverse() ** (-n)
-        out = self.field.one
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+            return _power(self.inverse(), -n, self.field.one)
+        return _power(self, n, self.field.one)
 
     # -- comparisons ---------------------------------------------------------
     def __eq__(self, other) -> bool:
@@ -532,15 +537,7 @@ class UniPoly:
     def __pow__(self, n: int) -> "UniPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = UniPoly.constant(self.field, 1, self.var)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return out
+        return _power(self, n, UniPoly.constant(self.field, 1, self.var))
 
     def derivative(self) -> "UniPoly":
         return UniPoly(self.field, (c * k for k, c in enumerate(self.coeffs) if k), self.var)
@@ -566,19 +563,15 @@ class UniPoly:
             power = power * factor
         return UniPoly(self.field, out, self.var)
 
-    def shift_strip_root(self, root: CycloRational) -> "UniPoly":
-        """Divide out (var - root); the root must be exact."""
-        lin = UniPoly(self.field, (-root, self.field.one), self.var)
-        return self.exact_div(lin)
-
-    def root_multiplicity(self, point: CycloRational) -> int:
-        """Multiplicity of ``point`` as a root, by repeated exact division."""
-        m = 0
-        p = self
-        while not p.is_zero() and p.evaluate(point).is_zero():
-            p = p.shift_strip_root(point)
-            m += 1
-        return m
+    def compose_shift(self, c: CycloRational) -> "UniPoly":
+        """p(var + c), by :func:`taylor_shift`."""
+        if self.is_zero():
+            return self
+        row = {i: a for i, a in enumerate(self.coeffs) if not a.is_zero()}
+        out = [self.field.zero] * len(self.coeffs)
+        for (k, _), b in taylor_shift(self.field, {0: row}, c):
+            out[k] = b
+        return UniPoly(self.field, out, self.var)
 
     def coordinate_polys(self) -> list[list[int]]:
         """The integer coordinate polynomials, in the field's power basis, of
@@ -844,6 +837,34 @@ def rational_radical(w: Rat, e: int, conductor: int) -> tuple[list[tuple[int, Ra
     return pairs, n * need // math.gcd(n, need)
 
 
+def radical_conductor(chi: UniPoly, conductor: int, max_power: int) -> int | None:
+    """The conductor of ``rational_radical(u, k, conductor)`` for the least
+    k <= ``max_power`` with z^k = u modulo chi, u a nonzero rational with a
+    rational k-th root; None when there is no such k.
+
+    Every root of chi is then a root of z^k = u, so that conductor holds
+    them all.  For k <= deg chi the remainder of z^k is rational only when
+    chi is the binomial z^k - u.
+    """
+    d = chi.degree()
+    if d < 1:
+        return None
+    chi = chi.monic()
+    field = chi.field
+    rem = [field.one] + [field.zero] * (d - 1)  # z^k mod chi, from k = 0
+    for k in range(1, max_power + 1):
+        top = rem[-1]
+        rem = [field.zero] + rem[:-1]
+        if not top.is_zero():
+            rem = [a - top * b for a, b in zip(rem, chi.coeffs)]
+        u = rem[0].as_rational()
+        if u and all(a.is_zero() for a in rem[1:]):
+            radical = rational_radical(u, k, conductor)
+            if radical is not None:
+                return radical[1]
+    return None
+
+
 def _root_key(pair: tuple[int, Rat]):
     """The order of in-field roots t*zeta^j, each at its least j."""
     j, t = pair
@@ -906,14 +927,16 @@ def _rotation_roots(f: UniPoly, found: list[CycloRational]) -> None:
 
 def roots_in_field(
     p: UniPoly, extra_candidates: Iterable[CycloRational] = ()
-) -> tuple[list[tuple[CycloRational, int]], int]:
+) -> tuple[list[tuple[CycloRational, int]], UniPoly]:
     """Roots of ``p`` that lie in the working field, with multiplicities.
 
-    Returns ``(roots, unresolved_degree)`` where the unresolved degree counts
-    roots (with multiplicity) outside the reach of the search: the
-    caller-supplied candidate points, the roots ``t * zeta^j`` with t
-    rational, and a last root once all others are known.  Anything beyond
-    that is reported as unresolved rather than approximated.
+    Returns ``(roots, rest)``: ``rest`` is the monic factor of ``p`` left
+    once every located root is divided out with its multiplicity, so that
+    ``rest`` times the product of (z - r)^m over ``roots`` is ``p.monic()``.
+    Its degree counts the roots (with multiplicity) outside the reach of
+    the search: the caller-supplied candidate points, the roots
+    ``t * zeta^j`` with t rational, and a last root once all others are
+    known.  Those roots are reported as unresolved rather than approximated.
 
     The roots come in one order.  For each squarefree factor f, in
     :func:`squarefree_decompose` order: the candidate points that are roots
@@ -926,9 +949,10 @@ def roots_in_field(
     """
     if p.is_zero():
         raise ZeroPolynomial("zero polynomial has every point as a root")
-    if p.degree() == 1:
-        return [(-(p[0] / p[1]), 1)], 0
     field = p.field
+    one = UniPoly(field, (field.one,), p.var)
+    if p.degree() == 1:
+        return [(-(p[0] / p[1]), 1)], one
     candidates = []
     for cand in extra_candidates:
         if not isinstance(cand, CycloRational):
@@ -940,7 +964,7 @@ def roots_in_field(
             cand = field.rational(r)
         candidates.append(cand)
     roots: list[tuple[CycloRational, int]] = []
-    unresolved = 0
+    rest = None
     for f, mult in squarefree_decompose(p):
         d = f.degree()
         found: list[CycloRational] = []
@@ -958,8 +982,12 @@ def roots_in_field(
         if len(found) == d - 1:
             found.append(-f[d - 1] - sum(found))  # f is monic
         roots += [(r, mult) for r in found]
-        unresolved += mult * (d - len(found))
-    return roots, unresolved
+        if len(found) < d:
+            for r in found:
+                f = f.exact_div(UniPoly(field, (-r, field.one), p.var))
+            f = f**mult
+            rest = f if rest is None else rest * f
+    return roots, one if rest is None else rest
 
 
 # ---------------------------------------------------------------------------
@@ -1355,14 +1383,7 @@ class BiPoly:
     def __pow__(self, n: int) -> "BiPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        out = BiPoly.constant(self.field, 1, self.laurent)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return _power(self, n, BiPoly.constant(self.field, 1, self.laurent))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiPoly):
@@ -1404,6 +1425,17 @@ class BiPoly:
         if not pure:
             raise ValueError("polynomial vanishes identically on y = 0")
         return min(pure)
+
+    def at_y(self, y0: int | Rat) -> UniPoly:
+        """F(x, y0) as a polynomial in x, for a rational y0 (nonzero when a
+        y-exponent is negative)."""
+        cols: dict[int, CycloRational] = {}
+        for (i, j), c in self.terms.items():
+            v = c * (y0**j if j >= 0 else Rat(y0) ** j)
+            cols[i] = v + cols[i] if i in cols else v
+        zero = self.field.zero
+        n = max(cols, default=-1)
+        return UniPoly(self.field, [cols.get(k, zero) for k in range(n + 1)], "x")
 
     @classmethod
     def from_x_coefficients(cls, field: CycloField, cols: Sequence[UniPoly]) -> "BiPoly":

@@ -366,7 +366,7 @@ def _bar_signature(tree: Tree, analyses, bar: Bar, level: int):
         is_coll = (not ana.collinear) and (z in ana.collinear_points)
         extra = ()
         if level >= 2 and not ana.collinear:
-            extra = (ana.mero_numerator.root_multiplicity(z) if is_coll else None,)
+            extra = (ana.mero_zeros.get(z, 0) if is_coll else None,)
         entries.append(
             (trunk.bimultiplicity, ana.collinear or is_coll, extra,
              _bar_signature(tree, analyses, child, level))

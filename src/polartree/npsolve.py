@@ -28,7 +28,7 @@ from .exactalg import (
     CycloRational,
     UniPoly,
     poly_gcd,
-    rational_radical,
+    radical_conductor,
     roots_in_field,
     squarefree_decompose,
     taylor_shift,
@@ -135,18 +135,6 @@ class Expansion:
 # ---------------------------------------------------------------------------
 
 
-def _eval_at_y(F: BiPoly, y0: int) -> UniPoly:
-    """F(x, y0) as a univariate polynomial in x; F has no negative y-exponent."""
-    field = F.field
-    cols: dict[int, CycloRational] = {}
-    for (i, j), c in F.terms.items():
-        add = c * y0**j
-        cur = cols.get(i)
-        cols[i] = add if cur is None else cur + add
-    n = max(cols, default=-1)
-    return UniPoly(field, [cols.get(k, field.zero) for k in range(n + 1)], "x")
-
-
 def _interpolate(ys: list[int], values: list[CycloRational], field: CycloField) -> UniPoly:
     """The polynomial in y of degree below len(ys) that takes values[k] at
     ys[k]: Newton's divided differences."""
@@ -190,7 +178,7 @@ def _certified(G: BiPoly, split: list[tuple[BiPoly, int]], y0: int) -> bool:
         return False
     s = UniPoly.constant(G.field, 1, "x")
     for A, _ in split:
-        s = s * _eval_at_y(A, y0)
+        s = s * A.at_y(y0)
     if s.degree() != sum(A.x_degree() for A, _ in split):
         return False
     return [m for _, m in squarefree_decompose(s)] == [1]
@@ -234,7 +222,7 @@ def multiplicity_split(F: BiPoly) -> list[tuple[BiPoly, int]]:
     best = None
     points: list[tuple[int, CycloRational, list[tuple[UniPoly, int]]]] = []
     for y0 in range(1, last + 1):
-        a = _eval_at_y(G, y0)
+        a = G.at_y(y0)
         if a.degree() < n:
             continue
         parts = squarefree_decompose(a)
@@ -295,8 +283,9 @@ class _Expander:
         self.roots: list[ExpandedRoot] = []
         self.component: BiPoly | None = None  # the one being expanded
 
-    def run(self, component: BiPoly, terms: _RamTerms, multiplicity: int) -> None:
-        """Expand one squarefree component, given as terms with y-content 0."""
+    def run(self, component: BiPoly, multiplicity: int) -> None:
+        """Expand one squarefree component of y-content 0."""
+        terms = component.terms
         r = min(i for (i, j) in terms if j == 0)
         if r == 0:
             return  # a unit at the origin: no root of positive order
@@ -329,16 +318,17 @@ class _Expander:
         """Conductor enlargement that would resolve the missing branch, if any.
 
         Two sources: the ramification denominator of the edge slope (the
-        session-field rule), and a binomial edge polynomial whose radical is
-        rational so only roots of unity are missing.
+        session-field rule), and a binomial z^k - u, k the degree, whose
+        radical is rational so only roots of unity are missing
+        (:func:`~polartree.exactalg.radical_conductor` with k = deg chi).
         """
         n = self.field.conductor
         hints = []
         q = edge.slope.denominator
         if q > 1 and n % q:
             hints.append(n * q // math.gcd(n, q))
-        for poly in (chi, epoly.monic()):
-            h = _binomial_field_hint(poly, n)
+        for poly in (chi, epoly):
+            h = radical_conductor(poly, n, poly.degree())
             if h is not None:
                 hints.append(h)
         if not hints:
@@ -374,12 +364,8 @@ class _Expander:
             past -= edge.extent
             abs_exp = base + edge.slope
             epoly = _edge_poly(terms, edge, self.field)
-            found, unresolved_deg = roots_in_field(epoly, self.candidates)
-            if unresolved_deg:
-                chi = epoly.monic()
-                for c, r in found:
-                    for _ in range(r):
-                        chi = chi.shift_strip_root(c)
+            found, chi = roots_in_field(epoly, self.candidates)
+            if chi.degree():
                 enlarge = self._field_hint(edge, epoly, chi)
                 if enlarge is not None:
                     raise NeedsLargerField(enlarge)
@@ -433,21 +419,6 @@ def _substitute(
     return dict(taylor_shift(field, rows, c)), new_q, dropped
 
 
-def _binomial_field_hint(chi: UniPoly, conductor: int) -> int | None:
-    """If chi = z^k - u with a rational radical solvable by roots of unity,
-    return the enlarged conductor that would resolve it."""
-    k = chi.degree()
-    if k < 2:
-        return None
-    if any(not chi[d].is_zero() for d in range(1, k)):
-        return None
-    u = (-chi[0]).as_rational()
-    radical = rational_radical(u, k, conductor) if u else None
-    if radical is None or radical[1] == conductor:
-        return None
-    return radical[1]
-
-
 def expand_roots(
     F: BiPoly,
     target_trunc: Fraction,
@@ -456,12 +427,16 @@ def expand_roots(
     """All Newton-Puiseux roots of F with positive order, to a truncation.
 
     Roots are reported with exact multiplicities (via
-    :func:`multiplicity_split`); series that would only separate beyond the
-    truncation are merged with a branch count, and a bundle whose next
-    coefficient falls outside the working field (and ``extra_candidates``)
-    is kept with its exact count and coefficient polynomial.  Resolved
-    roots come first, by leading term, then the bundles.  An edge that a
-    larger conductor would resolve raises :class:`NeedsLargerField`.
+    :func:`multiplicity_split`, whose components of F / y^E all have
+    y-content 0: F / y^E itself, or components made primitive in y);
+    series that would only separate beyond the truncation are merged with
+    a branch count, and a bundle whose next coefficient falls outside the
+    working field (and ``extra_candidates``) is kept with its exact count
+    and coefficient polynomial, the monic factor that
+    :func:`~polartree.exactalg.roots_in_field` leaves once the located
+    roots are divided out.  Resolved roots come first, by leading term,
+    then the bundles.  An edge that a larger conductor would resolve raises
+    :class:`NeedsLargerField`.
     """
     if F.is_zero():
         raise ZeroPolynomial("cannot expand the zero polynomial")
@@ -474,11 +449,7 @@ def expand_roots(
         raise InternalInconsistency("y-content removal left no pure-x term")
     expander = _Expander(field, Fraction(target_trunc), extra_candidates)
     for component, mult in multiplicity_split(Fstar):
-        comp_terms = component.terms
-        mu = min(j for (_, j) in comp_terms)
-        if mu:
-            comp_terms = {(i, j - mu): c for (i, j), c in comp_terms.items()}
-        expander.run(component, comp_terms, mult)
+        expander.run(component, mult)
     result = Expansion(expander.roots, E, K, Fraction(target_trunc))
     if result.total_count() != K:
         raise InternalInconsistency(

@@ -20,7 +20,7 @@ from .errors import (
     TruncationTooShort,
     UnresolvedBranch,
 )
-from .exactalg import BiPoly, CycloField, _euler_phi
+from .exactalg import BiPoly, CycloField, _euler_phi, radical_conductor
 from .npsolve import Expansion, expand_roots, multiplicity_split
 from .parsing import MAX_FIELD_DEGREE, expression_mentions_zeta, parse_expression
 from .puiseux import INF
@@ -176,9 +176,11 @@ def _germ_stage(f: BiPoly, g: BiPoly, trunc: Fraction | None,
 
     A germ root whose next coefficient lies outside the field is refused,
     but only once both germs have expanded, so that a larger field either
-    germ asks for is tried first.  Unless pinned, the depth doubles while a
-    contact is undetermined and ends at no less than ``max_contact + 2``, so
-    that everything strictly between consecutive bar heights is visible.
+    germ asks for, or one that holds the bundle's coefficients, is tried
+    first (:func:`_refuse_germ_bundles`).  Unless pinned, the depth doubles
+    while a contact is undetermined and ends at no less than
+    ``max_contact + 2``, so that everything strictly between consecutive
+    bar heights is visible.
     Before the first doubling, a repeated component of f*g through the
     origin is refused."""
     if trunc is not None and trunc <= 0:
@@ -190,13 +192,7 @@ def _germ_stage(f: BiPoly, g: BiPoly, trunc: Fraction | None,
         try:
             ef = expand_roots(f, depth)
             eg = expand_roots(g, depth)
-            for r in ef.roots + eg.roots:
-                if r.coeff_poly is not None:
-                    raise UnresolvedBranch(
-                        r.count,
-                        f"edge coefficient polynomial {r.coeff_poly} has no root "
-                        f"in Q(zeta_{f.field.conductor})",
-                    )
+            _refuse_germ_bundles(ef.roots + eg.roots, f.field.conductor)
             alphas = [r.series for r in ef.roots for _ in range(r.count)]
             betas = [r.series for r in eg.roots for _ in range(r.count)]
             tree = build_tree(alphas, betas, E1 + ef.y_content, E2 + eg.y_content)
@@ -211,6 +207,29 @@ def _germ_stage(f: BiPoly, g: BiPoly, trunc: Fraction | None,
             return ef, eg, tree
         depth = tree.max_contact + 2
     raise TruncationTooShort("root contacts undetermined after deepening")
+
+
+def _refuse_germ_bundles(roots, conductor: int) -> None:
+    """Refuse a germ bundle, unless its coefficients are rational multiples
+    of roots of unity that a larger field holds: then ask for that field."""
+    bundles = [r for r in roots if r.coeff_poly is not None]
+    if not bundles:
+        return
+    # a root of unity in Q(zeta_N) has an order dividing lcm(N, 2) <= 2N, so
+    # a bundle that a field below the degree cap resolves has z^k = u modulo
+    # its coefficient polynomial for a k up to twice the largest such N;
+    # phi(N) >= sqrt(N / 2) bounds the search for N
+    top = max(n for n in range(1, 2 * MAX_FIELD_DEGREE**2 + 1)
+              if _euler_phi(n) <= MAX_FIELD_DEGREE)
+    for r in bundles:
+        hint = radical_conductor(r.coeff_poly, conductor, 2 * top)
+        if hint is not None and hint != conductor:
+            raise NeedsLargerField(hint)
+    r = bundles[0]
+    raise UnresolvedBranch(
+        r.count,
+        f"edge coefficient polynomial {r.coeff_poly} has no root in Q(zeta_{conductor})",
+    )
 
 
 def _reject_repeated_components(f: BiPoly, g: BiPoly) -> None:

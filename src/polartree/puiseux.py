@@ -182,19 +182,6 @@ class PuiseuxSeries:
         items = sorted((e, c) for e, c in acc.items() if not c.is_zero())
         return PuiseuxSeries(self.field, items, trunc)
 
-    def __pow__(self, n: int) -> "PuiseuxSeries":
-        if n < 0:
-            raise ValueError("negative power of a series")
-        out = PuiseuxSeries(self.field, [(Fraction(0), self.field.one)], INF)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            if n > 1:
-                base = base * base
-            n >>= 1
-        return out
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PuiseuxSeries):
             return NotImplemented
@@ -337,7 +324,7 @@ class ExpandedRoot:
             raise PlacementUnresolved(
                 "unresolved branch coefficient may coincide with a tree point"
             )
-        return _shift_poly(self.coeff_poly, cp)
+        return self.coeff_poly.compose_shift(cp)
 
     def contact_with(self, prefix: PuiseuxSeries):
         """Contact order with a series; INF only when provably equal."""
@@ -382,15 +369,6 @@ class ExpandedRoot:
         raise TruncationTooShort(f"arc known only to O(y^{cut}), need height {h}")
 
 
-def _shift_poly(p: UniPoly, c: CycloRational) -> UniPoly:
-    """p(w + c) as a polynomial in w."""
-    out = UniPoly.zero(p.field, p.var)
-    lin = UniPoly(p.field, (c, p.field.one), p.var)
-    for k in range(p.degree(), -1, -1):
-        out = out * lin + UniPoly.constant(p.field, p[k], p.var)
-    return out
-
-
 def _arc_over(xi: PuiseuxSeries):
     """(arc, d) for :func:`~polartree.exactalg.arc_order`: the terms of the
     exact arc xi as (exponent times d, coefficient), over the least d that
@@ -421,29 +399,15 @@ def vanishes_along(F: BiPoly, xi: PuiseuxSeries) -> bool:
     """Whether F(xi(y), y) is exactly zero, for an exact arc xi; a truncated
     arc raises :class:`TruncationTooShort` (:func:`_arc_over`).
 
-    With y = t^d, F(xi) is a Laurent polynomial in t.  Its value at t = 2
-    costs one evaluation, and a nonzero value proves it nonzero; only a
-    zero value runs :func:`~polartree.exactalg.arc_order`, whose packed
-    integers grow with the arc's length and denominators.
+    With y = t^d, F(xi) is a Laurent polynomial in t.  Its value at t = 2,
+    F(x, 2^d) at x = xi, costs one evaluation, and a nonzero value proves
+    it nonzero; only a zero value runs
+    :func:`~polartree.exactalg.arc_order`, whose packed integers grow with
+    the arc's length and denominators.
     """
     arc, d = _arc_over(xi)
-    x0 = F.field.zero
-    for n, c in arc:
-        x0 = x0 + c * _two_to(n)
-    rows: dict[int, CycloRational] = {}
-    for (i, j), c in F.terms.items():
-        v = c * _two_to(j * d)
-        rows[i] = v + rows[i] if i in rows else v
-    value = F.field.zero
-    for i in range(max(rows, default=0), -1, -1):
-        value = value * x0
-        if i in rows:
-            value = value + rows[i]
-    return value.is_zero() and arc_order(F, arc, d) is None
-
-
-def _two_to(n: int):
-    return 1 << n if n >= 0 else Fraction(1, 1 << -n)
+    x0 = sum((c * 2**n if n >= 0 else c / 2**-n for n, c in arc), F.field.zero)
+    return F.at_y(2**d).evaluate(x0).is_zero() and arc_order(F, arc, d) is None
 
 
 def conjugate_series(a: PuiseuxSeries, k: int, ram: int) -> PuiseuxSeries:

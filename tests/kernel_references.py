@@ -12,6 +12,10 @@ and ``generic_arc_order`` the order of F(prefix(y) + z*y^h, y) for a symbolic
 z, with its leading coefficient in z.  ``dict_horner_order`` is the order
 along an exact arc by Horner on dicts keyed by integer y-exponents, fast
 enough for many drawn inputs.
+
+``root_multiplicity`` is a point's multiplicity as a root by repeated exact
+division, ``located_product`` the product of (z - r)^m over located roots,
+and ``shift_poly`` p(z + c) by Horner's rule on polynomials.
 """
 
 import math
@@ -152,3 +156,28 @@ def dict_horner_order(F, xi):
             out[e] = c if cur is None else cur + c
         acc = {e: c for e, c in out.items() if not c.is_zero()}
     return Fraction(min(acc), d) if acc else INF
+
+
+def root_multiplicity(p, point):
+    lin = UniPoly(p.field, (-point, p.field.one), p.var)
+    m = 0
+    while not p.is_zero() and p.evaluate(point).is_zero():
+        p = p.exact_div(lin)
+        m += 1
+    return m
+
+
+def located_product(roots, p):
+    out = UniPoly.constant(p.field, 1, p.var)
+    for r, m in roots:
+        for _ in range(m):
+            out = out * UniPoly(p.field, (-r, p.field.one), p.var)
+    return out
+
+
+def shift_poly(p, c):
+    out = UniPoly.zero(p.field, p.var)
+    lin = UniPoly(p.field, (c, p.field.one), p.var)
+    for k in range(p.degree(), -1, -1):
+        out = out * lin + UniPoly.constant(p.field, p[k], p.var)
+    return out

@@ -2,6 +2,8 @@
 
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import time
@@ -173,6 +175,19 @@ def test_cli_germ_bundle_in_the_settled_field_exits_3(capsys):
                    "has no root in Q(zeta_4)\n")
     code, out, err = _cli(capsys, "verify", "--f", BUNDLE_F, "--g", BUNDLE_G,
                           "--field", "4")
+    assert (code, out) == (3, "")
+    assert err == "limitation: working field must contain the 12-th roots of unity\n"
+
+
+@pytest.mark.parametrize("f", ["x^2+x*y+y^2", "x^4+x^2*y^2+y^4"])
+def test_cli_roots_of_unity_bundle_restarts_the_field(capsys, f):
+    # z^3 = 1 modulo z^2 + z + 1, and z^6 = 1 modulo z^4 + z^2 + 1: the
+    # germ bundle's coefficients are roots of unity that Q(zeta_12) holds
+    code, out, err = _cli(capsys, "verify", "--f", f, "--g", "x-2*y")
+    assert (code, err) == (0, "")
+    assert out.startswith("field: Q(zeta_12) ")
+    assert "verification: PASS (17 checks, 0 failures)" in out
+    code, out, err = _cli(capsys, "verify", "--f", f, "--g", "x-2*y", "--field", "4")
     assert (code, out) == (3, "")
     assert err == "limitation: working field must contain the 12-th roots of unity\n"
 
@@ -402,3 +417,24 @@ def test_cli_bundle_under_pinned_truncation_exits_3(capsys):
                    "series agree up to O(y^3)\n")
     code, out, _err = _cli(capsys, *argv, "--trunc", "8")
     assert code == 0 and "[2,0] at 1" in out and "verification: PASS" in out
+
+
+def _readme_commands():
+    """The ``polartree ...`` commands of the README's sh blocks, as argv."""
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [shlex.split(line)[1:] for line in lines if line.startswith("polartree ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+def test_readme_lists_its_examples():
+    assert [argv[0] for argv in README_COMMANDS] == [
+        "verify", "tree", "factor", "compare", "reduce"]
+
+
+@pytest.mark.parametrize("argv", README_COMMANDS, ids=lambda argv: argv[0])
+def test_readme_example_exits_0(capsys, argv):
+    assert run(argv) == 0
+    assert capsys.readouterr().err == ""

@@ -156,20 +156,20 @@ def test_squarefree_certificate_falls_back_to_yun(coeffs):
 
 
 def test_roots_rational():
-    roots, unresolved = roots_in_field(P(-1, 0, 1))
-    assert unresolved == 0
+    roots, rest = roots_in_field(P(-1, 0, 1))
+    assert rest == P(1)
     assert {str(r) for r, _ in roots} == {"1", "-1"}
 
 
 def test_roots_gaussian():
-    roots, unresolved = roots_in_field(P(1, 0, 1))
-    assert unresolved == 0
+    roots, rest = roots_in_field(P(1, 0, 1))
+    assert rest == P(1)
     assert {str(r) for r, _ in roots} == {"zeta", "-zeta"}
 
 
 def test_roots_unresolved_sqrt2():
-    roots, unresolved = roots_in_field(P(-2, 0, 1))
-    assert roots == [] and unresolved == 2
+    roots, rest = roots_in_field(P(-2, 0, 1))
+    assert roots == [] and rest == P(-2, 0, 1)
 
 
 def test_roots_evaluate_to_zero():
@@ -182,8 +182,8 @@ def test_roots_evaluate_to_zero():
                     rng.randrange(field.conductor)
                 )
                 p = p * UniPoly(field, (-root, field.one))
-            found, unresolved = roots_in_field(p)
-            assert unresolved == 0
+            found, rest = roots_in_field(p)
+            assert rest == UniPoly(field, [1])
             assert sum(m for _, m in found) == p.degree()
             for r, _ in found:
                 assert p.evaluate(r).is_zero()
@@ -191,9 +191,22 @@ def test_roots_evaluate_to_zero():
 
 def test_roots_with_multiplicity():
     p = P(0, 0, 0, 1) * P(-1, 1)  # z^3 (z-1)
-    roots, unresolved = roots_in_field(p)
-    assert unresolved == 0
+    roots, rest = roots_in_field(p)
+    assert rest == P(1)
     assert {(str(r), m) for r, m in roots} == {("0", 3), ("1", 1)}
+
+
+def test_compose_shift_matches_horner_reference():
+    rng = random.Random(7)
+    small = lambda: F(rng.randint(-4, 4), rng.randint(1, 3))  # noqa: E731
+    for field in (CycloField(1), K4, K12):
+        for _ in range(25):
+            p = UniPoly(field, [field.from_coords([small() for _ in range(field.degree)])
+                                for _ in range(rng.randint(0, 6))], "w")
+            c = field.from_coords([small() if k == 0 or rng.random() < 0.5 else 0
+                                   for k in range(field.degree)])
+            got = p.compose_shift(c)
+            assert got == kernel_references.shift_poly(p, c) and got.var == "w"
 
 
 def test_gcd_monic():
@@ -203,10 +216,14 @@ def test_gcd_monic():
 
 
 def test_root_multiplicity_exact_division():
-    p = P(-1, 1) ** 3 * P(1, 1)
-    assert p.root_multiplicity(K4.one) == 3
-    assert p.root_multiplicity(K4.rational(-1)) == 1
-    assert p.root_multiplicity(K4.rational(2)) == 0
+    # a candidate point's multiplicity from roots_in_field, as
+    # BarAnalysis.mero_zeros holds it, against repeated exact division
+    p = P(-1, 1) ** 3 * P(1, 1) * P(-2, 0, 1)
+    points = [K4.one, K4.rational(-1), K4.rational(2)]
+    found, rest = roots_in_field(p, points)
+    assert rest == P(-2, 0, 1)
+    got = [dict(found).get(z, 0) for z in points]
+    assert got == [kernel_references.root_multiplicity(p, z) for z in points] == [3, 1, 0]
 
 
 def test_bipoly_arithmetic_and_calculus():
@@ -346,10 +363,12 @@ def test_pollard_rho_failure_is_a_polartree_error(monkeypatch):
     (4, (-4, 0, 0, 0, 1), [], 4),    # z^4 - 4: +-sqrt(2), +-i*sqrt(2)
 ])
 def test_roots_in_field_pins(n, coeffs, roots, unresolved):
-    found, left = roots_in_field(P(*coeffs, field=CycloField(n)))
+    p = P(*coeffs, field=CycloField(n))
+    found, rest = roots_in_field(p)
     assert [str(r) for r, _ in found] == roots
     assert all(m == 1 for _, m in found)
-    assert left == unresolved
+    assert rest.degree() == unresolved and rest.var == "z"
+    assert rest * kernel_references.located_product(found, p) == p.monic()
 
 
 def test_norm_inverse_of_a_unit_and_a_non_unit():

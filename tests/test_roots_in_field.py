@@ -6,9 +6,10 @@ squarefree factor by one pass over its rotations f(zeta^j z); it returns
 the roots in one written-down order.  The reference below is the search as
 it was before: after each root it finds, it divides the root out and
 starts again from the candidate points and from j = 0.  Both must give the
-same list, so order and multiplicities count, and the same unresolved
-degree: on drawn polynomials over Q(zeta_N) for several N, and on every
-call the pipeline makes on a growing and a ramified benchmark set.
+same list, so order and multiplicities count, and the same factor left
+once the located roots are divided out: on drawn polynomials over
+Q(zeta_N) for several N, and on every call the pipeline makes on a
+growing and a ramified benchmark set.
 """
 
 import importlib.util
@@ -33,7 +34,7 @@ def _reference_roots_in_field(p, extra_candidates=()):
     field = p.field
     candidates = list(extra_candidates)
     roots = []
-    unresolved = 0
+    rest = UniPoly.constant(field, 1, p.var)
     for factor, mult in squarefree_decompose(p):
         f = factor
         while f.degree() >= 1:
@@ -43,11 +44,11 @@ def _reference_roots_in_field(p, extra_candidates=()):
                 break
             found = _reference_find_one_root(f, candidates)
             if found is None:
-                unresolved += mult * f.degree()
                 break
             roots.append((found, mult))
-            f = f.shift_strip_root(found)
-    return roots, unresolved
+            f = f.exact_div(UniPoly(field, (-found, field.one), f.var))
+        rest = rest * f**mult
+    return roots, rest
 
 
 def _reference_find_one_root(f, candidates):

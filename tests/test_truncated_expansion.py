@@ -36,6 +36,7 @@ from polartree import (
     CycloField,
     Indeterminate,
     PuiseuxSeries,
+    UniPoly,
     contact_order,
     expand_roots,
     jacoracle,
@@ -43,9 +44,8 @@ from polartree import (
     pipeline,
 )
 from polartree.cli import run as cli_run
-from polartree import exactalg, npsolve
+from polartree import baranalysis, exactalg, npsolve
 from polartree.errors import InternalInconsistency, NeedsLargerField, PolartreeError
-from polartree.exactalg import roots_in_field
 from polartree.puiseux import ExpandedRoot, vanishes_along
 from polartree.factorrep import order_sum_via_contacts, order_sum_via_trace
 from polartree.treemodel import ArcTrace
@@ -57,8 +57,8 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 class _UncutExpander(npsolve._Expander):
-    def run(self, component, terms, multiplicity):
-        self._recurse(terms, 1, F(0), [], multiplicity, 0)
+    def run(self, component, multiplicity):
+        self._recurse(component.terms, 1, F(0), [], multiplicity, 0)
 
     def _recurse(self, terms, q, base, prefix, multiplicity, stage):
         if stage > npsolve.MAX_STAGES:
@@ -77,12 +77,12 @@ class _UncutExpander(npsolve._Expander):
                 self._emit_truncated(list(prefix), multiplicity, edge.extent)
                 continue
             epoly = npsolve._edge_poly(terms, edge, self.field)
-            found, unresolved_deg = roots_in_field(epoly, self.candidates)
-            if unresolved_deg:
-                chi = epoly.monic()
-                for c, r in found:
-                    for _ in range(r):
-                        chi = chi.shift_strip_root(c)
+            found, _rest = npsolve.roots_in_field(epoly, self.candidates)
+            chi = epoly.monic()  # the located roots divided out one at a time
+            for c, r in found:
+                for _ in range(r):
+                    chi = chi.exact_div(UniPoly(self.field, (-c, self.field.one), "z"))
+            if chi.degree():
                 enlarge = self._field_hint(edge, epoly, chi)
                 if enlarge is not None:
                     raise NeedsLargerField(enlarge)
@@ -155,14 +155,18 @@ def pools():
     """Every pool pair run through ``analyze_pair`` on the uncut expansion,
     with each ``expand_roots`` call (by call site) and its outcome, the
     arguments of each ``build_tree`` call, each distinct input of
-    ``squarefree_decompose`` with its output, and the comparison of every
-    ``ExpandedRoot._known_diff`` read with the difference series."""
+    ``squarefree_decompose`` with its output, the comparison of every
+    ``ExpandedRoot._known_diff`` read with the difference series, each
+    ``roots_in_field`` call with its result, and each component that
+    ``multiplicity_split`` gives ``expand_roots``."""
     workloads = _load_workloads()
     calls = {"germ": [], "oracle": []}
     trees = []
     runs = []
     splits = {}  # each distinct squarefree_decompose input -> its output
     walks = []  # True per placement read that matched the subtraction
+    located = []  # (p, candidates, roots_in_field(p, candidates))
+    components = []
 
     def recording(site):
         def wrapper(*args, **kwargs):
@@ -184,6 +188,16 @@ def pools():
         splits[p] = out
         return out
 
+    def recording_roots(p, extra_candidates=()):
+        out = roots_in_field(p, extra_candidates)
+        located.append((p, list(extra_candidates), out))
+        return out
+
+    def recording_components(Fstar):
+        out = multiplicity_split(Fstar)
+        components.extend(comp for comp, _m in out)
+        return out
+
     def checked_walk(root, prefix):
         first, cut, at_branch = known_diff(root, prefix)
         got = ((first[0], first[1] - first[2]) if first else None), cut, at_branch
@@ -193,17 +207,22 @@ def pools():
     build_tree = pipeline.build_tree
     squarefree_decompose = exactalg.squarefree_decompose
     known_diff = ExpandedRoot._known_diff
+    roots_in_field = exactalg.roots_in_field
+    multiplicity_split = npsolve.multiplicity_split
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ExpandedRoot, "_known_diff", checked_walk)
         mp.setattr(pipeline, "expand_roots", recording("germ"))
         mp.setattr(jacoracle, "expand_roots", recording("oracle"))
         mp.setattr(pipeline, "build_tree", recording_tree)
+        mp.setattr(npsolve, "roots_in_field", recording_roots)
+        mp.setattr(baranalysis, "roots_in_field", recording_roots)
+        mp.setattr(npsolve, "multiplicity_split", recording_components)
         for module in (exactalg, npsolve, jacoracle):
             mp.setattr(module, "squarefree_decompose", recording_split)
         for workload in workloads.WORKLOADS:
             for _id, f, g in workloads.pool_pairs(workload, FIXTURES):
                 runs.append(pipeline.analyze_pair(f, g))
-    return calls, trees, runs, splits, walks
+    return calls, trees, runs, splits, walks, located, components
 
 
 @pytest.mark.parametrize("site", ["germ", "oracle"])
@@ -235,7 +254,7 @@ def test_squarefree_certificate_matches_yun_on_the_pools(pools):
 
 
 def test_pool_calls_cover_start_final_and_oracle_depths(pools):
-    calls, _trees, runs, _splits, _walks = pools
+    calls, _trees, runs, *_ = pools
     assert len(runs) == 14 + 130 + 128
     assert all(run.verification.passed for run in runs)
     germ_depths = {(str(args[0]), args[1]) for args, _, _ in calls["germ"]}
@@ -245,6 +264,40 @@ def test_pool_calls_cover_start_final_and_oracle_depths(pools):
     # the germ stage deepened or settled at max_contact + 2 on some germs
     assert any(len(depths) > 1 for depths in starts.values())
     assert len(calls["oracle"]) >= len(runs)
+
+
+def test_split_components_have_y_content_zero(pools):
+    # expand_roots hands each component to the expander without a y-shift
+    components = pools[6]
+    assert len(components) > 500
+    assert [str(c) for c in components if c.y_content() != 0] == []
+
+
+def test_rest_times_located_roots_is_the_monic_input(pools):
+    located = pools[5]
+    assert len(located) > 1000
+    assert any(rest.degree() for _p, _c, (_roots, rest) in located)
+    for p, candidates, (roots, rest) in located:
+        assert rest.var == p.var
+        assert rest * kernel_references.located_product(roots, p) == p.monic(), (
+            str(p), [str(c) for c in candidates])
+
+
+def test_mero_zeros_hold_each_growth_point_multiplicity(pools):
+    # m* and the C-counts read a growth point's multiplicity as a zero of
+    # the bar's numerator from mero_zeros; repeated division is the reference
+    runs = pools[2]
+    points = 0
+    for run in runs:
+        for bar in run.tree.finite_bars():
+            ana = run.analyses[bar.id]
+            if ana.collinear:
+                continue
+            for z, _trunk in run.tree.growth_points(bar):
+                want = kernel_references.root_multiplicity(ana.mero_numerator, z)
+                assert ana.mero_zeros.get(z, 0) == want, (bar.id, str(z))
+                points += 1
+    assert points > 2000
 
 
 def _contact_by_subtraction(a, b):
