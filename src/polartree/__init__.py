@@ -20,7 +20,6 @@ from .errors import (
     NegativeExponentWithoutLaurent,
     NoCover,
     NoGenericFound,
-    NoPostbar,
     NotApplicable,
     PlacementUnresolved,
     PolartreeError,
@@ -35,7 +34,6 @@ from .exactalg import (
     CycloField,
     CycloRational,
     UniPoly,
-    equal_up_to_constant,
     poly_gcd,
     roots_in_field,
     squarefree_decompose,
@@ -44,17 +42,14 @@ from .puiseux import (
     INF,
     ExpandedRoot,
     PuiseuxSeries,
-    conjugate_series,
     contact_order,
     order_along_arc,
-    truncate_relative,
 )
 from .npsolve import (
     Expansion,
     NewtonPolygon,
     expand_roots,
     multiplicity_split,
-    newton_polygon,
 )
 from .treemodel import (
     ArcTrace,
@@ -83,7 +78,6 @@ from .jacoracle import (
     Comparison,
     OracleResult,
     VerificationReport,
-    identity_check,
     jacobian,
     polar_roots,
     verify,
@@ -101,12 +95,10 @@ from .factorrep import (
 )
 from .parsing import parse_expression
 from .pipeline import (
-    CurveSpec,
     Options,
     Run,
     analyze_pair,
     analyze_polys,
-    analyze_spec,
     render_run,
     run_document,
 )

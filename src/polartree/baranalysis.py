@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from .errors import (
     InternalInconsistency,
-    NoPostbar,
     NotApplicable,
 )
 from .exactalg import CycloRational, UniPoly, roots_in_field
@@ -171,28 +170,6 @@ def analyze_bar(tree: Tree, bar: Bar) -> BarAnalysis:
 def analyze_all(tree: Tree) -> dict[str, BarAnalysis]:
     """Analyses of every finite bar, keyed by bar id."""
     return {bar.id: analyze_bar(tree, bar) for bar in tree.finite_bars()}
-
-
-def predict_T(tree: Tree, analyses: dict[str, BarAnalysis], bar: Bar):
-    """Per-point climb counts and their total for a non-collinear bar."""
-    ana = analyses[bar.id]
-    if ana.collinear:
-        raise NotApplicable(f"{bar.id} is collinear; the count theorem does not apply")
-    return dict(ana.predicted), ana.predicted_unresolved, ana.predicted_total
-
-
-def check_N(tree: Tree, analyses: dict[str, BarAnalysis], bar: Bar,
-            z: CycloRational) -> tuple[str, bool]:
-    """The postbar certificate at a non-collinear point: zeros + 1 = poles."""
-    ana = analyses[bar.id]
-    if z not in ana.noncollinear_points:
-        raise ValueError(f"{z} is not a non-collinear point of {bar.id}")
-    post = tree.postbar_at(bar, z)
-    if post is None or not post.is_finite():
-        raise NoPostbar(f"no finite postbar at {z} on {bar.id}")
-    pa = analyses[post.id]
-    ok = (not pa.collinear) and (pa.m + 1 == pa.n)
-    return post.id, ok
 
 
 def predict_C(tree: Tree, analyses: dict[str, BarAnalysis], bar: Bar,

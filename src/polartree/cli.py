@@ -55,14 +55,12 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--shift", help="shear constant (rational; default auto")
         p.add_argument("--field", type=int, help="cyclotomic field conductor")
         p.add_argument("--trunc", help="truncation depth (rational)")
-        p.add_argument("--laurent", action="store_true",
-                       help="allow negative y exponents")
         p.add_argument("--json", action="store_true", dest="as_json",
                        help="emit the report as JSON")
     return ap
 
 
-def _inputs(args, which: int = 1) -> tuple[str, str, bool, int | None]:
+def _inputs(args, which: int = 1) -> tuple[str, str, int | None]:
     if which == 1:
         f, g, fixture = args.f, args.g, args.fixture
     else:
@@ -74,10 +72,10 @@ def _inputs(args, which: int = 1) -> tuple[str, str, bool, int | None]:
             fx = get_fixture(fixture)
         except KeyError as e:
             raise InputError(str(e))
-        return fx.f, fx.g, fx.laurent, fx.shift_s
+        return fx.f, fx.g, fx.shift_s
     if not f or not g:
         raise InputError("both --f and --g (or --fixture) are required")
-    return f, g, bool(args.laurent), None
+    return f, g, None
 
 
 def _number(text: str, kind, flag: str):
@@ -87,9 +85,9 @@ def _number(text: str, kind, flag: str):
         raise InputError(f"bad {flag} value {text!r}") from None
 
 
-def _options(args, laurent: bool) -> Options:
+def _options(args) -> Options:
     trunc = _number(args.trunc, Fraction, "--trunc") if args.trunc else None
-    return Options(field=args.field, trunc=trunc, laurent=laurent)
+    return Options(field=args.field, trunc=trunc)
 
 
 def _emit(args, document: dict, human: str) -> None:
@@ -102,10 +100,8 @@ def _emit(args, document: dict, human: str) -> None:
 
 
 def _full_run(args) -> Run:
-    f, g, laurent, _s = _inputs(args)
-    if laurent:
-        raise InputError("Laurent input needs the reduce command")
-    return analyze_pair(f, g, _options(args, laurent))
+    f, g, _s = _inputs(args)
+    return analyze_pair(f, g, _options(args))
 
 
 def _cmd_roots(args) -> int:
@@ -178,12 +174,10 @@ def _cmd_factor(args) -> int:
 def _cmd_compare(args) -> int:
     from .factorrep import compare_pairs
 
-    f1, g1, l1, _ = _inputs(args, 1)
-    f2, g2, l2, _ = _inputs(args, 2)
-    if l1 or l2:
-        raise InputError("compare expects holomorphic pairs")
-    run1 = analyze_pair(f1, g1, _options(args, False))
-    run2 = analyze_pair(f2, g2, _options(args, False))
+    f1, g1, _ = _inputs(args, 1)
+    f2, g2, _ = _inputs(args, 2)
+    run1 = analyze_pair(f1, g1, _options(args))
+    run2 = analyze_pair(f2, g2, _options(args))
     verdict = compare_pairs((run1.tree, run1.analyses), (run2.tree, run2.analyses))
     doc = {
         "format_version": 1,
@@ -204,12 +198,12 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    f_text, g_text, laurent, fixture_s = _inputs(args)
+    f_text, g_text, fixture_s = _inputs(args)
     s_arg = getattr(args, "s", "auto")
     if s_arg == "auto" and fixture_s is not None:
         s_arg = fixture_s
     s = s_arg if s_arg == "auto" else _number(s_arg, int, "--s")
-    opts = _options(args, True)
+    opts = _options(args)
 
     def attempt(field):
         F = parse_expression(f_text, field, True)
@@ -270,9 +264,7 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_generic(args) -> int:
-    f_text, g_text, laurent, _s = _inputs(args)
-    if laurent:
-        raise InputError("generic coordinates expect holomorphic input")
+    f_text, g_text, _s = _inputs(args)
     shift = getattr(args, "shift", None)
     shift = None if shift in (None, "auto") else _number(shift, Fraction, "--shift")
 
@@ -282,7 +274,7 @@ def _cmd_generic(args) -> int:
         c = "auto" if shift is None else field.rational(shift)
         return generic_coordinates(f, g, c)
 
-    fs, gs, c_used, m = _in_field(_options(args, False), (f_text, g_text), attempt)
+    fs, gs, c_used, m = _in_field(_options(args), (f_text, g_text), attempt)
     doc = {
         "format_version": 1,
         "shift": str(c_used),

@@ -28,7 +28,7 @@ class ExprSyntaxError(InputError):
 
 
 class NegativeExponentWithoutLaurent(InputError):
-    """A negative y exponent appeared while Laurent mode was off."""
+    """A negative y exponent: Laurent input, which only ``reduce`` accepts."""
 
 
 class InputViolatesSimplicity(InputError):
@@ -93,10 +93,6 @@ class NoGenericFound(LimitationError):
 
 class NoCover(PolartreeError):
     """A collinear point has no cover (meromorphic mode only)."""
-
-
-class NoPostbar(PolartreeError):
-    """No trunk grows at the given point, so there is no postbar."""
 
 
 class NotApplicable(PolartreeError):

@@ -13,8 +13,8 @@ anywhere in this module.
 
 Univariate polynomials (:class:`UniPoly`) are dense coefficient tuples over
 the field.  Bivariate polynomials (:class:`BiPoly`) are sparse term maps
-``(x_exponent, y_exponent) -> coefficient``; the ``laurent`` flag gates
-negative y exponents.
+``(x_exponent, y_exponent) -> coefficient``; y exponents may be negative
+(Laurent input, which only the parser gates).
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from .errors import (
     DivisionByZero,
     FieldTooSmall,
     InternalInconsistency,
-    NegativeExponentWithoutLaurent,
     ZeroPolynomial,
 )
 
@@ -282,7 +281,7 @@ class CycloRational:
         return not any(self.num[1:])
 
     def as_rational(self) -> Rat | None:
-        return Rat(self.num[0], self.den) if not any(self.num[1:]) else None
+        return Rat(self.num[0], self.den) if self.is_rational() else None
 
     @property
     def coords(self) -> tuple[Rat, ...]:
@@ -1250,19 +1249,18 @@ def taylor_shift(field: CycloField, rows: dict[int, dict[int, CycloRational]],
 class BiPoly:
     """Sparse bivariate polynomial ``sum c[i,j] x^i y^j`` over the field.
 
-    Negative y exponents require ``laurent=True``; x exponents are always
-    non-negative.  No zero coefficients are stored.  ``terms`` is never
-    changed after construction, so its integer form is built once, on first
-    use by a product or an arc order.
+    Y exponents may be negative; x exponents are always non-negative.  No
+    zero coefficients are stored.  ``terms`` is never changed after
+    construction, so its integer form is built once, on first use by a
+    product or an arc order.
     """
 
-    __slots__ = ("field", "terms", "laurent", "_ints")
+    __slots__ = ("field", "terms", "_ints")
 
     def __init__(
         self,
         field: CycloField,
         terms: dict[tuple[int, int], CycloRational] | None = None,
-        laurent: bool = False,
     ):
         clean: dict[tuple[int, int], CycloRational] = {}
         for (i, j), c in (terms or {}).items():
@@ -1272,38 +1270,30 @@ class BiPoly:
                 continue
             if i < 0:
                 raise ValueError("negative x exponent")
-            if j < 0 and not laurent:
-                raise NegativeExponentWithoutLaurent(
-                    f"term x^{i}*y^{j} needs Laurent mode"
-                )
             clean[(i, j)] = c
         self.field = field
         self.terms = clean
-        self.laurent = laurent
         self._ints: _Integers | None = None
 
     # -- constructors -----------------------------------------------------
     @classmethod
-    def zero(cls, field: CycloField, laurent: bool = False) -> "BiPoly":
-        return cls(field, {}, laurent)
+    def zero(cls, field: CycloField) -> "BiPoly":
+        return cls(field, {})
 
     @classmethod
-    def constant(cls, field: CycloField, value, laurent: bool = False) -> "BiPoly":
-        return cls(field, {(0, 0): value}, laurent)
+    def constant(cls, field: CycloField, value) -> "BiPoly":
+        return cls(field, {(0, 0): value})
 
     @classmethod
-    def variable(cls, field: CycloField, name: str, laurent: bool = False) -> "BiPoly":
+    def variable(cls, field: CycloField, name: str) -> "BiPoly":
         if name == "x":
-            return cls(field, {(1, 0): field.one}, laurent)
+            return cls(field, {(1, 0): field.one})
         if name == "y":
-            return cls(field, {(0, 1): field.one}, laurent)
+            return cls(field, {(0, 1): field.one})
         raise ValueError(name)
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def _wrap(self, terms: dict[tuple[int, int], CycloRational]) -> "BiPoly":
-        return BiPoly(self.field, terms, self.laurent or any(j < 0 for (_, j) in terms))
 
     # -- ring operations ----------------------------------------------------
     def __add__(self, other: "BiPoly") -> "BiPoly":
@@ -1311,17 +1301,17 @@ class BiPoly:
         for k, c in other.terms.items():
             s = out.get(k)
             out[k] = c if s is None else s + c
-        return self._wrap({k: c for k, c in out.items() if not c.is_zero()})
+        return BiPoly(self.field, out)
 
     def __sub__(self, other: "BiPoly") -> "BiPoly":
         out = dict(self.terms)
         for k, c in other.terms.items():
             s = out.get(k)
             out[k] = -c if s is None else s - c
-        return self._wrap({k: c for k, c in out.items() if not c.is_zero()})
+        return BiPoly(self.field, out)
 
     def __neg__(self) -> "BiPoly":
-        return self._wrap({k: -c for k, c in self.terms.items()})
+        return BiPoly(self.field, {k: -c for k, c in self.terms.items()})
 
     def _integers(self) -> _Integers:
         if self._ints is None:
@@ -1333,8 +1323,8 @@ class BiPoly:
             if not isinstance(other, CycloRational):
                 other = self.field.rational(other)
             if other.is_zero():
-                return BiPoly.zero(self.field, self.laurent)
-            return self._wrap({k: c * other for k, c in self.terms.items()})
+                return BiPoly.zero(self.field)
+            return BiPoly(self.field, {k: c * other for k, c in self.terms.items()})
         a, b = self.terms, other.terms
         if len(b) == 1:
             ((i2, j2), c2), = b.items()
@@ -1346,7 +1336,7 @@ class BiPoly:
             terms = self._packed_product(other)
         else:
             terms = {}
-        return BiPoly(self.field, terms, self.laurent or other.laurent)
+        return BiPoly(self.field, terms)
 
     def _packed_product(self, other: "BiPoly") -> dict[tuple[int, int], CycloRational]:
         """The terms of self * other from one product of packed integers.
@@ -1383,7 +1373,7 @@ class BiPoly:
     def __pow__(self, n: int) -> "BiPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return _power(self, n, BiPoly.constant(self.field, 1, self.laurent))
+        return _power(self, n, BiPoly.constant(self.field, 1))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BiPoly):
@@ -1395,14 +1385,12 @@ class BiPoly:
 
     # -- calculus -------------------------------------------------------------
     def diff_x(self) -> "BiPoly":
-        return self._wrap(
-            {(i - 1, j): c * i for (i, j), c in self.terms.items() if i}
-        )
+        return BiPoly(self.field,
+                      {(i - 1, j): c * i for (i, j), c in self.terms.items() if i})
 
     def diff_y(self) -> "BiPoly":
-        return self._wrap(
-            {(i, j - 1): c * j for (i, j), c in self.terms.items() if j}
-        )
+        return BiPoly(self.field,
+                      {(i, j - 1): c * j for (i, j), c in self.terms.items() if j})
 
     # -- structure ---------------------------------------------------------------
     def x_degree(self) -> int:
@@ -1415,9 +1403,8 @@ class BiPoly:
         return min(j for (_, j) in self.terms)
 
     def shift_y(self, e: int) -> "BiPoly":
-        """Multiply by y^e (e may be negative; result flags Laurent if needed)."""
-        terms = {(i, j + e): c for (i, j), c in self.terms.items()}
-        return BiPoly(self.field, terms, self.laurent or any(j < 0 for (_, j) in terms))
+        """Multiply by y^e (e may be negative)."""
+        return BiPoly(self.field, {(i, j + e): c for (i, j), c in self.terms.items()})
 
     def x_order_at_origin(self) -> int:
         """Order in x of p(x, 0); requires some term with y-exponent 0."""
@@ -1470,8 +1457,7 @@ class BiPoly:
 
     def substitute_x_scale(self, s: int) -> "BiPoly":
         """Substitute x -> x * y^(-s); the result may be Laurent."""
-        terms = {(i, j - i * s): c for (i, j), c in self.terms.items()}
-        return BiPoly(self.field, terms, True)
+        return BiPoly(self.field, {(i, j - i * s): c for (i, j), c in self.terms.items()})
 
     # -- rendering ---------------------------------------------------------------
     def sorted_terms(self) -> list[tuple[tuple[int, int], CycloRational]]:
@@ -1490,14 +1476,3 @@ class BiPoly:
 
     def __repr__(self) -> str:
         return f"BiPoly({self})"
-
-
-def equal_up_to_constant(a: BiPoly, b: BiPoly) -> bool:
-    """True when a = c*b for a nonzero field constant c."""
-    if a.is_zero() or b.is_zero():
-        return a.is_zero() and b.is_zero()
-    if set(a.terms) != set(b.terms):
-        return False
-    key = next(iter(a.terms))
-    ratio = a.terms[key] / b.terms[key]
-    return all(c == ratio * b.terms[k] for k, c in a.terms.items())

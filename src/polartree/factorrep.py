@@ -26,7 +26,7 @@ from .errors import (
     SNotLargeEnough,
 )
 from .exactalg import BiPoly, CycloRational
-from .puiseux import INF, ExpandedRoot, PuiseuxSeries
+from .puiseux import INF, ExpandedRoot
 from .treemodel import ArcTrace, Bar, Tree, cover_of
 from .baranalysis import BarAnalysis
 from .jacoracle import (
@@ -347,14 +347,6 @@ class EquivalenceVerdict:
     level: str                 # "inequivalent" | "equivalent" | "mero_equivalent"
     witness: str | None = None
 
-    @property
-    def is_equivalent(self) -> bool:
-        return self.level in ("equivalent", "mero_equivalent")
-
-    @property
-    def is_mero_equivalent(self) -> bool:
-        return self.level == "mero_equivalent"
-
 
 def _bar_signature(tree: Tree, analyses, bar: Bar, level: int):
     if not bar.is_finite():
@@ -425,13 +417,6 @@ class ReducedPair:
     p: int
     q: int
 
-    def to_reduced(self, series: PuiseuxSeries) -> PuiseuxSeries:
-        """Root of the original pair -> root of the reduced pair (x = y^s X)."""
-        return series.shift(self.s)
-
-    def to_original(self, series: PuiseuxSeries) -> PuiseuxSeries:
-        return series.shift(-self.s)
-
 
 def _monic_x_degree(F: BiPoly) -> int:
     p = F.x_degree()
@@ -489,11 +474,9 @@ def meromorphic_reduce(F: BiPoly, G: BiPoly, s="auto"):
     g_poly = g_laurent.shift_y(q * s)
     if _has_root_of_order_zero(f_poly, p) or _has_root_of_order_zero(g_poly, q):
         raise SNotLargeEnough("shift left a root of order zero; raise s")
-    f_poly = BiPoly(F.field, dict(f_poly.terms), laurent=False)
-    g_poly = BiPoly(G.field, dict(g_poly.terms), laurent=False)
     # X Y J_(F,G)(X, Y) under X = x y^(-s)  ==  x y J_(f,g)(x, y)
-    x_var = BiPoly.variable(F.field, "x", laurent=True)
-    y_var = BiPoly.variable(F.field, "y", laurent=True)
+    x_var = BiPoly.variable(F.field, "x")
+    y_var = BiPoly.variable(F.field, "y")
     lhs = jacobian(F, G).substitute_x_scale(s) * x_var.substitute_x_scale(s) * y_var
     rhs = jacobian(f_laurent, g_laurent) * x_var * y_var
     if not (lhs == rhs):

@@ -16,7 +16,7 @@ class Fixture:
     name: str
     f: str
     g: str
-    laurent: bool = False
+    laurent: bool = False         # Laurent input, for the reduce command only
     shift_s: int | None = None    # meromorphic reduction exponent
     note: str = ""
 

@@ -198,14 +198,12 @@ def verify(
     tree: Tree,
     analyses: dict[str, BarAnalysis],
     oracle: OracleResult,
-    f: BiPoly | None = None,
-    g: BiPoly | None = None,
+    f: BiPoly,
+    g: BiPoly,
 ) -> VerificationReport:
-    """Compare every counting prediction with the oracle's observations.
-
-    When f and g are provided, the sampled-arc invariants (constant
-    determinants, stable orders, the order identity along sample arcs)
-    are exercised as well.
+    """Compare every counting prediction with the oracle's observations,
+    then the sampled-arc invariants of the germs f and g: constant
+    determinants, stable orders, and the order identity along sample arcs.
     """
     rep = VerificationReport()
     records = oracle.records
@@ -356,10 +354,9 @@ def verify(
         except NoCover:
             rep.add_flag("ground-residual", tree.ground_id, None, True, note="no cover")
 
-    # sampled-arc invariants need the germs themselves
-    if f is not None and g is not None:
-        _verify_sampled_arcs(rep, tree, analyses, f, g)
-        _verify_order_identity(rep, tree, analyses, oracle.jac, f, g)
+    # sampled-arc invariants of the germs themselves
+    _verify_sampled_arcs(rep, tree, analyses, f, g)
+    _verify_order_identity(rep, tree, analyses, oracle.jac, f, g)
     return rep
 
 
@@ -457,23 +454,15 @@ def _fresh_point(field, taken):
         k += 1
 
 
-def identity_check(f: BiPoly, g: BiPoly, tree: Tree, bar: Bar,
-                   sample_z: CycloRational, analyses) -> bool:
-    """Order bookkeeping along a sample arc through the bar.
+def _order_identity_holds(J, f, g, tree, bar, ana, sample_z) -> bool:
+    """Order bookkeeping along a sample arc through the bar, J = J(f, g).
 
     Away from the growth points, the Jacobian's order along the arc equals
     the two germ orders minus the bar height minus one - provided the bar's
     rational function does not vanish at the sample.  At a zero of that
     function the order strictly jumps instead; that case returns True when
-    the jump is observed, so callers can record it without asserting the
-    equality.
+    the jump is observed.
     """
-    return _order_identity_holds(
-        jacobian(f, g), f, g, tree, bar, analyses[bar.id], sample_z
-    )
-
-
-def _order_identity_holds(J, f, g, tree, bar, ana, sample_z) -> bool:
     if sample_z in ana.deltas:
         raise ValueError("sample point must avoid the growth points")
     value = ana.mero_numerator.evaluate(sample_z)

@@ -95,13 +95,6 @@ def _polygon_data(terms: _RamTerms, q: int) -> NewtonPolygon:
     return NewtonPolygon(tuple(reversed(hull)), tuple(sorted(edges, key=lambda e: e.slope)))
 
 
-def newton_polygon(F: BiPoly) -> NewtonPolygon:
-    """The Newton polygon of a bivariate polynomial."""
-    if F.is_zero():
-        raise ZeroPolynomial("zero polynomial has no Newton polygon")
-    return _polygon_data(F.terms, 1)
-
-
 def _edge_poly(terms: _RamTerms, edge: PolygonEdge, field: CycloField) -> UniPoly:
     """The edge polynomial E(z) = sum of coefficients on the edge times z^(i-i_min)."""
     (i1, j1), (i2, j2) = edge.top, edge.bottom

@@ -3,7 +3,8 @@
 Grammar: integers, rationals a/b, the variables x and y, the symbol zeta
 (a primitive root of unity of the session field's order), +, -, *, ^ and
 parentheses.  Exponents are integer literals; negative exponents are only
-legal on y and only in Laurent mode.  Multiplication is always explicit.
+legal on y, and only when the caller asks for Laurent input, as the
+``reduce`` command does.  Multiplication is always explicit.
 
 Every product and power is checked before it is expanded: no intermediate
 result, and so no parsed germ, may have x-degree or |y-exponent| above
@@ -103,7 +104,6 @@ class _Parser:
         self.toks = _Tokens(text)
         self.field = field
         self.laurent = laurent
-        self.saw_zeta = False
 
     def parse(self) -> BiPoly:
         out = self.expr()
@@ -161,17 +161,18 @@ class _Parser:
             bx, by = _degrees(base)
             _check_degrees(e * bx, e * by, etok)
             return base**e
-        # negative exponents: only the bare variable y, only in Laurent mode
+        # negative exponents: only the bare variable y, only on Laurent input
         if base.terms != {(0, 1): self.field.one}:
             raise ExprSyntaxError(
                 "negative exponents are only allowed on y", etok[2], etok[3]
             )
         if not self.laurent:
             raise NegativeExponentWithoutLaurent(
-                f"{etok[2]}:{etok[3]}: y^-{e} requires Laurent mode"
+                f"{etok[2]}:{etok[3]}: y^-{e} is Laurent input, which only the "
+                f"reduce command accepts"
             )
         _check_degrees(0, e, etok)
-        return BiPoly(self.field, {(0, -e): self.field.one}, laurent=True)
+        return BiPoly(self.field, {(0, -e): self.field.one})
 
     def atom(self) -> BiPoly:
         tok = self.toks.take()
@@ -184,15 +185,12 @@ class _Parser:
                 den = int(den_tok[1])
                 if den == 0:
                     raise ExprSyntaxError("zero denominator", den_tok[2], den_tok[3])
-                return BiPoly.constant(
-                    self.field, Fraction(num, den), laurent=self.laurent
-                )
-            return BiPoly.constant(self.field, num, laurent=self.laurent)
+                return BiPoly.constant(self.field, Fraction(num, den))
+            return BiPoly.constant(self.field, num)
         if kind == "sym":
             if val == "zeta":
-                self.saw_zeta = True
-                return BiPoly.constant(self.field, self.field.zeta(), laurent=self.laurent)
-            return BiPoly.variable(self.field, val, laurent=self.laurent)
+                return BiPoly.constant(self.field, self.field.zeta())
+            return BiPoly.variable(self.field, val)
         if kind == "(":
             inner = self.expr()
             self.toks.take(")")
@@ -201,7 +199,8 @@ class _Parser:
 
 
 def parse_expression(text: str, field: CycloField, laurent: bool = False) -> BiPoly:
-    """Parse an expression into an exact bivariate polynomial."""
+    """Parse an expression into an exact bivariate polynomial; negative
+    exponents on y are refused unless ``laurent`` is set."""
     return _Parser(text, field, laurent).parse()
 
 

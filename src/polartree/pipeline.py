@@ -34,38 +34,6 @@ from .factorrep import FactorReport, group_factors, intersection_mults
 class Options:
     field: int | None = None          # pinned conductor; None = automatic
     trunc: Fraction | None = None     # pinned truncation depth
-    laurent: bool = False
-
-
-@dataclass
-class CurveSpec:
-    """One input pair: either expression text or explicit root lists.
-
-    Root-list mode gives the branch series of each germ as x-free
-    expression text plus the y-content exponents; the polynomials are then
-    reconstructed as y^E times the product of (x - root).  Exactly one of
-    the two forms must be present.
-    """
-
-    f: str | None = None
-    g: str | None = None
-    f_roots: list[str] | None = None
-    g_roots: list[str] | None = None
-    E1: int = 0
-    E2: int = 0
-    options: Options | None = None
-
-    def __post_init__(self):
-        expr_mode = self.f is not None or self.g is not None
-        root_mode = self.f_roots is not None or self.g_roots is not None
-        if expr_mode == root_mode:
-            raise InputError(
-                "give either f/g expressions or explicit root lists, not both"
-            )
-        if expr_mode and (self.f is None or self.g is None):
-            raise InputError("both f and g expressions are required")
-        if root_mode and (self.f_roots is None or self.g_roots is None):
-            raise InputError("both root lists are required (either may be empty)")
 
 
 def _in_field(opts: Options, texts, attempt):
@@ -96,35 +64,6 @@ def _in_field(opts: Options, texts, attempt):
     raise LimitationError("field enlargement did not converge")
 
 
-def analyze_spec(spec: CurveSpec) -> Run:
-    """Run the pipeline on a :class:`CurveSpec` in either input mode."""
-    opts = spec.options or Options()
-    if spec.f is not None:
-        return analyze_pair(spec.f, spec.g, opts)
-
-    def attempt(field: CycloField) -> Run:
-        f = _poly_from_roots(spec.f_roots, spec.E1, field)
-        g = _poly_from_roots(spec.g_roots, spec.E2, field)
-        return analyze_polys(f, g, opts)
-
-    return _in_field(opts, [*spec.f_roots, *spec.g_roots], attempt)
-
-
-def _poly_from_roots(root_texts, content: int, field: CycloField) -> BiPoly:
-    if content < 0:
-        raise InputError("y-content exponent must be non-negative")
-    out = BiPoly(field, {(0, content): field.one})
-    x = BiPoly.variable(field, "x")
-    for text in root_texts:
-        root = parse_expression(text, field)
-        if root.x_degree() > 0:
-            raise InputError(f"root {text!r} must not involve x")
-        if any(j < 1 for (_i, j) in root.terms):
-            raise InputError(f"root {text!r} must have positive order")
-        out = out * (x - root)
-    return out
-
-
 @dataclass
 class Run:
     field: CycloField
@@ -145,8 +84,8 @@ def analyze_pair(f_text: str, g_text: str, options: Options | None = None) -> Ru
     opts = options or Options()
 
     def attempt(field: CycloField) -> Run:
-        f = parse_expression(f_text, field, opts.laurent)
-        g = parse_expression(g_text, field, opts.laurent)
+        f = parse_expression(f_text, field)
+        g = parse_expression(g_text, field)
         return analyze_polys(f, g, opts)
 
     return _in_field(opts, (f_text, g_text), attempt)

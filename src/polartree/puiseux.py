@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import FieldTooSmall, Indeterminate, PlacementUnresolved, TruncationTooShort
+from .errors import Indeterminate, PlacementUnresolved, TruncationTooShort
 from .exactalg import (
     BiPoly, CycloField, CycloRational, UniPoly, arc_order, coeff_term, join_terms,
 )
@@ -74,6 +74,11 @@ def exp_min(a, b):
     return b if a > b else a
 
 
+def y_power(e) -> str:
+    """y^e as a series prints it: ``y^3``, but ``y^(1/3)``."""
+    return f"y^{e}" if e.denominator == 1 else f"y^({e})"
+
+
 class PuiseuxSeries:
     """Truncated fractional power series in y over Q(zeta_N)."""
 
@@ -109,16 +114,14 @@ class PuiseuxSeries:
         return cls(field, (), INF)
 
     # -- basic structure ----------------------------------------------------
-    def is_certified_zero(self) -> bool:
-        return not self.terms and self.trunc is INF
-
     def order_lower_bound(self):
         return self.terms[0][0] if self.terms else self.trunc
 
     def coefficient_at(self, e) -> CycloRational:
         e = Fraction(e)
         if not (e < self.trunc):
-            raise Indeterminate(f"coefficient at y^{e} not determined (trunc {self.trunc})")
+            raise Indeterminate(f"coefficient at {y_power(e)} not determined "
+                                f"(trunc {self.trunc})")
         for te, tc in self.terms:
             if te == e:
                 return tc
@@ -129,7 +132,8 @@ class PuiseuxSeries:
     def prefix_below(self, h) -> "PuiseuxSeries":
         """The exact sub-series of terms with exponent < h."""
         if not (h <= self.trunc):
-            raise Indeterminate(f"prefix below y^{h} not determined (trunc {self.trunc})")
+            raise Indeterminate(f"prefix below {y_power(h)} not determined "
+                                f"(trunc {self.trunc})")
         return PuiseuxSeries(self.field, [(e, c) for e, c in self.terms if e < h], INF)
 
     def exponent_denominator(self) -> int:
@@ -149,12 +153,6 @@ class PuiseuxSeries:
             merged[e] = c if s is None else s + c
         items = sorted((e, c) for e, c in merged.items() if not c.is_zero())
         return PuiseuxSeries(self.field, items, trunc)
-
-    def __neg__(self) -> "PuiseuxSeries":
-        return PuiseuxSeries(self.field, [(e, -c) for e, c in self.terms], self.trunc)
-
-    def __sub__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
-        return self + (-other)
 
     def shift(self, e) -> "PuiseuxSeries":
         """Multiply by y^e."""
@@ -193,14 +191,12 @@ class PuiseuxSeries:
     # -- rendering ----------------------------------------------------------------
     def __str__(self) -> str:
         body = join_terms(
-            coeff_term(str(c), "" if e == 0 else "y" if e == 1 else
-                       f"y^{e}" if e.denominator == 1 else f"y^({e})")
+            coeff_term(str(c), "" if e == 0 else "y" if e == 1 else y_power(e))
             for e, c in self.terms
         )
         if self.trunc is INF:
             return body
-        t = self.trunc
-        ts = f"y^{t}" if t.denominator == 1 else f"y^({t})"
+        ts = y_power(self.trunc)
         return f"{body} + O({ts})" if body != "0" else f"O({ts})"
 
     def __repr__(self) -> str:
@@ -255,7 +251,7 @@ def _agree_up_to(trunc):
     if trunc is INF:
         return INF
     raise Indeterminate(
-        f"contact order unresolved: series agree up to O(y^{trunc})"
+        f"contact order unresolved: series agree up to O({y_power(trunc)})"
     )
 
 
@@ -336,7 +332,7 @@ class ExpandedRoot:
             return self.branch_exp
         if cut is INF:
             return INF
-        raise Indeterminate(f"arcs agree up to O(y^{cut}); contact unresolved")
+        raise Indeterminate(f"arcs agree up to O({y_power(cut)}); contact unresolved")
 
     def coefficient_relative(self, prefix: PuiseuxSeries, h: Fraction):
         """Classify the arc against a bar: bounded below h, or its coefficient at h.
@@ -366,7 +362,7 @@ class ExpandedRoot:
             return ("coeff", self.series.field.zero)
         if cut is INF or h < cut:
             return ("coeff", self.series.field.zero)
-        raise TruncationTooShort(f"arc known only to O(y^{cut}), need height {h}")
+        raise TruncationTooShort(f"arc known only to O({y_power(cut)}), need height {h}")
 
 
 def _arc_over(xi: PuiseuxSeries):
@@ -378,7 +374,8 @@ def _arc_over(xi: PuiseuxSeries):
     tail terms could change any order along it.
     """
     if xi.trunc is not INF:
-        raise TruncationTooShort(f"order along an arc cut at O(y^{xi.trunc}) is hidden")
+        raise TruncationTooShort(
+            f"order along an arc cut at O({y_power(xi.trunc)}) is hidden")
     d = xi.exponent_denominator()
     return [(e.numerator * (d // e.denominator), c) for e, c in xi.terms], d
 
@@ -408,47 +405,3 @@ def vanishes_along(F: BiPoly, xi: PuiseuxSeries) -> bool:
     arc, d = _arc_over(xi)
     x0 = sum((c * 2**n if n >= 0 else c / 2**-n for n, c in arc), F.field.zero)
     return F.at_y(2**d).evaluate(x0).is_zero() and arc_order(F, arc, d) is None
-
-
-def conjugate_series(a: PuiseuxSeries, k: int, ram: int) -> PuiseuxSeries:
-    """Apply the conjugation y^(1/ram) -> zeta_ram^k * y^(1/ram).
-
-    Every term c*y^(n/ram) maps to c*theta^n*y^(n/ram) with theta a primitive
-    ram-th root of unity.  Contact orders are preserved pairwise.
-    """
-    if ram < 1:
-        raise ValueError("ramification bound must be positive")
-    k %= ram
-    theta = a.field.zeta_of_order(ram)  # FieldTooSmall if absent
-    if k == 0:
-        return a
-    out = []
-    for e, c in a.terms:
-        n = e * ram
-        if n.denominator != 1:
-            raise FieldTooSmall(
-                f"exponent {e} has denominator not dividing the bound {ram}"
-            )
-        out.append((e, c * theta ** (int(n) * k)))
-    return PuiseuxSeries(a.field, out, a.trunc)
-
-
-def truncate_relative(xi: PuiseuxSeries, tree) -> PuiseuxSeries:
-    """Cut an arc at the bar where it leaves the tree: lambda_B + a*y^h(B).
-
-    Roots of the modelled pair are returned unchanged.  Raises
-    :class:`TruncationTooShort` when the arc's truncation does not reach
-    its leave height, and :class:`ValueError` for arcs that separate
-    strictly between bar heights (those have no bar-relative truncation).
-    """
-    for info in tree.roots.values():
-        if info.series == xi:
-            return xi
-    trace = tree.trace_arc(ExpandedRoot(xi, 1))
-    if trace.is_root:
-        return xi
-    if trace.leave_bar_id is None:
-        raise ValueError("arc separates between bar heights; no relative truncation")
-    bar = tree.bars[trace.leave_bar_id]
-    # an arc without a branch point leaves at a determined coefficient
-    return bar.prefix + PuiseuxSeries(xi.field, [(bar.height, trace.leave_point)], INF)

@@ -16,12 +16,18 @@ enough for many drawn inputs.
 ``root_multiplicity`` is a point's multiplicity as a root by repeated exact
 division, ``located_product`` the product of (z - r)^m over located roots,
 and ``shift_poly`` p(z + c) by Horner's rule on polynomials.
+
+``equal_up_to_constant`` tells whether a = c*b for a nonzero constant c, and
+``conjugate_series`` applies y^(1/ram) -> zeta_ram^k * y^(1/ram) term by
+term; it is the reference the tree's conjugacy classes are checked against.
+``series_neg`` and ``series_sub`` are -a and a - b on series, with the
+truncation of ``PuiseuxSeries.__add__``.
 """
 
 import math
 from fractions import Fraction
 
-from polartree import INF, PuiseuxSeries, TruncationTooShort, UniPoly
+from polartree import FieldTooSmall, INF, PuiseuxSeries, TruncationTooShort, UniPoly
 from polartree.exactalg import poly_gcd
 from polartree.npsolve import _ceil
 
@@ -181,3 +187,37 @@ def shift_poly(p, c):
     for k in range(p.degree(), -1, -1):
         out = out * lin + UniPoly.constant(p.field, p[k], p.var)
     return out
+
+
+def equal_up_to_constant(a, b):
+    if a.is_zero() or b.is_zero():
+        return a.is_zero() and b.is_zero()
+    if set(a.terms) != set(b.terms):
+        return False
+    key = next(iter(a.terms))
+    ratio = a.terms[key] / b.terms[key]
+    return all(c == ratio * b.terms[k] for k, c in a.terms.items())
+
+
+def conjugate_series(a, k, ram):
+    if ram < 1:
+        raise ValueError("ramification bound must be positive")
+    k %= ram
+    theta = a.field.zeta_of_order(ram)  # FieldTooSmall if absent
+    if k == 0:
+        return a
+    out = []
+    for e, c in a.terms:
+        n = e * ram
+        if n.denominator != 1:
+            raise FieldTooSmall(f"exponent {e} has denominator not dividing the bound {ram}")
+        out.append((e, c * theta ** (int(n) * k)))
+    return PuiseuxSeries(a.field, out, a.trunc)
+
+
+def series_neg(a):
+    return PuiseuxSeries(a.field, [(e, -c) for e, c in a.terms], a.trunc)
+
+
+def series_sub(a, b):
+    return a + series_neg(b)

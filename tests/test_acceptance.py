@@ -13,6 +13,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import kernel_references
 from polartree import (
     BiPoly,
     CycloField,
@@ -23,7 +24,6 @@ from polartree import (
     build_tree,
     compare_pairs,
     cover_of,
-    equal_up_to_constant,
     expand_roots,
     get_fixture,
     meromorphic_reduce,
@@ -142,7 +142,7 @@ def test_c3_collinear_support_and_noninvariance():
     fx9 = get_fixture("ex61-e9")
     run9 = analyze_pair(fx9.f, fx9.g)
     verdict = compare_pairs((run.tree, run.analyses), (run9.tree, run9.analyses))
-    assert verdict.is_equivalent
+    assert verdict.level in ("equivalent", "mero_equivalent")
     id1 = {c.height: c.class_id for c in _noncollinear(run)}
     id9 = {c.height: c.class_id for c in _noncollinear(run9)}
     leaves1 = run.factors.leave_data[id1[F(1)]]
@@ -164,7 +164,7 @@ def test_c4_equivalent_triple_shares_truncation_and_intersections():
             verdict = compare_pairs(
                 (runs[i].tree, runs[i].analyses), (runs[j].tree, runs[j].analyses)
             )
-            assert verdict.is_equivalent
+            assert verdict.level in ("equivalent", "mero_equivalent")
     rows = []
     for run in runs:
         cls = [c for c in _noncollinear(run) if c.p_order][0]
@@ -184,7 +184,7 @@ def test_c5_integral_pair_and_its_thickening():
     y = BiPoly.variable(run.field, "y")
     G = x * x * y - x * y**3 * F(2, 3) + y**5 * F(1, 5)
     target = (x * 2 - G) * (x - y * y) ** 2 * 2
-    assert equal_up_to_constant(run.oracle.jac, target)
+    assert kernel_references.equal_up_to_constant(run.oracle.jac, target)
     assert run.oracle.x_order == 3
     leaving_at_2 = [
         r for r in run.oracle.records

@@ -51,7 +51,7 @@ def _laurent_polys(draw):
     keys = draw(st.lists(
         st.tuples(st.integers(0, 4), st.integers(-3, 5)), max_size=6, unique=True
     ))
-    return BiPoly(K12, {k: draw(_coeffs) for k in keys}, laurent=True)
+    return BiPoly(K12, {k: draw(_coeffs) for k in keys})
 
 
 @st.composite
@@ -85,20 +85,19 @@ def test_vanishes_along_matches_the_series_horner(F_, xi, root):
     # F_ itself, and F_ times x - root(y), which vanishes along root
     assert vanishes_along(F_, xi) == (kernel_references.series_order(F_, xi) is INF)
     root_arc = PuiseuxSeries(K12, sorted((F(e), c) for e, c in root), INF)
-    x_minus_root = BiPoly(K12, {(1, 0): K12.one}, laurent=True) - BiPoly(
-        K12, {(0, e): c for e, c in root}, laurent=True)
+    x_minus_root = BiPoly(K12, {(1, 0): K12.one}) - BiPoly(
+        K12, {(0, e): c for e, c in root})
     assert vanishes_along(F_ * x_minus_root, root_arc)
     assert order_along_arc(F_ * x_minus_root, root_arc) is INF
 
 
 def test_negative_leading_exponent_and_truncated_arc():
-    f = BiPoly(K12, {(2, -1): K12.one, (0, 1): K12.rational(-1), (1, 0): K12.rational(3)},
-               laurent=True)
+    f = BiPoly(K12, {(2, -1): K12.one, (0, 1): K12.rational(-1), (1, 0): K12.rational(3)})
     terms = [(F(-1, 2), K12.one), (F(1, 3), K12.zeta())]
     xi = PuiseuxSeries(K12, terms, INF)
     assert order_along_arc(f, xi) == kernel_references.series_order(f, xi) == F(-2)
     # cut at y^(7/4) the leading term is still known, but the arc is refused
-    with pytest.raises(TruncationTooShort, match=r"O\(y\^7/4\)"):
+    with pytest.raises(TruncationTooShort, match=r"O\(y\^\(7/4\)\)"):
         order_along_arc(f, PuiseuxSeries(K12, terms, F(7, 4)))
     # along the exact zero arc only the x-free terms survive
     zero = PuiseuxSeries.zero(K12)
@@ -126,7 +125,7 @@ def _order_inputs(draw):
     keys = draw(st.lists(
         st.tuples(st.integers(0, 4), st.integers(-3, 5)), max_size=6, unique=True
     ))
-    F_ = BiPoly(field, {k: draw(_elements(field)) for k in keys}, laurent=True)
+    F_ = BiPoly(field, {k: draw(_elements(field)) for k in keys})
     es = draw(st.lists(st.builds(F, st.integers(-6, 14), st.sampled_from((1, 2, 3, 6))),
                        max_size=4, unique=True))
     xi = PuiseuxSeries(field, [(e, draw(_elements(field))) for e in sorted(es)], INF)
@@ -142,8 +141,8 @@ def test_packed_order_matches_the_dict_horner(inputs):
     # along the scaled arc; along xi itself its order is the Horner one
     q = xi.exponent_denominator()
     scaled = PuiseuxSeries(F_.field, [(e * q, c) for e, c in xi.terms], INF)
-    x_minus = BiPoly(F_.field, {(1, 0): F_.field.one}, laurent=True) - BiPoly(
-        F_.field, {(0, int(e)): c for e, c in scaled.terms}, laurent=True)
+    x_minus = BiPoly(F_.field, {(1, 0): F_.field.one}) - BiPoly(
+        F_.field, {(0, int(e)): c for e, c in scaled.terms})
     G = F_ * x_minus
     assert order_along_arc(G, scaled) is INF
     assert vanishes_along(G, scaled)

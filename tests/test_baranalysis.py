@@ -6,7 +6,6 @@ import pytest
 
 import kernel_references
 from polartree import (
-    NoPostbar,
     NotApplicable,
     compute_nu,
     ground_residual,
@@ -14,7 +13,6 @@ from polartree import (
     total_via_basics,
     weeds,
 )
-from polartree.baranalysis import check_N, predict_T
 
 
 def _bar_at(tree, h):
@@ -109,11 +107,12 @@ def test_invariants_nonoverlap_and_degree(run_fixture):
 def test_predict_T_ex11(run_fixture):
     run = run_fixture("ex11")
     tree = run.tree
-    b0 = _bar_at(tree, F(1))
-    per_point, pooled, total = predict_T(tree, run.analyses, b0)
-    assert per_point == {tree.field.zero: 4} and pooled == 0 and total == 4
-    with pytest.raises(NotApplicable):
-        predict_T(tree, run.analyses, _bar_at(tree, F(3)))
+    ana = run.analyses[_bar_at(tree, F(1)).id]
+    assert ana.predicted == {tree.field.zero: 4}
+    assert ana.predicted_unresolved == 0 and ana.predicted_total == 4
+    # the count theorem does not apply on the collinear bar
+    middle = run.analyses[_bar_at(tree, F(3)).id]
+    assert middle.collinear and middle.predicted is None
 
 
 def test_predict_T_pure_trunk_rule(run_fixture):
@@ -133,18 +132,10 @@ def test_postbar_certificate(run_fixture):
     tree = run.tree
     b0 = _bar_at(tree, F(3, 2))
     for z in run.analyses[b0.id].noncollinear_points:
-        post_id, ok = check_N(tree, run.analyses, b0, z)
-        assert ok
-        pa = run.analyses[post_id]
-        assert pa.m + 1 == pa.n
-
-
-def test_postbar_missing(run_fixture):
-    run = run_fixture("ex11")
-    tree = run.tree
-    b0 = _bar_at(tree, F(1))
-    with pytest.raises(NoPostbar):
-        check_N(tree, run.analyses, b0, tree.field.rational(-1))
+        post = tree.postbar_at(b0, z)
+        assert post is not None and post.is_finite()
+        pa = run.analyses[post.id]
+        assert not pa.collinear and pa.m + 1 == pa.n
 
 
 def test_predict_C_values(run_fixture):

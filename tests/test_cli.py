@@ -51,7 +51,7 @@ def test_parse_rationals_and_zeta():
 
 
 def test_parse_negative_exponent_needs_laurent():
-    with pytest.raises(NegativeExponentWithoutLaurent):
+    with pytest.raises(NegativeExponentWithoutLaurent, match="reduce command"):
         parse_expression("y^-1", K4)
     with pytest.raises(ExprSyntaxError):
         parse_expression("x^-1", K4, laurent=True)
@@ -73,30 +73,6 @@ def test_roundtrip_parse_serialize():
     ):
         p = parse_expression(text, K4)
         assert parse_expression(str(p), K4) == p
-
-
-def test_curve_spec_root_list_mode():
-    from polartree import CurveSpec, InputError, analyze_spec
-
-    spec = CurveSpec(f_roots=["y", "-y"], g_roots=[], E2=1)
-    run = analyze_spec(spec)
-    assert str(run.f) == "x^2 - y^2" and str(run.g) == "y"
-    assert run.verification.passed
-    with pytest.raises(InputError):
-        CurveSpec(f="x", g="y", f_roots=["y"], g_roots=[])
-    with pytest.raises(InputError):
-        CurveSpec()
-    with pytest.raises(InputError):
-        analyze_spec(CurveSpec(f_roots=["x + y"], g_roots=["y"]))
-
-
-def test_curve_spec_matches_expression_mode():
-    from polartree import CurveSpec, analyze_spec
-
-    by_expr = analyze_spec(CurveSpec(f="(x-y^2)*(x+y^2)", g="x - y"))
-    by_roots = analyze_spec(CurveSpec(f_roots=["y^2", "-y^2"], g_roots=["y"]))
-    assert by_expr.f == by_roots.f and by_expr.g == by_roots.g
-    assert (by_expr.verification.passed and by_roots.verification.passed)
 
 
 def _cli(capsys, *argv):
@@ -241,9 +217,45 @@ def test_cli_reduce(capsys):
 
 def test_cli_reduce_auto_s_keeps_every_root(capsys):
     code, out, _err = _cli(capsys, "reduce", "--f", "x^4 - y^(-2)*x^2 + 1",
-                           "--g", "x^2 - y^(-1)*x", "--laurent")
+                           "--g", "x^2 - y^(-1)*x")
     assert code == 0
     assert "substitution exponent s = 2" in out
+
+
+HOLOMORPHIC_COMMANDS = ("verify", "analyze", "roots", "tree", "factor", "compare",
+                        "generic")
+
+
+@pytest.mark.parametrize("command", HOLOMORPHIC_COMMANDS)
+@pytest.mark.parametrize("given", [("--f", "x - y^(-1)", "--g", "x-y"),
+                                   ("--fixture", "mero83")])
+def test_cli_laurent_input_only_for_reduce(capsys, command, given):
+    second = ("--fixture2", "sec2") if command == "compare" else ()
+    code, out, err = _cli(capsys, command, *given, *second)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "reduce command" in err and "Traceback" not in err
+
+
+def test_cli_reduce_takes_laurent_text_without_a_flag(capsys):
+    code, out, err = _cli(capsys, "reduce", "--f", "x - y^(-1)", "--g", "x-y")
+    assert code == 0 and err == ""
+    assert out.startswith("substitution exponent s = ")
+
+
+def test_cli_laurent_flag_is_gone(capsys):
+    for command in HOLOMORPHIC_COMMANDS + ("reduce",):
+        with pytest.raises(SystemExit) as e:
+            run([command, "--fixture", "sec2", "--laurent"])
+        assert e.value.code == 2
+        assert "unrecognized arguments: --laurent" in capsys.readouterr().err
+
+
+def test_cli_fractional_exponent_in_a_limitation(capsys):
+    code, out, err = _cli(capsys, "verify", "--f", "x-y", "--g", "x+y", "--trunc", "1/3")
+    assert code == 3 and out == ""
+    assert err == ("limitation: contact order unresolved: series agree up to "
+                   "O(y^(1/3))\n")
 
 
 def test_cli_reduce_s_too_small_exits_2(capsys):

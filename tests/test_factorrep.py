@@ -153,14 +153,14 @@ def test_compare_triple(run_fixture):
             v = compare_pairs(
                 (runs[i].tree, runs[i].analyses), (runs[j].tree, runs[j].analyses)
             )
-            assert v.is_equivalent
+            assert v.level in ("equivalent", "mero_equivalent")
 
 
 def test_compare_ex61_variants_same_tree_different_leaves(run_fixture):
     run1 = run_fixture("ex61")
     run2 = run_fixture("ex61-e9")
     v = compare_pairs((run1.tree, run1.analyses), (run2.tree, run2.analyses))
-    assert v.is_equivalent
+    assert v.level in ("equivalent", "mero_equivalent")
     h1 = {c.height: c.class_id for c in _noncollinear_classes(run1)}
     h2 = {c.height: c.class_id for c in _noncollinear_classes(run2)}
     l1 = run1.factors.leave_data[h1[F(1)]]
@@ -184,7 +184,7 @@ def test_mero_equivalent_pairs_share_leave_group_heights(run_fixture):
         run_a = run_fixture(a, **opts)
         run_b = run_fixture(b, **opts)
         v = compare_pairs((run_a.tree, run_a.analyses), (run_b.tree, run_b.analyses))
-        assert v.is_mero_equivalent
+        assert v.level == "mero_equivalent"
         ha = {c.height: c.class_id for c in _noncollinear_classes(run_a)}
         hb = {c.height: c.class_id for c in _noncollinear_classes(run_b)}
         assert set(ha) == set(hb)
@@ -262,8 +262,8 @@ def test_meromorphic_reduce_auto_s_for_a_single_tail():
 
 
 def test_meromorphic_reduce_identity_when_already_polynomial():
-    x = BiPoly.variable(K4, "x", laurent=True)
-    y = BiPoly.variable(K4, "y", laurent=True)
+    x = BiPoly.variable(K4, "x")
+    y = BiPoly.variable(K4, "y")
     Fm = x**2 - y**3
     Gm = x - y
     red = meromorphic_reduce(Fm, Gm, "auto")
@@ -272,16 +272,17 @@ def test_meromorphic_reduce_identity_when_already_polynomial():
 
 
 def test_meromorphic_root_map():
-    from polartree import PuiseuxSeries
+    # x = y^s X: the roots x = y and x = 0 of the reduced g = x^2 - x*y are
+    # the roots X = y^(-1) and X = 0 of the Laurent G = X^2 - y^(-1)*X
+    from polartree.puiseux import vanishes_along
 
-    red = meromorphic_reduce(
-        parse_expression(get_fixture("mero83").f, K4, laurent=True),
-        parse_expression(get_fixture("mero83").g, K4, laurent=True),
-        2,
-    )
-    xi = PuiseuxSeries(K4, [(F(1), K4.one)])
-    assert red.to_original(red.to_reduced(xi)) == xi
-    assert red.to_reduced(xi).terms[0][0] == F(3)
+    Fm, Gm = _mero83_laurent()
+    red = meromorphic_reduce(Fm, Gm, 2)
+    roots = [r.series for r in expand_roots(red.g_poly, F(8)).roots]
+    originals = [xi.shift(-red.s) for xi in roots]
+    assert sorted(str(xi) for xi in originals) == ["0", "y^-1"]
+    assert all(vanishes_along(Gm, xi) for xi in originals)
+    assert [xi.shift(red.s) for xi in originals] == roots
 
 
 def test_generic_coordinates_ex91(run_fixture):

@@ -1,10 +1,12 @@
-"""Source hygiene: every name the package defines is used somewhere.
+"""Source hygiene: every name the package defines is used by a program path.
 
 No linter ships with the project, so this check uses only ``ast`` and
 ``re``.  Each function, method and class defined under ``src/polartree/``
 must appear by name at least once beyond its own definitions, somewhere in
-``src/``, ``tests/`` or ``perfbench/``.  Dunder methods are exempt, because
-the interpreter calls them by protocol.
+``src/`` or in ``perfbench/``.  A re-export from ``__init__.py`` does not
+count, and neither does a reference from ``tests/``: code that only tests
+call belongs in ``tests/kernel_references.py``.  Dunder methods are exempt,
+because the interpreter calls them by protocol.
 """
 
 import ast
@@ -14,7 +16,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "polartree"
-SEARCHED = ("src", "tests", "perfbench")
+SEARCHED = ("src", "perfbench")
 
 
 def _definitions() -> Counter:
@@ -33,7 +35,8 @@ def _word_counts() -> Counter:
     out: Counter = Counter()
     for top in SEARCHED:
         for path in sorted((ROOT / top).rglob("*.py")):
-            out.update(re.findall(r"\w+", path.read_text()))
+            if path != PACKAGE / "__init__.py":
+                out.update(re.findall(r"\w+", path.read_text()))
     return out
 
 

@@ -7,17 +7,16 @@ from pathlib import Path
 
 import pytest
 
+import kernel_references
 from polartree import (
     FIXTURES,
     BiPoly,
     CycloField,
-    equal_up_to_constant,
     expand_roots,
-    identity_check,
     jacobian,
     verify,
 )
-from polartree.jacoracle import climbers_at, is_bounded_by
+from polartree.jacoracle import _order_identity_holds, climbers_at, is_bounded_by
 
 K4 = CycloField(4)
 
@@ -48,7 +47,7 @@ def test_jacobian_ex91_product_form():
     g = x * 2 - G * 2
     J = jacobian(f, x - G * 2)
     target = (x * 2 - G) * (x - y * y) ** 2 * 2
-    assert equal_up_to_constant(J, target)
+    assert kernel_references.equal_up_to_constant(J, target)
 
 
 def test_polar_roots_ex11_counts(run_fixture):
@@ -125,7 +124,7 @@ def test_verify_flags_injected_error(run_fixture):
     broken[b0.id] = dataclasses.replace(
         ana, predicted=wrong, predicted_total=ana.predicted_total + 1
     )
-    report = verify(tree, broken, run.oracle)
+    report = verify(tree, broken, run.oracle, run.f, run.g)
     assert not report.passed
     fails = report.failures()
     assert any(c.bar_id == b0.id and c.point == "0" for c in fails)
@@ -168,21 +167,23 @@ def test_climb_path_heights_increase(run_fixture):
         assert hs == sorted(hs)
 
 
+def _identity_check(run, bar, sample_z):
+    return _order_identity_holds(run.oracle.jac, run.f, run.g, run.tree, bar,
+                                 run.analyses[bar.id], sample_z)
+
+
 def test_identity_check_worked_example(run_fixture):
     # f = x, g = x^2 - y^2 at z = 2: orders 1 + 2 - 1 - 1 = 1 = order of 2y
     run = run_fixture("sec2")
-    tree = run.tree
-    bar = _bar_at(tree, F(1))
-    assert identity_check(run.f, run.g, tree, bar, tree.field.rational(2),
-                          run.analyses)
+    bar = _bar_at(run.tree, F(1))
+    assert _identity_check(run, bar, run.tree.field.rational(2))
 
 
 def test_identity_check_rejects_marked_points(run_fixture):
     run = run_fixture("sec2")
-    tree = run.tree
-    bar = _bar_at(tree, F(1))
+    bar = _bar_at(run.tree, F(1))
     with pytest.raises(ValueError):
-        identity_check(run.f, run.g, tree, bar, tree.field.one, run.analyses)
+        _identity_check(run, bar, run.tree.field.one)
 
 
 def test_identity_check_jump_at_pure_zero(run_fixture):
@@ -192,7 +193,7 @@ def test_identity_check_jump_at_pure_zero(run_fixture):
     tree = run.tree
     bar = _bar_at(tree, F(3, 2))
     zero = list(run.analyses[bar.id].mero_zeros)[0]
-    assert identity_check(run.f, run.g, tree, bar, zero, run.analyses)
+    assert _identity_check(run, bar, zero)
 
 
 def test_bounded_records_carry_leave_heights(run_fixture):

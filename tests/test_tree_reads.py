@@ -14,10 +14,11 @@ import importlib.util
 from fractions import Fraction
 from pathlib import Path
 
+import kernel_references
 import pytest
 
 from polartree import FIXTURES, INF, BiPoly, InternalInconsistency, PuiseuxSeries
-from polartree import TruncationTooShort, conjugate_series
+from polartree import TruncationTooShort
 
 from conftest import pair_run
 
@@ -53,7 +54,7 @@ def _reference_conjugacy_classes(tree):
 
     for k in range(1, tree.ram):
         for rid in ids:
-            m = match_root(conjugate_series(tree.roots[rid].series, k, tree.ram))
+            m = match_root(kernel_references.conjugate_series(tree.roots[rid].series, k, tree.ram))
             if m is None:
                 raise TruncationTooShort("conjugate did not match")
             for b1, b2 in zip(chains[rid], chains[m]):
@@ -71,7 +72,7 @@ def _reference_nu(tree, bar, kind):
     for info in tree.roots.values():
         if info.kind != kind:
             continue
-        diff = info.series - bar.prefix
+        diff = kernel_references.series_sub(info.series, bar.prefix)
         if diff.terms:
             total += min(diff.terms[0][0], bar.height)
         elif diff.trunc is INF or diff.trunc >= bar.height:
@@ -101,7 +102,7 @@ def _reference_truncation_product(tree, records, indices):
         if r.trace.leave_point is not None:
             cut = lam + PuiseuxSeries(field, [(h, r.trace.leave_point)])
             for _ in range(r.count):
-                mul_in({1: one, 0: -cut})
+                mul_in({1: one, 0: kernel_references.series_neg(cut)})
             continue
         chi = r.trace.leave_poly.monic()
         d = chi.degree()
@@ -116,7 +117,8 @@ def _reference_truncation_product(tree, records, indices):
             for i, s in xm_lam.items():
                 nxt[i + 1] = nxt[i + 1] + s if i + 1 in nxt else s
                 if lam.terms:
-                    nxt[i] = nxt[i] - s * lam if i in nxt else -(s * lam)
+                    neg = kernel_references.series_neg(s * lam)
+                    nxt[i] = nxt[i] + neg if i in nxt else neg
             xm_lam = nxt
         for _ in range(r.multiplicity):
             mul_in(bundle)

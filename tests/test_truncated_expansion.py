@@ -301,21 +301,20 @@ def test_mero_zeros_hold_each_growth_point_multiplicity(pools):
 
 
 def _contact_by_subtraction(a, b):
-    diff = a - b
+    diff = kernel_references.series_sub(a, b)
     if diff.terms:
         return diff.terms[0][0]
     if diff.trunc is INF:
         return INF
-    raise Indeterminate(
-        f"contact order unresolved: series agree up to O(y^{diff.trunc})"
-    )
+    unknown = PuiseuxSeries(a.field, (), diff.trunc)  # prints as O(y^e)
+    raise Indeterminate(f"contact order unresolved: series agree up to {unknown}")
 
 
 def _known_diff_by_subtraction(root, prefix):
     """``ExpandedRoot._known_diff`` as it was: the first term of the
     difference series below the cut, the cut, and whether the branch point
     is the cut."""
-    diff = root.series - prefix
+    diff = kernel_references.series_sub(root.series, prefix)
     cut, at_branch = diff.trunc, False
     if root.branch_exp is not None and (cut is INF or root.branch_exp <= cut):
         cut, at_branch = root.branch_exp, True
