@@ -47,7 +47,6 @@ from .puiseux import (
 )
 from .npsolve import (
     Expansion,
-    NewtonPolygon,
     expand_roots,
     multiplicity_split,
 )

@@ -40,11 +40,8 @@ class BarAnalysis:
     m: int
     m_star: int
     n: int
-    c: int
     tau_total: int
-    mu_total: int
     predicted: dict[CycloRational, int] | None
-    predicted_unresolved: int
     predicted_total: int | None
 
 
@@ -106,13 +103,12 @@ def analyze_bar(tree: Tree, bar: Bar) -> BarAnalysis:
     collinear = len(poles) == 0
     purely = (not coll_pts) and bool(poles)
     n = len(poles)
-    c = len(coll_pts)
     tau_total = sum(t.total_multiplicity for _z, t in tree.growth_points(bar))
 
     if collinear:
         return BarAnalysis(
             bar.id, nu_f, nu_g, deltas, coll_pts, tuple(poles), True, False,
-            num, {}, 0, None, 0, 0, n, c, tau_total, 0, None, 0, None,
+            num, {}, 0, None, 0, 0, n, tau_total, None, None,
         )
 
     # the growth points are candidates, so each zero among them is located
@@ -150,8 +146,7 @@ def analyze_bar(tree: Tree, bar: Bar) -> BarAnalysis:
             )
         if count:
             predicted[z] = count
-    mu_total = m - n
-    predicted_total = tau_total + mu_total
+    predicted_total = tau_total + m - n
     if predicted_total < 0:
         raise InternalInconsistency(
             f"negative predicted total {predicted_total} on {bar.id}"
@@ -162,8 +157,8 @@ def analyze_bar(tree: Tree, bar: Bar) -> BarAnalysis:
         )
     return BarAnalysis(
         bar.id, nu_f, nu_g, deltas, coll_pts, tuple(poles), False, purely,
-        num, mero_zeros, unresolved, rest if unresolved else None, m, m_star, n, c,
-        tau_total, mu_total, predicted, unresolved, predicted_total,
+        num, mero_zeros, unresolved, rest if unresolved else None, m, m_star, n,
+        tau_total, predicted, predicted_total,
     )
 
 

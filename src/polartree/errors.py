@@ -19,12 +19,10 @@ class InputError(PolartreeError):
 
 
 class ExprSyntaxError(InputError):
-    """Expression parse failure; carries line/column."""
+    """Expression parse failure; the message starts with line:column."""
 
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")
-        self.line = line
-        self.column = column
 
 
 class NegativeExponentWithoutLaurent(InputError):

@@ -1,7 +1,13 @@
 """Exact arithmetic over cyclotomic-rational numbers and polynomials.
 
-The coefficient field is Q(zeta_N) for a session-wide conductor N.  An
-element is a tuple of phi(N) integer numerators over one positive integer
+A run lives in one field: every element, polynomial and series of a run
+is over Q(zeta_N) for one conductor N, and the pipeline restarts the whole
+run when N must grow.  Elements of one field combine with each other and
+with ``int`` and ``Fraction`` operands; combining two elements, or
+multiplying two polynomials, of different fields raises ``ValueError``,
+and an element equals no element of another field and no int or Fraction.
+
+An element is a tuple of phi(N) integer numerators over one positive integer
 denominator, in the power basis 1, zeta, ..., zeta^(phi(N)-1), kept fully
 reduced modulo the N-th cyclotomic polynomial and in lowest terms
 (gcd(den, *num) = 1), so equal elements have equal representations.  The
@@ -37,6 +43,7 @@ from .errors import (
 Rat = Fraction
 _gcd = math.gcd
 _ZERO = Rat(0)
+_MIXED = "cannot mix elements of different cyclotomic fields"
 
 
 def _euler_phi(n: int) -> int:
@@ -134,13 +141,6 @@ class CycloField:
             f"no primitive {order}-th root of unity in Q(zeta_{self.conductor})"
         )
 
-    def from_coords(self, coords: Sequence[Rat | int]) -> CycloRational:
-        if len(coords) != self.degree:
-            raise ValueError("coordinate vector has wrong length")
-        coords = [Rat(c) for c in coords]
-        den = math.lcm(*(c.denominator for c in coords))
-        return _canon(self, tuple([c.numerator * (den // c.denominator) for c in coords]), den)
-
     def _fold(self, raw: list[int]) -> list[int]:
         """A power-basis numerator list of any length (consumed), reduced
         modulo the cyclotomic polynomial to its phi(N) coordinates."""
@@ -229,9 +229,13 @@ class CycloRational:
     """An element of Q(zeta_N): numerators ``num`` over ``den`` in the power
     basis, in lowest terms with ``den > 0``.  Immutable.
 
-    Build elements with :meth:`CycloField.rational`, :meth:`CycloField.zeta`
-    or :meth:`CycloField.from_coords`; the constructor takes an already
-    canonical numerator tuple and denominator.
+    Build elements with :meth:`CycloField.rational` or
+    :meth:`CycloField.zeta`; the constructor takes an already canonical
+    numerator tuple and denominator.  One field per run: ``+ - * /`` take
+    an element of the same field, an ``int`` or a ``Fraction``, and an
+    element of another field raises ``ValueError``.  ``==`` and ``hash``
+    compare elements of one field by representation; any other operand is
+    unequal.
     """
 
     __slots__ = ("field", "num", "den", "_hash", "_coords")
@@ -242,18 +246,6 @@ class CycloRational:
         self.den = den
         self._hash: int | None = None
         self._coords: tuple[Rat, ...] | None = None
-
-    # -- coercion ---------------------------------------------------------
-    def _promote(self, other: "CycloRational") -> "tuple[CycloRational, CycloRational]":
-        """Bring an element of another field into a common field; only a
-        rational element can move."""
-        if not any(other.num[1:]):
-            return self, CycloRational(self.field, (other.num[0],) + self.field._zeros,
-                                       other.den)
-        if not any(self.num[1:]):
-            return CycloRational(other.field, (self.num[0],) + other.field._zeros,
-                                 self.den), other
-        raise ValueError("cannot mix elements of different cyclotomic fields")
 
     def _scaled(self, n: int, d: int) -> "CycloRational":
         """self * (n/d) for a rational in lowest terms with d > 0."""
@@ -303,7 +295,7 @@ class CycloRational:
                 return NotImplemented
             other = self.field.rational(other)
         elif other.field is not self.field:
-            self, other = self._promote(other)
+            raise ValueError(_MIXED)
         da, db = self.den, other.den
         if da == db:
             num = tuple(map(op, self.num, other.num))
@@ -336,7 +328,7 @@ class CycloRational:
                 return self._scaled(other.numerator, other.denominator)
             return NotImplemented
         if other.field is not self.field:
-            self, other = self._promote(other)
+            raise ValueError(_MIXED)
         a, b = self.num, other.num
         if not any(b[1:]):
             return self._scaled(b[0], other.den)
@@ -390,23 +382,13 @@ class CycloRational:
 
     # -- comparisons ---------------------------------------------------------
     def __eq__(self, other) -> bool:
-        if type(other) is CycloRational:
-            if other.field is self.field:
-                return self.num == other.num and self.den == other.den
-            if any(self.num[1:]) or any(other.num[1:]):
-                return False
-            return self.num[0] == other.num[0] and self.den == other.den
-        if isinstance(other, (int, Fraction)):
-            return (not any(self.num[1:]) and self.num[0] == other.numerator
-                    and self.den == other.denominator)
-        return NotImplemented
+        if type(other) is not CycloRational or other.field is not self.field:
+            return NotImplemented
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
         if self._hash is None:
-            # a rational element hashes as its value, so the hash agrees with
-            # == across fields and with int and Fraction
-            self._hash = (hash((self.num, self.den)) if any(self.num[1:])
-                          else hash(Rat(self.num[0], self.den)))
+            self._hash = hash((self.num, self.den))
         return self._hash
 
     def sort_key(self) -> tuple[Rat, ...]:
@@ -933,9 +915,10 @@ def roots_in_field(
     once every located root is divided out with its multiplicity, so that
     ``rest`` times the product of (z - r)^m over ``roots`` is ``p.monic()``.
     Its degree counts the roots (with multiplicity) outside the reach of
-    the search: the caller-supplied candidate points, the roots
-    ``t * zeta^j`` with t rational, and a last root once all others are
-    known.  Those roots are reported as unresolved rather than approximated.
+    the search: the caller-supplied candidate points (elements of p's
+    field), the roots ``t * zeta^j`` with t rational, and a last root once
+    all others are known.  Those roots are reported as unresolved rather
+    than approximated.
 
     The roots come in one order.  For each squarefree factor f, in
     :func:`squarefree_decompose` order: the candidate points that are roots
@@ -952,16 +935,7 @@ def roots_in_field(
     one = UniPoly(field, (field.one,), p.var)
     if p.degree() == 1:
         return [(-(p[0] / p[1]), 1)], one
-    candidates = []
-    for cand in extra_candidates:
-        if not isinstance(cand, CycloRational):
-            cand = field.rational(cand)
-        elif cand.field is not field:
-            r = cand.as_rational()
-            if r is None:
-                continue
-            cand = field.rational(r)
-        candidates.append(cand)
+    candidates = list(extra_candidates)
     roots: list[tuple[CycloRational, int]] = []
     rest = None
     for f, mult in squarefree_decompose(p):
@@ -1070,16 +1044,6 @@ def _integer_digits(coeffs: Sequence[CycloRational]) -> tuple[int, list[tuple[in
     return den, out
 
 
-def _fold_field(fa: CycloField, za: int, fb: CycloField, zb: int) -> CycloField:
-    """The field in which a product of digits from fa (za slots) and fb (zb
-    slots) is folded: only a rational side, one slot wide, can move."""
-    if fa is fb or zb == 1:
-        return fa
-    if za == 1:
-        return fb
-    raise ValueError("cannot mix elements of different cyclotomic fields")
-
-
 class _Integers:
     """A :class:`BiPoly`'s coefficients as integer digits over one common
     denominator ``den``: ``rows`` maps each x-exponent i to its (j, digits)
@@ -1130,9 +1094,11 @@ def arc_order(F: "BiPoly", arc: Sequence[tuple[int, CycloRational]], d: int) -> 
     rows = ints.rows
     if not rows:
         return None
+    field = F.field
+    if any(c.field is not field for _, c in arc):
+        raise ValueError(_MIXED)
     den, arc_digits = _integer_digits([c for _, c in arc])
     za = max(map(len, arc_digits), default=1)
-    field = _fold_field(F.field, ints.zeta, arc[0][1].field if arc else F.field, za)
     m = ints.imax
     z = ints.zeta + m * (za - 1)
     a_l1 = sum(abs(u) for ds in arc_digits for u in ds)
@@ -1346,8 +1312,10 @@ class BiPoly:
         nonzero cell is folded and put over the product of the two
         denominators.
         """
+        field = self.field
+        if other.field is not field:
+            raise ValueError(_MIXED)
         fa, fb = self._integers(), other._integers()
-        field = _fold_field(self.field, fa.zeta, other.field, fb.zeta)
         z = fa.zeta + fb.zeta - 1
         ny = fa.jmax - fa.jmin + fb.jmax - fb.jmin + 1
         nx = fa.imax - fa.imin + fb.imax - fb.imin + 1

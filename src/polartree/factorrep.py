@@ -61,7 +61,6 @@ class ClassReport:
     i_c_formula: Fraction | None = None
     i_f_direct: Fraction | None = None
     i_g_direct: Fraction | None = None
-    i_c_direct: Fraction | None = None
     i_f_trunc: Fraction | None = None
     i_g_trunc: Fraction | None = None
 
@@ -69,7 +68,6 @@ class ClassReport:
 @dataclass
 class FactorReport:
     classes: list[ClassReport]
-    q_ground_records: list[int]
     q_ground_order: int
     y_content: int
     x_order: int
@@ -145,11 +143,9 @@ def group_factors(
             rep.p_truncation = _truncation_product(tree, records, rep.p_records)
         reports.append(rep)
 
-    q_ground: list[int] = []
     q_ground_order = 0
     for idx, r in enumerate(records):
         if all(is_bounded_by(r, tree.bars[b]) for b in minimal_noncol):
-            q_ground.append(idx)
             q_ground_order += r.count
             assignment[idx] += 1
 
@@ -173,7 +169,7 @@ def group_factors(
         leave_data[rep.class_id] = _multiset(rep.p_records + rep.q_records)
         p_leave_data[rep.class_id] = _multiset(rep.p_records)
     return FactorReport(
-        reports, q_ground, q_ground_order, oracle.y_content, oracle.x_order,
+        reports, q_ground_order, oracle.y_content, oracle.x_order,
         complete, leave_data, p_leave_data,
     )
 
@@ -319,7 +315,6 @@ def intersection_mults(report: FactorReport, tree: Tree, oracle: OracleResult,
             return total
         rep.i_f_direct = direct("f")
         rep.i_g_direct = direct("g")
-        rep.i_c_direct = rep.i_f_direct + rep.i_g_direct
         if (rep.i_f_direct, rep.i_g_direct) != (rep.i_f_formula, rep.i_g_formula):
             raise InternalInconsistency(
                 f"direct intersection sums disagree with the formula on {rep.class_id}"

@@ -224,8 +224,8 @@ def verify(
                 "count-per-point", bar.id, z,
                 ana.predicted.get(z, 0), located.get(z, 0),
             )
-        if ana.predicted_unresolved or pooled:
-            rep.add("count-pooled", bar.id, None, ana.predicted_unresolved, pooled)
+        if ana.mero_unresolved or pooled:
+            rep.add("count-pooled", bar.id, None, ana.mero_unresolved, pooled)
         rep.add(
             "count-total", bar.id, None,
             ana.predicted_total, sum(located.values()) + pooled,
@@ -410,10 +410,11 @@ def _verify_sampled_arcs(rep, tree, analyses, f, g) -> None:
                 continue
             h1, h2 = bar.height, post.height
             mid = (h1 + h2) / 2
-            for a in (1, 2):
-                xi = bar.prefix + PuiseuxSeries(
-                    field, [(bar.height, z), (mid, field.rational(a))]
-                )
+            arcs = [(a, bar.prefix + PuiseuxSeries(field, [(h1, z), (mid, field.rational(a))]))
+                    for a in (1, 2, 3)]
+            # one a at most gives the postbar's prefix: a root of the pair,
+            # not an arc that leaves the trunk between the heights
+            for a, xi in [(a, xi) for a, xi in arcs if xi != post.prefix][:2]:
                 nu_f_xi = order_along_arc(f, xi)
                 nu_g_xi = order_along_arc(g, xi)
                 p_k, q_k = trunk.bimultiplicity

@@ -57,14 +57,6 @@ class PolygonEdge:
     extent: int                    # number of roots (with multiplicity) on it
 
 
-@dataclass(frozen=True)
-class NewtonPolygon:
-    """Lower convex hull of the support, oriented for positive-order roots."""
-
-    vertices: tuple[tuple[int, int], ...]        # listed by decreasing x-degree
-    edges: tuple[PolygonEdge, ...]               # sorted by increasing slope
-
-
 def _lower_hull(points: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     byi: dict[int, int] = {}
     for i, j in points:
@@ -84,15 +76,17 @@ def _lower_hull(points: Iterable[tuple[int, int]]) -> list[tuple[int, int]]:
     return hull
 
 
-def _polygon_data(terms: _RamTerms, q: int) -> NewtonPolygon:
-    """The Newton polygon of terms whose y-exponents are scaled by q."""
+def _polygon_data(terms: _RamTerms, q: int) -> tuple[PolygonEdge, ...]:
+    """The edges of positive slope of the Newton polygon of terms whose
+    y-exponents are scaled by q: the lower convex hull of the support,
+    oriented for positive-order roots, by increasing slope."""
     hull = _lower_hull(terms.keys())
     edges = []
     for (i1, j1), (i2, j2) in zip(hull, hull[1:]):
         if j1 > j2:
             slope = Fraction(j1 - j2, q * (i2 - i1))
             edges.append(PolygonEdge((i1, j1), (i2, j2), slope, i2 - i1))
-    return NewtonPolygon(tuple(reversed(hull)), tuple(sorted(edges, key=lambda e: e.slope)))
+    return tuple(sorted(edges, key=lambda e: e.slope))
 
 
 def _edge_poly(terms: _RamTerms, edge: PolygonEdge, field: CycloField) -> UniPoly:
@@ -117,7 +111,6 @@ class Expansion:
     roots: list[ExpandedRoot]
     y_content: int        # E: largest power of y dividing the input
     x_order: int          # K: x-order of F / y^E at the origin
-    target: Fraction
 
     def total_count(self) -> int:
         return sum(r.count for r in self.roots)
@@ -351,7 +344,7 @@ class _Expander:
             self._emit_exact(list(prefix), multiplicity)
             past -= 1
             terms = {(i - 1, j): c for (i, j), c in terms.items()}
-        for edge in _polygon_data(terms, q).edges:
+        for edge in _polygon_data(terms, q):
             if edge.slope >= rest:
                 break
             past -= edge.extent
@@ -443,7 +436,7 @@ def expand_roots(
     expander = _Expander(field, Fraction(target_trunc), extra_candidates)
     for component, mult in multiplicity_split(Fstar):
         expander.run(component, mult)
-    result = Expansion(expander.roots, E, K, Fraction(target_trunc))
+    result = Expansion(expander.roots, E, K)
     if result.total_count() != K:
         raise InternalInconsistency(
             f"root count {result.total_count()} does not match x-order {K}"

@@ -45,7 +45,6 @@ def _check_degrees(x_deg: int, y_deg: int, tok) -> None:
 
 class _Tokens:
     def __init__(self, text: str):
-        self.text = text
         self.items: list[tuple[str, str, int, int]] = []
         line, col = 1, 1
         i = 0

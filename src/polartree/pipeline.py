@@ -17,6 +17,7 @@ from .errors import (
     InputViolatesSimplicity,
     LimitationError,
     NeedsLargerField,
+    NegativeExponentWithoutLaurent,
     TruncationTooShort,
     UnresolvedBranch,
 )
@@ -187,6 +188,10 @@ def _validate_germ(h: BiPoly, name: str) -> None:
         raise InputError(f"{name} is the zero polynomial")
     if (0, 0) in h.terms:
         raise InputError(f"{name} does not vanish at the origin")
+    low = min(j for _, j in h.terms)
+    if low < 0:
+        raise NegativeExponentWithoutLaurent(
+            f"{name}: y^{low} is Laurent input, which only the reduce command accepts")
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +398,8 @@ def render_run(run: Run) -> str:
                 f"{z}:{c}" for z, c in sorted(
                     ana.predicted.items(), key=lambda kv: kv[0].sort_key())
             )
-            extra = (f" (+{ana.predicted_unresolved} at unresolved zeros)"
-                     if ana.predicted_unresolved else "")
+            extra = (f" (+{ana.mero_unresolved} at unresolved zeros)"
+                     if ana.mero_unresolved else "")
             out.append(f"      predicted climbers: {{{preds}}}{extra} "
                        f"total {ana.predicted_total}")
     out.append("")

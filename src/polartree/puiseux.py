@@ -154,12 +154,6 @@ class PuiseuxSeries:
         items = sorted((e, c) for e, c in merged.items() if not c.is_zero())
         return PuiseuxSeries(self.field, items, trunc)
 
-    def shift(self, e) -> "PuiseuxSeries":
-        """Multiply by y^e."""
-        e = Fraction(e)
-        t = self.trunc if self.trunc is INF else self.trunc + e
-        return PuiseuxSeries(self.field, [(te + e, c) for te, c in self.terms], t)
-
     def __mul__(self, other: "PuiseuxSeries") -> "PuiseuxSeries":
         if not self.terms and self.trunc is INF:
             return self
@@ -281,13 +275,6 @@ class ExpandedRoot:
     @property
     def count(self) -> int:
         return self.multiplicity * self.branches
-
-    def order(self):
-        if self.series.terms:
-            return self.series.terms[0][0]
-        if self.branch_exp is not None:
-            return self.branch_exp
-        return INF
 
     def _known_diff(self, prefix: PuiseuxSeries):
         """The first term of (arc - prefix) below the knowledge cut, as

@@ -74,7 +74,6 @@ class ArcTrace:
 
     path: tuple[tuple[str, CycloRational | None], ...]  # (bar, climb point); None = unresolved
     is_root: bool = False
-    matched_root_id: str | None = None
     leave_bar_id: str | None = None          # arc leaves the tree on this bar ...
     leave_point: CycloRational | None = None  # ... at this point (None = unresolved location)
     leave_height: Fraction | None = None
@@ -160,8 +159,7 @@ class Tree:
             if not bar.is_finite():
                 t = arc.contact_with(bar.prefix)
                 if t is INF:
-                    rid = bar.root_ids[0]
-                    return ArcTrace(tuple(path), is_root=True, matched_root_id=rid)
+                    return ArcTrace(tuple(path), is_root=True)
                 return ArcTrace(tuple(path), bounded_by=bar.id, leave_height=t)
             rel = arc.coefficient_relative(bar.prefix, bar.height)
             if rel[0] == "below":

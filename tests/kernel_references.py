@@ -21,14 +21,17 @@ and ``shift_poly`` p(z + c) by Horner's rule on polynomials.
 ``conjugate_series`` applies y^(1/ram) -> zeta_ram^k * y^(1/ram) term by
 term; it is the reference the tree's conjugacy classes are checked against.
 ``series_neg`` and ``series_sub`` are -a and a - b on series, with the
-truncation of ``PuiseuxSeries.__add__``.
+truncation of ``PuiseuxSeries.__add__``, and ``series_shift`` is y^e times a
+series.  ``from_coords`` builds a field element from its power-basis
+coordinates, and ``root_order`` is the order of an expanded root: its first
+exponent, its branch point, or INF.
 """
 
 import math
 from fractions import Fraction
 
 from polartree import FieldTooSmall, INF, PuiseuxSeries, TruncationTooShort, UniPoly
-from polartree.exactalg import poly_gcd
+from polartree.exactalg import _canon, poly_gcd
 from polartree.npsolve import _ceil
 
 
@@ -221,3 +224,25 @@ def series_neg(a):
 
 def series_sub(a, b):
     return a + series_neg(b)
+
+
+def series_shift(a, e):
+    e = Fraction(e)
+    t = a.trunc if a.trunc is INF else a.trunc + e
+    return PuiseuxSeries(a.field, [(te + e, c) for te, c in a.terms], t)
+
+
+def from_coords(field, coords):
+    if len(coords) != field.degree:
+        raise ValueError("coordinate vector has wrong length")
+    coords = [Fraction(c) for c in coords]
+    den = math.lcm(*(c.denominator for c in coords))
+    return _canon(field, tuple([c.numerator * (den // c.denominator) for c in coords]), den)
+
+
+def root_order(r):
+    if r.series.terms:
+        return r.series.terms[0][0]
+    if r.branch_exp is not None:
+        return r.branch_exp
+    return INF

@@ -134,7 +134,8 @@ def test_c3_collinear_support_and_noninvariance():
         and all(is_bounded_by(r, tree.bars[b]) for b in cover)
     )
     assert observed == 3
-    orders = sorted(r.order() for r in run.oracle.records for _ in range(r.count))
+    orders = sorted(kernel_references.root_order(r)
+                    for r in run.oracle.records for _ in range(r.count))
     assert orders == [F(1), F(5), F(5), F(7)]
     assert {F(5), F(5), F(7)} == {F(8) / 2 + 1, 2 * F(7) - 8 + 1}
     assert run.verification.passed

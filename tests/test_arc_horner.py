@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kernel_references
+from kernel_references import from_coords
 from polartree import (
     FIXTURES,
     INF,
@@ -116,7 +117,7 @@ def _elements(draw, field):
     coords = [draw(st.sampled_from((0, 0, 0, 1, -1, 2))) for _ in range(field.degree)]
     coords[0] += draw(st.integers(-3, 3)) + draw(st.sampled_from((0,) * 6 + (10**30, -10**30)))
     den = draw(st.sampled_from((1,) * 5 + (2, 3, 10**30 + 1)))
-    return field.from_coords([F(c, den) for c in coords])
+    return from_coords(field, [F(c, den) for c in coords])
 
 
 @st.composite

@@ -101,7 +101,7 @@ def test_invariants_nonoverlap_and_degree(run_fixture):
                 continue
             assert not (set(ana.noncollinear_points) & set(ana.mero_zeros))
             assert ana.n >= ana.m + 1
-            assert ana.mu_total == ana.m - ana.n
+            assert ana.predicted_total == ana.tau_total + ana.m - ana.n
 
 
 def test_predict_T_ex11(run_fixture):
@@ -109,7 +109,7 @@ def test_predict_T_ex11(run_fixture):
     tree = run.tree
     ana = run.analyses[_bar_at(tree, F(1)).id]
     assert ana.predicted == {tree.field.zero: 4}
-    assert ana.predicted_unresolved == 0 and ana.predicted_total == 4
+    assert ana.mero_unresolved == 0 and ana.predicted_total == 4
     # the count theorem does not apply on the collinear bar
     middle = run.analyses[_bar_at(tree, F(3)).id]
     assert middle.collinear and middle.predicted is None

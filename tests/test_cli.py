@@ -18,6 +18,7 @@ from polartree import (
     ExprSyntaxError,
     LimitationError,
     NegativeExponentWithoutLaurent,
+    analyze_polys,
     parse_expression,
 )
 from polartree.cli import run
@@ -59,6 +60,17 @@ def test_parse_negative_exponent_needs_laurent():
     assert p.terms == {(1, -2): K4.one}
 
 
+def test_analyze_polys_refuses_laurent_input():
+    # a Laurent polynomial is no germ; only reduce brings it to one
+    f = parse_expression("x - y^(-1)", K4, True)
+    g = parse_expression("x-y", K4)
+    for a, b, name in ((f, g, "f"), (g, f, "g")):
+        with pytest.raises(NegativeExponentWithoutLaurent,
+                           match=f"^{name}: y\\^-1 is Laurent input, which only "
+                                 "the reduce command accepts$"):
+            analyze_polys(a, b)
+
+
 def test_parse_errors_carry_position():
     with pytest.raises(ExprSyntaxError) as e:
         parse_expression("x + $", K4)
@@ -85,6 +97,40 @@ def test_cli_verify_pass(capsys):
     code, out, _err = _cli(capsys, "verify", "--fixture", "sec2")
     assert code == 0
     assert "verification: PASS" in out
+
+
+@pytest.mark.parametrize("g", ["x-y+y^2", "x+x^2-y+y^3", "x+x^2-y+x^3"])
+def test_cli_verify_sample_arc_avoids_a_root(capsys, g):
+    # on the ground bar (height 0) the sample arc 0 + 1*y is the exact root
+    # of f = x - y, whose order is infinite; the arcs with a = 2, 3 are used
+    code, out, err = _cli(capsys, "verify", "--f", "x-y", "--g", g)
+    assert code == 0 and err == ""
+    assert "verification: PASS" in out
+    assert "arc between heights (1)" not in out
+    assert "arc between heights (2)" in out and "arc between heights (3)" in out
+
+
+def test_germ_stage_doubles_while_a_contact_is_hidden(capsys):
+    # the roots agree up to y^9 and differ at y^10: from the start depth
+    # ydeg + 2 = 4 the contact is still hidden at 8, and shows at 16; the
+    # oracle then expands J to max_contact + 2 = 12
+    argv = ("--f", "x+x^2-y", "--g", "x+x^2-y+x^10")
+    code, out, err = _cli(capsys, "roots", *argv)
+    assert code == 0 and err == ""
+    series = [line for line in out.splitlines() if line.startswith("  ")]
+    assert len(series) == 2 and all(s.endswith(" + O(y^16)") for s in series)
+    code, out, err = _cli(capsys, "verify", *argv)
+    assert code == 0 and err == ""
+    assert out.startswith("field: Q(zeta_4)   truncation: O(y^12)\n")
+
+
+def test_germ_stage_settles_at_max_contact_plus_two(capsys):
+    # contact 4 is resolved at the start depth ydeg + 2 = 5, which is below
+    # max_contact + 2 = 6: the germs are expanded once more, to 6
+    code, out, err = _cli(capsys, "roots", "--f", "x+x^2-y", "--g", "x-y+y^2-2*y^3")
+    assert code == 0 and err == ""
+    assert out.splitlines()[1] == "  y - y^2 + 2*y^3 - 5*y^4 + 14*y^5 + O(y^6)"
+    assert out.splitlines()[3] == "  y - y^2 + 2*y^3"
 
 
 def test_cli_tree_markers(capsys):

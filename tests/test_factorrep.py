@@ -3,6 +3,7 @@
 from fractions import Fraction as F
 
 import pytest
+from kernel_references import series_shift
 
 from polartree import (
     BiPoly,
@@ -279,10 +280,10 @@ def test_meromorphic_root_map():
     Fm, Gm = _mero83_laurent()
     red = meromorphic_reduce(Fm, Gm, 2)
     roots = [r.series for r in expand_roots(red.g_poly, F(8)).roots]
-    originals = [xi.shift(-red.s) for xi in roots]
+    originals = [series_shift(xi, -red.s) for xi in roots]
     assert sorted(str(xi) for xi in originals) == ["0", "y^-1"]
     assert all(vanishes_along(Gm, xi) for xi in originals)
-    assert [xi.shift(red.s) for xi in originals] == roots
+    assert [series_shift(xi, red.s) for xi in originals] == roots
 
 
 def test_generic_coordinates_ex91(run_fixture):

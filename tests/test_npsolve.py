@@ -4,6 +4,7 @@ import random
 from fractions import Fraction as F
 
 import kernel_references
+from kernel_references import from_coords
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -18,7 +19,7 @@ from polartree import (
     multiplicity_split,
     parse_expression,
 )
-from polartree.npsolve import _polygon_data
+from polartree.npsolve import _lower_hull, _polygon_data
 
 K4 = CycloField(4)
 K12 = CycloField(12)
@@ -33,15 +34,15 @@ def test_polygon_three_vertices():
     e, E = 7, 8
     x, y = _vars(K4)
     P = x**3 * 8 - x * y**E * (2 * (E + 2)) - y ** (2 * e) * (2 * (e + 2))
-    np = _polygon_data(P.terms, 1)
-    assert np.vertices == ((3, F(0)), (1, F(E)), (0, F(2 * e)))
-    assert [(ed.slope, ed.extent) for ed in np.edges] == [(F(E, 2), 2), (F(2 * e - E), 1)]
+    assert _lower_hull(P.terms) == [(0, 2 * e), (1, E), (3, 0)]
+    edges = _polygon_data(P.terms, 1)
+    assert [(ed.slope, ed.extent) for ed in edges] == [(F(E, 2), 2), (F(2 * e - E), 1)]
 
 
 def test_polygon_simple():
     x, y = _vars(K4)
-    assert _polygon_data((x * x - y * y).terms, 1).vertices == ((2, F(0)), (0, F(2)))
-    assert _polygon_data((x**3 - y**4).terms, 1).vertices == ((3, F(0)), (0, F(4)))
+    assert _lower_hull((x * x - y * y).terms) == [(0, 2), (2, 0)]
+    assert _lower_hull((x**3 - y**4).terms) == [(0, 4), (3, 0)]
 
 
 def test_substitute_grows_the_branch_denominator():
@@ -51,7 +52,7 @@ def test_substitute_grows_the_branch_denominator():
     from polartree.npsolve import _polygon_data, _substitute
 
     f = parse_expression("(x^3 - y^4 - 3*y^5)^2 - y^9*(3 + y)^2", K4)
-    (edge,) = _polygon_data(f.terms, 1).edges
+    (edge,) = _polygon_data(f.terms, 1)
     assert (edge.slope, edge.extent) == (F(4, 3), 6)
     # x = y^(4/3) (1 + x): the constant and linear terms at y^8 cancel,
     # exponents are counted in thirds and shifted down by 24
@@ -66,7 +67,7 @@ def test_substitute_grows_the_branch_denominator():
         }.items()
     }
     # the edge from (2, 0) to (0, 3) carries 9z^2 - 9: order 3/2 over q = 3
-    (edge,) = _polygon_data(step1, q).edges
+    (edge,) = _polygon_data(step1, q)
     assert (edge.top, edge.bottom, edge.slope) == ((0, 3), (2, 0), F(1, 2))
     # x = y^(1/2) (1 + x): exponents in sixths, j -> 2j + 3i, shifted by 6;
     # every x-free term cancels because y^(4/3) (1 + y^(1/2)) is a root
@@ -101,7 +102,7 @@ def _substitutions(draw):
         if not any(coords):
             coords[0] = 1
         den = draw(st.sampled_from((1, 1, 1, 2, 3, 10**12 + 39)))
-        return field.from_coords([F(u, den) for u in coords])
+        return from_coords(field, [F(u, den) for u in coords])
 
     keys = draw(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 12)),
                          min_size=1, max_size=8, unique=True))

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from kernel_references import from_coords
 
 from polartree import CycloField, CycloRational, UniPoly, baranalysis, npsolve, pipeline
 from polartree.exactalg import _rational_gcd_roots, roots_in_field, squarefree_decompose
@@ -91,7 +92,7 @@ def field_points(draw, K):
     """t * zeta^j with t rational, or a small element of K."""
     if draw(st.booleans()):
         return K.zeta(draw(st.integers(0, K.conductor - 1))) * draw(rationals)
-    return K.from_coords([draw(st.integers(-2, 2)) for _ in range(K.degree)])
+    return from_coords(K, [draw(st.integers(-2, 2)) for _ in range(K.degree)])
 
 
 @st.composite

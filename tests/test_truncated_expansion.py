@@ -71,7 +71,7 @@ class _UncutExpander(npsolve._Expander):
             terms = {(i - xmin, j): c for (i, j), c in terms.items()}
             if xmin > 1:
                 raise InternalInconsistency("repeated branch in squarefree expansion")
-        for edge in npsolve._polygon_data(terms, q).edges:
+        for edge in npsolve._polygon_data(terms, q):
             abs_exp = base + edge.slope
             if abs_exp >= self.target:
                 self._emit_truncated(list(prefix), multiplicity, edge.extent)
@@ -135,7 +135,7 @@ def _described(e):
     return (
         [(r.series.terms, r.series.trunc, r.multiplicity, r.branches,
           r.branch_exp, str(r.coeff_poly)) for r in e.roots],
-        e.y_content, e.x_order, e.target,
+        e.y_content, e.x_order,
     )
 
 
@@ -261,7 +261,9 @@ def test_pool_calls_cover_start_final_and_oracle_depths(pools):
     starts = {}
     for poly, depth in germ_depths:
         starts.setdefault(poly, set()).add(depth)
-    # the germ stage deepened or settled at max_contact + 2 on some germs
+    # some germ is expanded at more than one depth: the start depth follows
+    # the y-degree of both germs, and one germ meets different partners.
+    # Deepening and settling are pinned by the germ-stage tests in test_cli.py
     assert any(len(depths) > 1 for depths in starts.values())
     assert len(calls["oracle"]) >= len(runs)
 
