@@ -7,12 +7,22 @@ in Q(zeta_N); when an edge polynomial has no root there, the solver records
 the branch bundle as a root whose count and prefix stay exact, and leaves
 it to the caller whether such a bundle is acceptable.  Multiplicities are
 made exact by splitting the input into squarefree-in-x components first.
+
+Conjugate roots are derived, not expanded (Duval, *Rational Puiseux
+expansions*, Compositio Math. 70, 1989).  An edge of slope m that raises
+the branch's ramification from q to qv, v > 1, has an edge polynomial in
+z^v, so its roots fall into orbits c -> omega c with omega^v = 1.  The map
+y^(1/qv) -> rho y^(1/qv), rho = omega^(u^-1 mod v) for u/v = m q, fixes
+the coefficients of F and the prefix, and sends c to omega c.  Below a
+simple root c lies exactly one root, so the first member of each orbit is
+expanded, and each later member's root is that root with the coefficient
+at exponent e multiplied by rho^(e q v mod v).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -259,6 +269,16 @@ class _Expander:
     the prefix into the component decides; and how the roots past the
     target split among steep edges, which is never asked: one truncated
     root per node carries all of them as branches.
+
+    At an edge that raises the ramification, the simple edge roots are
+    taken in the order :func:`~polartree.exactalg.roots_in_field` gives;
+    a root that is a v-th root of unity times an earlier one is not
+    recursed into.  Its root is the earlier one's, conjugated
+    (:func:`_conjugate`), and emitted where its own recursion would emit.
+    This is exact: the conjugation is an automorphism over C((y)) that
+    fixes the prefix and maps the one root below c to the one root below
+    omega c, so order, truncation, multiplicity and branch count are those
+    of the recursion.  Roots of multiplicity above 1 are always expanded.
     """
 
     def __init__(self, field: CycloField, target: Fraction,
@@ -356,22 +376,59 @@ class _Expander:
                 if enlarge is not None:
                     raise NeedsLargerField(enlarge)
                 self._emit_unresolved(list(prefix), abs_exp, chi, multiplicity)
+            # slope * q = u / v: the edge raises the ramification v-fold, and
+            # its simple roots fall into orbits c -> omega * c, omega^v = 1
+            turn = edge.slope * q
+            orbits = {}  # c^v -> (c, the root below c), per expanded simple c
             for c, r in found:
                 if c.is_zero():
                     # zero is never an edge-polynomial root (the constant term
                     # of the edge polynomial is a vertex coefficient)
                     raise InternalInconsistency("zero edge coefficient")
+                simple = r == 1 and turn.denominator > 1
+                if simple:
+                    power = c**turn.denominator
+                    if power in orbits:
+                        first, root = orbits[power]
+                        self.roots.append(_conjugate(root, c / first, turn, q))
+                        continue
                 sub, sub_q, dropped = _substitute(
                     terms, q, edge.slope, c, self.field, r * (rest - edge.slope)
                 )
                 self._recurse(sub, sub_q, abs_exp, list(prefix) + [(abs_exp, c)],
                               multiplicity, stage + 1, lossy or dropped)
+                if simple:
+                    orbits[power] = (c, self.roots[-1])
         if past:
             self._emit_truncated(list(prefix), multiplicity, past)
 
 
 def _ceil(v: Fraction) -> int:
     return -(-v.numerator // v.denominator)
+
+
+def _conjugate(root: ExpandedRoot, omega: CycloRational, turn: Fraction,
+               q: int) -> ExpandedRoot:
+    """The one root below the edge root omega * c, derived from ``root``,
+    the one root below c: its image under y^(1/(q v)) -> rho y^(1/(q v)),
+    where ``turn`` = u / v is the edge slope times q and
+    rho = omega^(u^-1 mod v).
+
+    The map multiplies the coefficient at exponent e by rho^(e q v mod v).
+    It fixes F and the prefix, whose exponents lie in (1/q)Z, and sends c
+    at the edge's exponent to rho^u c = omega c.
+    """
+    u, v = turn.numerator, turn.denominator
+    new_q = q * v
+    rho = omega ** pow(u, -1, v)
+    powers = [omega.field.one]
+    for _ in range(v - 1):
+        powers.append(powers[-1] * rho)
+    terms = []
+    for e, c in root.series.terms:
+        k = e.numerator * (new_q // e.denominator) % v
+        terms.append((e, c * powers[k] if k else c))
+    return replace(root, series=PuiseuxSeries(root.series.field, terms, root.series.trunc))
 
 
 def _substitute(

@@ -22,7 +22,7 @@ from .errors import (
     UnresolvedBranch,
 )
 from .exactalg import BiPoly, CycloField, _euler_phi, radical_conductor
-from .npsolve import Expansion, expand_roots, multiplicity_split
+from .npsolve import Expansion, _polygon_data, expand_roots, multiplicity_split
 from .parsing import MAX_FIELD_DEGREE, expression_mentions_zeta, parse_expression
 from .puiseux import INF
 from .treemodel import Tree, build_tree, conjugacy_classes, render_tree
@@ -122,9 +122,11 @@ def _germ_stage(f: BiPoly, g: BiPoly, trunc: Fraction | None,
     ``max_contact + 2``, so that everything strictly between consecutive
     bar heights is visible.
     Before the first doubling, a repeated component of f*g through the
-    origin is refused."""
+    origin is refused.  A field that the first Newton polygons already rule
+    out is refused before anything is expanded (:func:`_first_polygons_field`)."""
     if trunc is not None and trunc <= 0:
         raise InputError(f"truncation depth must be positive, not {trunc}")
+    _first_polygons_field(f, g, trunc)
     ydeg = max(j for h in (f, g) for (_, j) in h.terms)
     start = trunc if trunc is not None else Fraction(max(ydeg, 2) + 2)
     depth = start
@@ -147,6 +149,26 @@ def _germ_stage(f: BiPoly, g: BiPoly, trunc: Fraction | None,
             return ef, eg, tree
         depth = tree.max_contact + 2
     raise TruncationTooShort("root contacts undetermined after deepening")
+
+
+def _first_polygons_field(f: BiPoly, g: BiPoly, trunc: Fraction | None) -> None:
+    """Ask for the roots of unity that the first Newton polygons of f and g
+    need, before anything is expanded.
+
+    An edge of slope u/d (d > 1) has the edge polynomial phi(z^d), whose
+    roots are closed under z -> zeta_d z; a field without the d-th roots of
+    unity leaves some of them out, and the expander would ask for them at
+    that edge.  Slopes at or past a pinned ``trunc`` are never expanded, and
+    the automatic start depth lies above every first-polygon slope.  The
+    field Q(zeta_N) holds the d-th roots of unity when d divides lcm(2, N)."""
+    need = 1
+    for h in (f, g):
+        for edge in _polygon_data(h.terms, 1):
+            if trunc is None or edge.slope < trunc:
+                need = math.lcm(need, edge.slope.denominator)
+    conductor = f.field.conductor
+    if math.lcm(2, conductor) % need:
+        raise NeedsLargerField(math.lcm(conductor, need))
 
 
 def _refuse_germ_bundles(roots, conductor: int) -> None:

@@ -171,6 +171,45 @@ def test_cli_field_limitation(capsys):
     assert code == 3 and "limitation" in err
 
 
+def test_cli_pinned_field_names_what_the_first_polygons_need(capsys):
+    # f needs the cube roots of unity (slope 2/3), g the fifth (slope 3/5):
+    # both are asked for at once, before either germ is expanded
+    code, out, err = _cli(capsys, "verify", "--f", "x^3-y^2", "--g", "x^5-y^3",
+                          "--field", "4")
+    assert (code, out) == (3, "")
+    assert err == "limitation: working field must contain the 60-th roots of unity\n"
+    # a slope at or past a pinned depth is never expanded: at depth 5/8 only
+    # the fifth roots of unity are asked for
+    code, _out, err = _cli(capsys, "roots", "--f", "x^3-y^2", "--g", "x^5-y^3",
+                           "--field", "4", "--trunc", "5/8")
+    assert (code, err) == (3, "limitation: working field must contain the 20-th "
+                           "roots of unity\n")
+
+
+@pytest.mark.parametrize("field", ["1", "3"])
+def test_cli_odd_pinned_field_holds_the_square_roots_of_unity(capsys, field):
+    # Q(zeta_N) holds -1 for every N, so slope 1/2 needs no larger field
+    code, out, err = _cli(capsys, "verify", "--f", "x^2-y", "--g", "x", "--field", field)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"field: Q(zeta_{field}) ")
+
+
+def test_field_ruled_out_by_the_first_polygons_expands_nothing(monkeypatch):
+    from polartree import analyze_pair, npsolve
+
+    fields = []
+
+    def recording(F):
+        fields.append(F.field.conductor)
+        return split(F)
+
+    split = npsolve.multiplicity_split
+    monkeypatch.setattr(npsolve, "multiplicity_split", recording)
+    run = analyze_pair("x^3-y^2", "x^5-y^3")
+    assert run.field.conductor == 60
+    assert set(fields) == {60}
+
+
 # z^2 + z + 1 has no root in Q(zeta_4), but x^3 - y^10 asks for Q(zeta_12),
 # where it does: the germ bundle must not end the field search
 BUNDLE_F, BUNDLE_G = "(x^2+x*y+y^2)*(x^3-y^10)", "x-2*y"

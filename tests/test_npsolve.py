@@ -6,7 +6,7 @@ from fractions import Fraction as F
 import kernel_references
 from kernel_references import from_coords
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polartree import (
     FIXTURES,
@@ -20,6 +20,7 @@ from polartree import (
     parse_expression,
 )
 from polartree.npsolve import _lower_hull, _polygon_data
+from polartree.puiseux import PuiseuxSeries, order_along_arc, vanishes_along
 
 K4 = CycloField(4)
 K12 = CycloField(12)
@@ -525,6 +526,52 @@ def test_conjugation_closure_of_root_set():
         for s in series:
             img = kernel_references.conjugate_series(s, k, D)
             assert any(img == t for t in series)
+
+
+@st.composite
+def _binomial_products(draw):
+    """A squarefree product of distinct x^k - c*y^m [+ tail] over Q(zeta_12),
+    c a rational times a root of unity, with its k-th roots in the field."""
+    x, y = _vars(K12)
+    P = BiPoly.constant(K12, 1)
+    for _ in range(draw(st.integers(1, 2))):
+        k = draw(st.sampled_from([1, 2, 3, 4]))
+        m = draw(st.integers(1, 7))
+        root = K12.zeta(draw(st.integers(0, 11))) * draw(st.sampled_from([1, -1, 2, F(1, 2), 3]))
+        tail = draw(st.sampled_from([BiPoly.zero(K12), y ** (m + 1), x * y**m, y ** (m + 2) * 2]))
+        P = P * (x**k - y**m * root**k + tail)
+    assume(multiplicity_split(P) == [(P, 1)])
+    return P, draw(st.sampled_from([F(3), F(4), F(9, 2)]))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_binomial_products())
+def test_resolved_roots_carry_an_order_certificate(case):
+    # s = x* + O(y^T) with branches 1 is the one root of F past its exact
+    # prefix p below T, apart from p itself when p is an exact root.  So
+    # ord F(p) = ord F_x(x*) + ord(p - x*) and ord F_x(p) = ord F_x(x*), and
+    # the gap is at least T.  This reads F alone, not the expander's
+    # working polynomials
+    P, target = case
+    try:
+        out = expand_roots(P, target)
+    except NeedsLargerField:
+        assume(False)
+    exact = [r.series for r in out.roots if r.series.trunc is INF]
+    for r in out.roots:
+        if r.coeff_poly is not None or r.branches != 1:
+            continue
+        assert r.multiplicity == 1
+        s = r.series
+        if s.trunc is INF:
+            assert vanishes_along(P, s)
+            continue
+        p = PuiseuxSeries(K12, s.terms, INF)
+        order = order_along_arc(P, p)
+        if order is INF:
+            assert p in exact, str(s)
+        else:
+            assert order - order_along_arc(P.diff_x(), p) >= s.trunc, str(s)
 
 
 def test_truncation_budget_cap(monkeypatch):

@@ -228,8 +228,11 @@ def pools():
 @pytest.mark.parametrize("site", ["germ", "oracle"])
 def test_cut_expansion_matches_uncut_expansion_on_the_pools(pools, site):
     # every substitution of the cut expansion also matches the per-term
-    # reference of the Taylor shift
+    # reference of the Taylor shift; the reference expands every conjugate
+    # edge root, so each root that the expander derives from its orbit's
+    # first member is compared term for term with an expanded one
     substitutions = []
+    rotated = []  # per derived root, the terms whose coefficient it turned
 
     def checked(*args):
         got = substitute(*args)
@@ -237,13 +240,23 @@ def test_cut_expansion_matches_uncut_expansion_on_the_pools(pools, site):
         substitutions.append(args[3].is_rational())
         return got
 
+    def derived(root, *args):
+        got = conjugate(root, *args)
+        rotated.append(sum(a != b for a, b in zip(root.series.terms, got.series.terms)))
+        return got
+
     substitute = npsolve._substitute
+    conjugate = npsolve._conjugate
     calls = pools[0]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(npsolve, "_substitute", checked)
+        mp.setattr(npsolve, "_conjugate", derived)
         for args, kwargs, want in calls[site]:
             assert _outcome(expand_roots, *args, **kwargs) == want, (str(args[0]), args[1])
-    assert substitutions.count(True) > 1000 and substitutions.count(False) > 100
+    # germ / oracle: 2901 / 1029 substitutions at a rational edge root and
+    # 694 / 48 at another; 561 / 35 derived roots with 2608 / 106 turned terms
+    assert substitutions.count(True) > 1000 and substitutions.count(False) > 40
+    assert all(rotated) and sum(rotated) > 100
 
 
 def test_squarefree_certificate_matches_yun_on_the_pools(pools):
@@ -446,3 +459,45 @@ def test_cut_path_decides_an_empty_x0_column_exactly(text, roots):
     assert tested
     assert got == _outcome(_reference_expand_roots, parse_expression(text, K), F(4))
     assert sorted(str(PuiseuxSeries(K, t, tr)) for t, tr, *_ in got[0]) == roots
+
+
+# -- conjugate edge roots ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("text, conductor, derived", [
+    # an orbit at the root node: z^3 - 8 has the roots 2, 2 zeta_3, 2 zeta_3^2
+    ("x^3 - 8*y^5 - y^6", 12, 2),
+    # the terms at y^(5/3) and y^(7/3) turn by different powers of rho
+    ("x^3 - y^5 - x*y^4", 12, 2),
+    # an orbit below the rational prefix y, exact: y + y^(3/2) and y - y^(3/2)
+    ("(x-y)^2 - y^3", 4, 1),
+    # two orbits on one edge: +-1 and +-2 on (z^2 - 1)(z^2 - 4)
+    ("(x^2-y^3)*(x^2-4*y^3)", 4, 2),
+    # an exact orbit: +-2 y^(3/2)
+    ("x^2 - 4*y^3", 4, 1),
+    # no root of z^2 - 2 in the field: one bundle, as before, and no orbit
+    ("x^2 - 2*y^3", 4, 0),
+    ("x^2 - 2*y^3", 8, 0),
+])
+def test_conjugate_edge_roots_are_derived_from_the_first(text, conductor, derived):
+    made = []  # (the first member's root, the root derived from it)
+
+    def recording(root, *args):
+        got = conjugate(root, *args)
+        made.append((root, got))
+        return got
+
+    conjugate = npsolve._conjugate
+    P = parse_expression(text, CycloField(conductor))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(npsolve, "_conjugate", recording)
+        got = _outcome(expand_roots, P, F(4))
+    assert got == _outcome(_reference_expand_roots, P, F(4))
+    assert len(made) == derived
+    for root, image in made:
+        ram = root.series.exponent_denominator()
+        assert image.series != root.series
+        assert any(kernel_references.conjugate_series(root.series, k, ram) == image.series
+                   for k in range(1, ram))
+        assert (image.multiplicity, image.branches, image.series.trunc) == (
+            root.multiplicity, root.branches, root.series.trunc)
