@@ -36,7 +36,6 @@ from typing import Iterable, Sequence
 from .errors import (
     DivisionByZero,
     FieldTooSmall,
-    InternalInconsistency,
     ZeroPolynomial,
 )
 
@@ -59,6 +58,13 @@ def _euler_phi(n: int) -> int:
     if m > 1:
         out -= out // m
     return out
+
+
+def unity_conductor(n: int, d: int) -> int:
+    """The least multiple M of n for which Q(zeta_M) holds the d-th roots
+    of unity, that is for which d divides lcm(2, M): an odd M gives the
+    same field as 2M."""
+    return math.lcm(n, d // 2 if d % 4 == 2 else d)
 
 
 @lru_cache(maxsize=None)
@@ -131,15 +137,13 @@ class CycloField:
         For odd N the field equals Q(zeta_2N), so orders dividing 2N are
         available there as well.
         """
-        if order >= 1 and self.conductor % order == 0:
-            return self.zeta(self.conductor // order)
         n = self.conductor
-        if order >= 1 and n % 2 == 1 and (2 * n) % order == 0:
-            doubled = -self.zeta((n + 1) // 2)  # a primitive 2N-th root
-            return doubled ** (2 * n // order)
-        raise FieldTooSmall(
-            f"no primitive {order}-th root of unity in Q(zeta_{self.conductor})"
-        )
+        if order < 1 or unity_conductor(n, order) != n:
+            raise FieldTooSmall(f"no primitive {order}-th root of unity in Q(zeta_{n})")
+        if n % order == 0:
+            return self.zeta(n // order)
+        doubled = -self.zeta((n + 1) // 2)  # a primitive 2N-th root, N odd
+        return doubled ** (2 * n // order)
 
     def _fold(self, raw: list[int]) -> list[int]:
         """A power-basis numerator list of any length (consumed), reduced
@@ -589,15 +593,20 @@ _CERTIFICATE_PRIME = 1073741789
 
 def _squarefree_mod_prime(p: UniPoly) -> bool:
     """Whether p has rational coefficients and, cleared of denominators,
-    a leading coefficient prime to P = _CERTIFICATE_PRIME and no common
-    factor with its derivative modulo P.  True proves p squarefree over Q;
-    False proves nothing."""
-    P = _CERTIFICATE_PRIME
+    is squarefree modulo P = _CERTIFICATE_PRIME (:func:`_squarefree_mod`).
+    True proves p squarefree over Q; False proves nothing."""
     coeffs = p.coeffs
     if any(any(c.num[1:]) for c in coeffs):
         return False
     den = math.lcm(*[c.den for c in coeffs])
-    a = [c.num[0] * (den // c.den) % P for c in coeffs]
+    return _squarefree_mod([c.num[0] * (den // c.den) for c in coeffs], _CERTIFICATE_PRIME)
+
+
+def _squarefree_mod(coeffs: Sequence[int], P: int) -> bool:
+    """Whether the integer polynomial with ascending ``coeffs`` keeps its
+    degree modulo the prime P and has no common factor with its derivative
+    in GF(P)."""
+    a = [c % P for c in coeffs]
     if not a[-1]:
         return False
     b = [k * u % P for k, u in enumerate(a)][1:]
@@ -657,105 +666,76 @@ def squarefree_decompose(p: UniPoly) -> list[tuple[UniPoly, int]]:
     return out
 
 
-# -- rational root machinery -------------------------------------------------
+# -- rational roots ------------------------------------------------------------
 
 
-def _is_probable_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    r = 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-def _pollard_rho(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    for c in range(1, 64):
-        x = y = 2
-        d = 1
-        while d == 1:
-            x = (x * x + c) % n
-            y = (y * y + c) % n
-            y = (y * y + c) % n
-            d = math.gcd(abs(x - y), n)
-        if d != n:
-            return d
-    raise InternalInconsistency(f"Pollard rho found no factor of the composite {n}")
-
-
-def _factorize(n: int) -> dict[int, int]:
-    out: dict[int, int] = {}
-    stack = [abs(n)]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if _is_probable_prime(m):
-            out[m] = out.get(m, 0) + 1
-            continue
-        d = _pollard_rho(m)
-        stack.append(d)
-        stack.append(m // d)
-    return out
-
-def _divisors(n: int) -> list[int]:
-    fac = _factorize(n)
-    out = [1]
-    for p, e in fac.items():
-        out = [d * p**k for d in out for k in range(e + 1)]
-    return sorted(out)
+def _primes():
+    """2, 3, 5, 7, ... in turn."""
+    found: list[int] = []
+    n = 1
+    while True:
+        n += 1
+        if all(n % p for p in found):
+            found.append(n)
+            yield n
 
 
 def _rational_roots(int_coeffs: list[int]) -> list[Rat]:
-    """All rational roots of an integer polynomial (ascending coefficients)."""
-    while int_coeffs and int_coeffs[-1] == 0:
-        int_coeffs.pop()
-    if not int_coeffs:
+    """All rational roots of an integer polynomial (ascending coefficients),
+    each once, by (|numerator|, denominator, positive before negative).
+
+    The root 0 is taken out first.  The rest g, of degree n and leading
+    coefficient l, is rescaled to the monic h(y) = l^(n-1) g(y/l), whose
+    roots are y = l*a/b for the roots a/b of g: integers with
+    |y| <= |l g(0)|, since a divides g(0) and b divides l.  Modulo the least prime p for which h
+    is squarefree, every root of h is simple and lifts by Newton's
+    iteration to its unique root modulo p^k > 2|l g(0)|; the symmetric
+    residues that are exact roots of h are its integer roots (Loos's
+    p-adic rational-zero method, SIAM J. Comput. 12, 1983).  Lifting needs
+    simple roots, so a g that the certificate modulo ``_CERTIFICATE_PRIME``
+    does not prove squarefree is first divided by gcd(g, g') over Q.
+    """
+    g = list(int_coeffs)
+    while g and g[-1] == 0:
+        g.pop()
+    if not g:
         return []
-    roots: list[Rat] = []
     k = 0
-    while int_coeffs[k] == 0:
+    while g[k] == 0:
         k += 1
-    if k:
-        roots.append(Rat(0))
-        int_coeffs = int_coeffs[k:]
-    if len(int_coeffs) <= 1:
+    roots = [Rat(0)] if k else []
+    g = g[k:]
+    if len(g) <= 1:
         return roots
+    if not _squarefree_mod(g, _CERTIFICATE_PRIME):
+        G = UniPoly(CycloField(1), g)
+        G = G.exact_div(poly_gcd(G, G.derivative()))
+        den = math.lcm(*(c.den for c in G.coeffs))
+        g = [c.num[0] * (den // c.den) for c in G.coeffs]
+    n, lead = len(g) - 1, g[-1]
+    h = [c * lead ** (n - 1 - i) for i, c in enumerate(g[:-1])] + [1]
+    dh = [i * c for i, c in enumerate(h)][1:]
+    bound = 2 * abs(lead * g[0])
 
-    def vanishes(p: int, q: int) -> bool:
-        # q^n times the value at p/q, by Horner on the homogenized polynomial
-        acc, qk = 0, 1
-        for c in reversed(int_coeffs):
-            acc = acc * p + c * qk
-            qk *= q
-        return acc == 0
+    def value(poly: list[int], y: int, m: int) -> int:
+        acc = 0
+        for c in reversed(poly):
+            acc = (acc * y + c) % m
+        return acc
 
-    for p in _divisors(int_coeffs[0]):
-        for q in _divisors(int_coeffs[-1]):
-            if math.gcd(p, q) != 1:
-                continue
-            if vanishes(p, q):
-                roots.append(Rat(p, q))
-            if vanishes(-p, q):
-                roots.append(Rat(-p, q))
-    return roots
+    p = next(p for p in _primes() if _squarefree_mod(h, p))
+    for r in range(p):
+        if value(h, r, p):
+            continue
+        y, m = r, p
+        while m <= bound:
+            m *= m
+            y = (y - value(h, y, m) * pow(value(dh, y, m), -1, m)) % m
+        if 2 * y > m:
+            y -= m
+        if not sum(c * y**i for i, c in enumerate(h)):
+            roots.append(Rat(y, lead))
+    return sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
 
 
 def _rational_gcd_roots(coord_polys: list[list[int]]) -> list[Rat]:
@@ -794,8 +774,8 @@ def rational_radical(w: Rat, e: int, conductor: int) -> tuple[list[tuple[int, Ra
 
     None when |w| has no rational e-th root r.  Otherwise the pairs (j, t),
     t = +-r, each solution once at its least j, and the conductor that
-    holds all e solutions: lcm(conductor, 2e) for w < 0 and e even,
-    lcm(conductor, e) otherwise.
+    holds all e solutions: :func:`unity_conductor` of the 2e-th roots of
+    unity for w < 0 and e even, of the e-th roots otherwise.
     """
     r = _rational_root(abs(w), e)
     if r is None:
@@ -815,7 +795,7 @@ def rational_radical(w: Rat, e: int, conductor: int) -> tuple[list[tuple[int, Ra
             if unit * (s if odd else 1) == sign:
                 pairs.append((j, r if s > 0 else -r))
     need = 2 * e if sign < 0 and not odd else e
-    return pairs, n * need // math.gcd(n, need)
+    return pairs, unity_conductor(n, need)
 
 
 def radical_conductor(chi: UniPoly, conductor: int, max_power: int) -> int | None:

@@ -42,6 +42,7 @@ from .exactalg import (
     roots_in_field,
     squarefree_decompose,
     taylor_shift,
+    unity_conductor,
 )
 from .puiseux import INF, ExpandedRoot, PuiseuxSeries, vanishes_along
 
@@ -329,19 +330,11 @@ class _Expander:
         (:func:`~polartree.exactalg.radical_conductor` with k = deg chi).
         """
         n = self.field.conductor
-        hints = []
-        q = edge.slope.denominator
-        if q > 1 and n % q:
-            hints.append(n * q // math.gcd(n, q))
+        out = unity_conductor(n, edge.slope.denominator)
         for poly in (chi, epoly):
             h = radical_conductor(poly, n, poly.degree())
             if h is not None:
-                hints.append(h)
-        if not hints:
-            return None
-        out = n
-        for h in hints:
-            out = out * h // math.gcd(out, h)
+                out = math.lcm(out, h)
         return out if out != n else None
 
     def _recurse(self, terms: _RamTerms, q: int, base: Fraction, prefix, multiplicity,

@@ -59,9 +59,11 @@ class _Tokens:
                 col += 1
                 i += 1
                 continue
-            if ch.isdigit():
+            # ASCII digits only: str.isdigit() also accepts superscripts,
+            # which int() rejects, and the digits of other scripts
+            if "0" <= ch <= "9":
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and "0" <= text[j] <= "9":
                     j += 1
                 self.items.append(("int", text[i:j], line, col))
                 col += j - i

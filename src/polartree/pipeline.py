@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .errors import (
     InputError,
@@ -21,7 +22,7 @@ from .errors import (
     TruncationTooShort,
     UnresolvedBranch,
 )
-from .exactalg import BiPoly, CycloField, _euler_phi, radical_conductor
+from .exactalg import BiPoly, CycloField, _euler_phi, radical_conductor, unity_conductor
 from .npsolve import Expansion, _polygon_data, expand_roots, multiplicity_split
 from .parsing import MAX_FIELD_DEGREE, expression_mentions_zeta, parse_expression
 from .puiseux import INF
@@ -160,15 +161,23 @@ def _first_polygons_field(f: BiPoly, g: BiPoly, trunc: Fraction | None) -> None:
     unity leaves some of them out, and the expander would ask for them at
     that edge.  Slopes at or past a pinned ``trunc`` are never expanded, and
     the automatic start depth lies above every first-polygon slope.  The
-    field Q(zeta_N) holds the d-th roots of unity when d divides lcm(2, N)."""
+    field asked for is :func:`~polartree.exactalg.unity_conductor`."""
     need = 1
     for h in (f, g):
         for edge in _polygon_data(h.terms, 1):
             if trunc is None or edge.slope < trunc:
                 need = math.lcm(need, edge.slope.denominator)
     conductor = f.field.conductor
-    if math.lcm(2, conductor) % need:
-        raise NeedsLargerField(math.lcm(conductor, need))
+    enlarged = unity_conductor(conductor, need)
+    if enlarged != conductor:
+        raise NeedsLargerField(enlarged)
+
+
+@lru_cache(maxsize=None)
+def _largest_conductor(cap: int) -> int:
+    """The largest N with phi(N) <= cap; phi(N) >= sqrt(N / 2) bounds the
+    search.  Computed on first use, not at import."""
+    return max(n for n in range(1, 2 * cap**2 + 1) if _euler_phi(n) <= cap)
 
 
 def _refuse_germ_bundles(roots, conductor: int) -> None:
@@ -179,10 +188,8 @@ def _refuse_germ_bundles(roots, conductor: int) -> None:
         return
     # a root of unity in Q(zeta_N) has an order dividing lcm(N, 2) <= 2N, so
     # a bundle that a field below the degree cap resolves has z^k = u modulo
-    # its coefficient polynomial for a k up to twice the largest such N;
-    # phi(N) >= sqrt(N / 2) bounds the search for N
-    top = max(n for n in range(1, 2 * MAX_FIELD_DEGREE**2 + 1)
-              if _euler_phi(n) <= MAX_FIELD_DEGREE)
+    # its coefficient polynomial for a k up to twice the largest such N
+    top = _largest_conductor(MAX_FIELD_DEGREE)
     for r in bundles:
         hint = radical_conductor(r.coeff_poly, conductor, 2 * top)
         if hint is not None and hint != conductor:

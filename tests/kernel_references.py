@@ -25,6 +25,12 @@ truncation of ``PuiseuxSeries.__add__``, and ``series_shift`` is y^e times a
 series.  ``from_coords`` builds a field element from its power-basis
 coordinates, and ``root_order`` is the order of an expanded root: its first
 exponent, its branch point, or INF.
+
+``rational_roots`` is ``exactalg._rational_roots`` as the divisor-pair
+search it replaced: every p/q with p dividing the constant term and q the
+leading coefficient, both lists from trial division.  It is exact but slow
+on coefficients with a large prime factor, so it only checks inputs whose
+prime factors are small.
 """
 
 import math
@@ -246,3 +252,44 @@ def root_order(r):
     if r.branch_exp is not None:
         return r.branch_exp
     return INF
+
+
+def _divisors(n):
+    """The positive divisors of n != 0, ascending, by trial division."""
+    n, primes, d = abs(n), {}, 2
+    while d * d <= n:
+        while n % d == 0:
+            primes[d] = primes.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        primes[n] = primes.get(n, 0) + 1
+    out = [1]
+    for p, e in primes.items():
+        out = [a * p**k for a in out for k in range(e + 1)]
+    return sorted(out)
+
+
+def rational_roots(int_coeffs):
+    """The rational roots of an integer polynomial (ascending coefficients):
+    0 first, then p/q and -p/q for p, q coprime in ascending divisor order."""
+    coeffs = list(int_coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    if not coeffs:
+        return []
+    roots = [Fraction(0)] if coeffs[0] == 0 else []
+    while coeffs[0] == 0:
+        coeffs.pop(0)
+    if len(coeffs) == 1:
+        return roots
+
+    def vanishes(p, q):
+        # q^n times the value at p/q, on the homogenized polynomial
+        return sum(c * p**i * q**(len(coeffs) - 1 - i) for i, c in enumerate(coeffs)) == 0
+
+    for p in _divisors(coeffs[0]):
+        for q in _divisors(coeffs[-1]):
+            if math.gcd(p, q) == 1:
+                roots += [Fraction(s, q) for s in (p, -p) if vanishes(s, q)]
+    return roots

@@ -11,6 +11,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polartree import (
     BiPoly,
@@ -18,6 +19,7 @@ from polartree import (
     ExprSyntaxError,
     LimitationError,
     NegativeExponentWithoutLaurent,
+    PolartreeError,
     analyze_polys,
     parse_expression,
 )
@@ -75,6 +77,24 @@ def test_parse_errors_carry_position():
     with pytest.raises(ExprSyntaxError) as e:
         parse_expression("x + $", K4)
     assert "1:5" in str(e.value)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("x - 2\u00b2*y", "1:6"), ("x^\u00b2", "1:3"), ("y^\u0663", "1:3")])
+def test_parse_accepts_ascii_digits_only(text, where):
+    # str.isdigit() holds for superscripts and other scripts' digits
+    with pytest.raises(ExprSyntaxError) as e:
+        parse_expression(text, K4)
+    assert str(e.value).startswith(f"{where}: unexpected character")
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.text(alphabet="xyzeta0123456789\u00b2\u00b9\u0663+-*/^() \n", max_size=12))
+def test_parse_expression_returns_or_raises_a_polartree_error(text):
+    try:
+        parse_expression(text, K4, laurent=True)
+    except PolartreeError:
+        pass
 
 
 def test_roundtrip_parse_serialize():
@@ -194,6 +214,17 @@ def test_cli_odd_pinned_field_holds_the_square_roots_of_unity(capsys, field):
     assert out.startswith(f"field: Q(zeta_{field}) ")
 
 
+def test_cli_odd_pinned_field_holds_the_sixth_roots_of_unity(capsys):
+    # Q(zeta_3) = Q(zeta_6), so slope 1/2 asks for no larger field and the
+    # run ends on the edge polynomial, as it does in Q(zeta_6)
+    for field in ("3", "6"):
+        code, out, err = _cli(capsys, "verify", "--f", "x^2-2*y", "--g", "x",
+                              "--field", field)
+        assert (code, out) == (3, "")
+        assert err == ("limitation: edge coefficient polynomial z^2 - 2 has no "
+                       f"root in Q(zeta_{field})\n")
+
+
 def test_field_ruled_out_by_the_first_polygons_expands_nothing(monkeypatch):
     from polartree import analyze_pair, npsolve
 
@@ -251,6 +282,25 @@ def test_cli_roots_of_unity_bundle_restarts_the_field(capsys, f):
     code, out, err = _cli(capsys, "verify", "--f", f, "--g", "x-2*y", "--field", "4")
     assert (code, out) == (3, "")
     assert err == "limitation: working field must contain the 12-th roots of unity\n"
+
+
+def test_bundle_refusal_scans_the_conductor_cap_once(monkeypatch):
+    from types import SimpleNamespace
+
+    from polartree import UniPoly, UnresolvedBranch, pipeline
+
+    calls = []
+    phi = pipeline._euler_phi
+    monkeypatch.setattr(pipeline, "_euler_phi", lambda n: calls.append(n) or phi(n))
+    pipeline._largest_conductor.cache_clear()
+    bundle = SimpleNamespace(coeff_poly=UniPoly(K4, [F(-5, 2), 0, 1]), count=2)
+    counts = []
+    for _ in range(2):
+        with pytest.raises(UnresolvedBranch):
+            pipeline._refuse_germ_bundles([bundle], 4)
+        counts.append(len(calls))
+    assert counts[0] > 0 and counts[1] == counts[0]
+    assert pipeline._largest_conductor(MAX_FIELD_DEGREE) == 240
 
 
 def test_germ_bundle_in_the_settled_field_is_unresolved():
@@ -385,6 +435,32 @@ def test_cli_pinned_field_over_the_cap_exits_2_at_once():
     assert done.stderr == (
         "error: field conductor 30030 gives Q(zeta_30030) of degree 5760, "
         f"above the field degree cap {MAX_FIELD_DEGREE}\n")
+
+
+# (2^61 - 1)(2^89 - 1), and the strong pseudoprime 1287836182261 *
+# 2575672364521: the rational edge roots must not depend on factoring them
+LARGE_ROOTS = [
+    ("(x - 1427247692705959880439315947500961989719490561*y)*(x^2 + y^2 + x*y)",
+     "x - y", ["1427247692705959880439315947500961989719490561*y"]),
+    ("(x - 1287836182261*y)*(x - 2575672364521*y)*(x^2 + x*y + y^2)",
+     "x - 2*y", ["1287836182261*y", "2575672364521*y"]),
+]
+
+
+@pytest.mark.parametrize("f, g, rational", LARGE_ROOTS, ids=["semiprime", "pseudoprime"])
+def test_cli_edge_roots_with_large_prime_factors(f, g, rational):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    outs = []
+    for command in ("roots", "verify"):
+        done = subprocess.run([sys.executable, "-m", "polartree.cli", command,
+                               "--f", f, "--g", g], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stderr) == (0, "")
+        outs.append(done.stdout)
+    roots, verified = outs
+    assert all(f"  {r}\n" in roots for r in rational)
+    assert "field: Q(zeta_12) " in verified
+    assert "verification: PASS (17 checks, 0 failures)" in verified
 
 
 def test_field_degree_cap_boundary(capsys):

@@ -1,5 +1,6 @@
 """Field arithmetic, univariate polynomials, and in-field root finding."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -12,8 +13,7 @@ from polartree import (
     BiPoly,
     CycloField,
     DivisionByZero,
-    InternalInconsistency,
-    PolartreeError,
+    FieldTooSmall,
     UniPoly,
     ZeroPolynomial,
     poly_gcd,
@@ -338,14 +338,6 @@ def test_mixing_fields_raises():
             p * q
 
 
-def test_pollard_rho_failure_is_a_polartree_error(monkeypatch):
-    # a gcd that always returns n makes every rho attempt fail
-    monkeypatch.setattr(exactalg.math, "gcd", lambda a, n: n)
-    with pytest.raises(PolartreeError) as e:
-        exactalg._factorize(91)
-    assert isinstance(e.value, InternalInconsistency)
-
-
 @pytest.mark.parametrize("n, coeffs, roots, unresolved", [
     # z^2 + z + 1 does not split over Q; its roots zeta^8 = -zeta^2 and
     # zeta^4 come from the rotation search
@@ -374,3 +366,17 @@ def test_norm_inverse_of_a_unit_and_a_non_unit():
     a = (K12.rational(2) + z) / 3        # norm of 2 + zeta_12 is 13
     assert a.inverse() * a == K12.one
     assert a.inverse().den == 13
+
+
+def test_unity_conductor_is_the_least_multiple_holding_the_roots_of_unity():
+    for n in range(1, 25):
+        K = CycloField(n)
+        for d in range(1, 25):
+            least = next(m for m in range(n, 2 * n * d + 1, n) if math.lcm(2, m) % d == 0)
+            assert exactalg.unity_conductor(n, d) == least
+            if least != n:
+                with pytest.raises(FieldTooSmall):
+                    K.zeta_of_order(d)
+                continue
+            z = K.zeta_of_order(d)
+            assert z**d == K.one and all(z**k != K.one for k in range(1, d))

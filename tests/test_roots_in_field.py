@@ -18,9 +18,10 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+import kernel_references
 from kernel_references import from_coords
 
-from polartree import CycloField, CycloRational, UniPoly, baranalysis, npsolve, pipeline
+from polartree import CycloField, CycloRational, UniPoly, baranalysis, exactalg, npsolve, pipeline
 from polartree.exactalg import _rational_gcd_roots, roots_in_field, squarefree_decompose
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -213,6 +214,69 @@ def test_rational_gcd_roots_are_the_common_roots(data):
         assert all(_value(p, r) == 0 for p in polys), (polys, r)
     for r in common:
         assert got.count(r) == 1, (polys, r, got)
+
+
+def test_rational_gcd_roots_report_a_double_common_root_once():
+    # (z - 2)^2 (z + 1) and (z - 2)^2 (z - 1/3): the gcd (z - 2)^2 is not
+    # squarefree, and lifting modulo a prime needs simple roots
+    double = _times_linear(_times_linear([1], F(2)), F(2))
+    polys = [_times_linear(double, F(-1)), _times_linear(double, F(1, 3))]
+    assert _rational_gcd_roots(polys) == [F(2)]
+
+
+# -- rational roots by lifting modulo a prime, against the divisor search ------------
+
+_PRIMES = [p for p in range(2, 1000) if all(p % d for d in range(2, p))]
+
+
+@st.composite
+def _planted_rational_roots(draw):
+    """(coefficients, roots): a squarefree product of factors b*x - a, and of
+    x itself or not, times a constant or a quadratic with no rational root.
+    The numerators together, and the denominators together, carry at most
+    six prime factors below 1000: coefficients reach about 10^12, and the
+    divisor search stays small."""
+    n = draw(st.integers(1, 3))
+    nums, dens = [1] * n, [1] * n
+    for side in (nums, dens):
+        for prime in draw(st.lists(st.sampled_from(_PRIMES), max_size=6)):
+            side[draw(st.integers(0, n - 1))] *= prime
+    roots = {F(draw(st.sampled_from((1, -1))) * a, b) for a, b in zip(nums, dens)}
+    if draw(st.booleans()):
+        roots.add(F(0))
+    p = draw(st.one_of(
+        st.lists(st.integers(-6, 6).filter(bool), min_size=1, max_size=1),
+        st.lists(st.integers(-12, 12).filter(bool), min_size=3, max_size=3)
+        .filter(lambda c: _rational_root(F(c[1] ** 2 - 4 * c[0] * c[2]), 2) is None)))
+    for r in roots:
+        p = _times_linear(p, r)
+    return p, roots
+
+
+def _rational_root(a, e):
+    return exactalg._rational_root(a, e) if a >= 0 else None
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_planted_rational_roots())
+def test_rational_roots_match_the_divisor_search(data):
+    coeffs, planted = data
+    got = exactalg._rational_roots(coeffs)
+    assert got == kernel_references.rational_roots(coeffs), coeffs
+    assert set(got) == planted
+
+
+@pytest.mark.parametrize("a, b", [
+    # the divisor search factored the constant term a*b: (2^61 - 1)(2^89 - 1)
+    # kept Pollard rho busy past a minute, and the product below, a strong
+    # pseudoprime to the bases 2..37, passed as a prime, so both roots were
+    # missed
+    (2**61 - 1, 2**89 - 1),
+    (1287836182261, 2575672364521),
+])
+def test_rational_roots_with_large_prime_factors(a, b):
+    coeffs = _times_linear(_times_linear([1, 1, 1], F(a)), F(b))
+    assert exactalg._rational_roots(coeffs) == [F(a), F(b)]
 
 
 # -- the pipeline's own calls --------------------------------------------------------
