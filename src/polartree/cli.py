@@ -14,7 +14,6 @@ import sys
 from fractions import Fraction
 
 from .errors import InputError, LimitationError, NoCover, PolartreeError
-from .parsing import parse_expression
 from .pipeline import Options, Run, analyze_pair, render_run, run_document
 from .pipeline import _germ_stage, _in_field
 from .treemodel import cover_of, render_tree
@@ -23,7 +22,7 @@ from .factorrep import generic_coordinates, meromorphic_reduce
 from .fixtures import get_fixture
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     ap = argparse.ArgumentParser(
         prog="polartree",
         description="Tree models of plane-curve pairs and their polar roots",
@@ -54,10 +53,25 @@ def _build_parser() -> argparse.ArgumentParser:
         if name == "generic":
             p.add_argument("--shift", help="shear constant (rational; default auto")
         p.add_argument("--field", type=int, help="cyclotomic field conductor")
-        p.add_argument("--trunc", help="truncation depth (rational)")
+        if name != "generic":  # generic expands nothing
+            p.add_argument("--trunc", help="truncation depth (rational)")
         p.add_argument("--json", action="store_true", dest="as_json",
                        help="emit the report as JSON")
-    return ap
+    return ap, sub.choices
+
+
+def _join_dash_values(commands: dict, argv: list[str]) -> list[str]:
+    """``--f -x+y`` as ``--f=-x+y``: argparse takes -x+y or -1/2 for an option,
+    so a token that no option of the command names joins the flag before it."""
+    known = commands[argv[0]]._option_string_actions if argv[:1] and argv[0] in commands else {}
+    out = argv[:1]
+    for tok in argv[1:]:
+        flag = known.get(out[-1])
+        if flag and flag.nargs is None and tok.startswith("-") and tok not in known:
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def _inputs(args, which: int = 1) -> tuple[str, str, int | None]:
@@ -205,13 +219,11 @@ def _cmd_reduce(args) -> int:
     s = s_arg if s_arg == "auto" else _number(s_arg, int, "--s")
     opts = _options(args)
 
-    def attempt(field):
-        F = parse_expression(f_text, field, True)
-        G = parse_expression(g_text, field, True)
+    def attempt(F, G):
         red = meromorphic_reduce(F, G, s)
         return red, _germ_stage(red.f_poly, red.g_poly, opts.trunc, red.E1, red.E2)[2]
 
-    red, tree = _in_field(opts, (f_text, g_text), attempt)
+    red, tree = _in_field(opts, f_text, g_text, attempt, laurent=True)
     analyses = analyze_all(tree)
     probes = [(bar, c) for bar in tree.finite_bars() if not analyses[bar.id].collinear
               for c in analyses[bar.id].collinear_points]
@@ -265,16 +277,9 @@ def _cmd_reduce(args) -> int:
 
 def _cmd_generic(args) -> int:
     f_text, g_text, _s = _inputs(args)
-    shift = getattr(args, "shift", None)
-    shift = None if shift in (None, "auto") else _number(shift, Fraction, "--shift")
-
-    def attempt(field):
-        f = parse_expression(f_text, field, False)
-        g = parse_expression(g_text, field, False)
-        c = "auto" if shift is None else field.rational(shift)
-        return generic_coordinates(f, g, c)
-
-    fs, gs, c_used, m = _in_field(_options(args), (f_text, g_text), attempt)
+    shift = "auto" if args.shift in (None, "auto") else _number(args.shift, Fraction, "--shift")
+    fs, gs, c_used, m = _in_field(Options(field=args.field), f_text, g_text,
+                                  lambda f, g: generic_coordinates(f, g, shift))
     doc = {
         "format_version": 1,
         "shift": str(c_used),
@@ -304,7 +309,8 @@ _DISPATCH = {
 
 def run(argv=None) -> int:
     """Parse arguments, dispatch, and map errors to exit codes."""
-    args = _build_parser().parse_args(argv)
+    ap, commands = _build_parser()
+    args = ap.parse_args(_join_dash_values(commands, sys.argv[1:] if argv is None else list(argv)))
     try:
         return _DISPATCH[args.command](args)
     except InputError as e:

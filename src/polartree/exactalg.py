@@ -471,9 +471,6 @@ class UniPoly:
         n = max(len(self.coeffs), len(other.coeffs))
         return UniPoly(self.field, (self[i] - other[i] for i in range(n)), self.var)
 
-    def __neg__(self) -> "UniPoly":
-        return UniPoly(self.field, (-c for c in self.coeffs), self.var)
-
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, (int, Fraction, CycloRational)):
             return UniPoly(self.field, (c * other for c in self.coeffs), self.var)
@@ -1240,6 +1237,14 @@ class BiPoly:
 
     def is_zero(self) -> bool:
         return not self.terms
+
+    def over(self, field: CycloField) -> "BiPoly":
+        """This polynomial over ``field``; only one over Q changes field."""
+        if field is self.field:
+            return self
+        if not all(c.is_rational() for c in self.terms.values()):
+            raise ValueError(f"{self} has a coefficient that is not rational")
+        return BiPoly(field, {k: field.rational(c.as_rational()) for k, c in self.terms.items()})
 
     # -- ring operations ----------------------------------------------------
     def __add__(self, other: "BiPoly") -> "BiPoly":

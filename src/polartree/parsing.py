@@ -203,7 +203,3 @@ def parse_expression(text: str, field: CycloField, laurent: bool = False) -> BiP
     """Parse an expression into an exact bivariate polynomial; negative
     exponents on y are refused unless ``laurent`` is set."""
     return _Parser(text, field, laurent).parse()
-
-
-def expression_mentions_zeta(text: str) -> bool:
-    return "zeta" in text

@@ -1,9 +1,9 @@
 """End-to-end orchestration: parse, expand, model, predict, verify, factor.
 
 Each adaptive knob has one loop, shared by every command (``reduce`` and
-``generic`` included): ``_in_field`` enlarges the field conductor and reruns
-from parsing unless it is pinned, and ``_germ_stage`` deepens the truncation
-until every root contact is determined.  Everything downstream is exact.
+``generic`` included): ``_in_field`` parses the input once and enlarges the
+field conductor unless it is pinned, and ``_germ_stage`` deepens the
+truncation until every root contact is determined.  Everything is exact.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from .errors import (
 )
 from .exactalg import BiPoly, CycloField, _euler_phi, radical_conductor, unity_conductor
 from .npsolve import Expansion, _polygon_data, expand_roots, multiplicity_split
-from .parsing import MAX_FIELD_DEGREE, expression_mentions_zeta, parse_expression
+from .parsing import MAX_FIELD_DEGREE, parse_expression
 from .puiseux import INF
 from .treemodel import Tree, build_tree, conjugacy_classes, render_tree
 from .baranalysis import BarAnalysis, analyze_all
@@ -38,32 +38,39 @@ class Options:
     trunc: Fraction | None = None     # pinned truncation depth
 
 
-def _in_field(opts: Options, texts, attempt):
-    """``attempt(field)`` in the pinned field, or from Q(zeta_4) up to the
-    lcm of every conductor an expansion asks for.  A field of degree above
-    ``MAX_FIELD_DEGREE`` is never built: a pinned one is an input error,
-    an enlargement past the cap a limitation."""
+def _in_field(opts: Options, f_text: str, g_text: str, attempt, laurent: bool = False):
+    """``attempt(f, g)`` in the pinned field, or from Q(zeta_4) up to the lcm
+    of every conductor an expansion asks for.  Each text is parsed once, in
+    the pinned field or else over Q (an automatic field refuses zeta), and
+    every attempt gets the parsed pair in its field (:meth:`BiPoly.over`)."""
     pinned = opts.field is not None
     if pinned and opts.field < 1:
         raise InputError(f"field conductor must be at least 1, not {opts.field}")
-    if not pinned and any(expression_mentions_zeta(t) for t in texts):
+    if not pinned and ("zeta" in f_text or "zeta" in g_text):
         raise InputError("input using zeta needs an explicit --field")
-    conductor = opts.field if pinned else 4
+    field = _capped_field(opts.field if pinned else 4, pinned)
+    home = field if pinned else CycloField(1)
+    f, g = (parse_expression(text, home, laurent) for text in (f_text, g_text))
     for _ in range(8):
-        degree = _euler_phi(conductor)
-        if degree > MAX_FIELD_DEGREE:
-            field = f"Q(zeta_{conductor}) of degree {degree}"
-            cap = f"above the field degree cap {MAX_FIELD_DEGREE}"
-            if pinned:
-                raise InputError(f"field conductor {conductor} gives {field}, {cap}")
-            raise LimitationError(f"the expansion needs {field}, {cap}")
         try:
-            return attempt(CycloField(conductor))
+            return attempt(f.over(field), g.over(field))
         except NeedsLargerField as e:
             if pinned:
                 raise
-            conductor = math.lcm(conductor, e.conductor)
+            field = _capped_field(math.lcm(field.conductor, e.conductor), pinned)
     raise LimitationError("field enlargement did not converge")
+
+
+def _capped_field(conductor: int, pinned: bool) -> CycloField:
+    """Q(zeta_conductor), refused if its degree is above ``MAX_FIELD_DEGREE``."""
+    degree = _euler_phi(conductor)
+    if degree > MAX_FIELD_DEGREE:
+        field = f"Q(zeta_{conductor}) of degree {degree}"
+        cap = f"above the field degree cap {MAX_FIELD_DEGREE}"
+        if pinned:
+            raise InputError(f"field conductor {conductor} gives {field}, {cap}")
+        raise LimitationError(f"the expansion needs {field}, {cap}")
+    return CycloField(conductor)
 
 
 @dataclass
@@ -84,13 +91,7 @@ class Run:
 def analyze_pair(f_text: str, g_text: str, options: Options | None = None) -> Run:
     """Run the whole pipeline on a pair given as expression text."""
     opts = options or Options()
-
-    def attempt(field: CycloField) -> Run:
-        f = parse_expression(f_text, field)
-        g = parse_expression(g_text, field)
-        return analyze_polys(f, g, opts)
-
-    return _in_field(opts, (f_text, g_text), attempt)
+    return _in_field(opts, f_text, g_text, lambda f, g: analyze_polys(f, g, opts))
 
 
 def analyze_polys(f: BiPoly, g: BiPoly, options: Options | None = None) -> Run:

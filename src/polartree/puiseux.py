@@ -49,19 +49,11 @@ class _Infinity:
     def __lt__(self, other):
         return False
 
-    def __le__(self, other):
-        return isinstance(other, _Infinity)
-
     def __eq__(self, other):
         return isinstance(other, _Infinity)
 
     def __hash__(self):
         return hash("polartree-infinity")
-
-    def __add__(self, other):
-        return self
-
-    __radd__ = __add__
 
     def __repr__(self):
         return "INF"

@@ -543,6 +543,30 @@ def test_cli_bad_flag_value_exits_2(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, flag, value", [
+    (("verify", "--g", "x"), "--f", "-x+y^2"),
+    (("roots", "--f", "x^2-y^3"), "--g", "-x+y"),
+    (("compare", "--f", "x^2-y^3", "--g", "x", "--g2", "x"), "--f2", "-x^2+y^3"),
+    (("generic", "--f", "x^2-y^3", "--g", "x^3-y^2"), "--shift", "-1/2"),
+])
+def test_cli_flag_value_may_start_with_a_minus(capsys, argv, flag, value):
+    # argparse alone reads -x+y^2 or -1/2 after a flag as an unknown option
+    spaced = _cli(capsys, *argv, flag, value)
+    assert spaced[0] == 0
+    assert _cli(capsys, *argv, f"{flag}={value}")[:2] == spaced[:2]
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--f", "--g", "x"),  # an option is never taken as a value
+    ("generic", "--fixture", "sec2", "--trunc", "1"),  # generic expands nothing
+])
+def test_cli_usage_errors_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        run(list(argv))
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 def test_field_below_one_is_an_input_error():
     from polartree import InputError, Options, analyze_pair
 
@@ -554,6 +578,7 @@ def test_field_below_one_is_an_input_error():
     ("verify", "--f", "x-y", "--g", "x+y", "--trunc", "0"),
     ("verify", "--f", "x-y", "--g", "x+y", "--trunc=-1"),
     ("reduce", "--fixture", "mero83", "--trunc", "0"),
+    ("verify", "--f", "x-y", "--g", "x+y", "--trunc", "-1/2"),
 ])
 def test_cli_nonpositive_trunc_exits_2(capsys, argv):
     # a depth of zero or less truncates every root away: bad input, not a
