@@ -11,7 +11,6 @@ from .errors import (
     DivisionByZero,
     ExprSyntaxError,
     FieldTooSmall,
-    Indeterminate,
     InputError,
     InputViolatesSimplicity,
     InternalInconsistency,
@@ -21,7 +20,6 @@ from .errors import (
     NoCover,
     NoGenericFound,
     NotApplicable,
-    PlacementUnresolved,
     PolartreeError,
     SNotLargeEnough,
     TruncationBudgetExceeded,

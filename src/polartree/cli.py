@@ -39,7 +39,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         "generic": "shear to generic coordinates and count generic polar roots",
     }
     for name, help_text in commands.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         p.add_argument("--f", help="expression for the first germ")
         p.add_argument("--g", help="expression for the second germ")
         p.add_argument("--fixture", help="named fixture instead of --f/--g")

@@ -5,6 +5,9 @@ violate the simple-roots assumption), limitations of the working field or
 truncation budget (exact answers exist but are out of reach at the current
 settings), and internal-consistency failures that indicate a bug rather
 than a property of the input.
+
+Each limit has one signal: :class:`TruncationTooShort` is the only error for
+a contact order, coefficient or placement that the truncation leaves open.
 """
 
 from __future__ import annotations
@@ -50,15 +53,11 @@ class FieldTooSmall(LimitationError):
 
 
 class TruncationTooShort(LimitationError):
-    """Unknown tail terms could change the requested order or coefficient."""
+    """Unknown tail terms could change an order, coefficient or placement."""
 
 
 class TruncationBudgetExceeded(LimitationError):
     """Series expansion hit the iteration or depth cap."""
-
-
-class Indeterminate(LimitationError):
-    """The requested quantity is not determined at the current truncation."""
 
 
 class UnresolvedBranch(LimitationError):
@@ -95,10 +94,6 @@ class NoCover(PolartreeError):
 
 class NotApplicable(PolartreeError):
     """The operation's precondition (e.g. bar collinearity) does not hold."""
-
-
-class PlacementUnresolved(PolartreeError):
-    """A polar root's position on the tree is indeterminate at this truncation."""
 
 
 class InternalInconsistency(PolartreeError):

@@ -496,7 +496,10 @@ def is_mini_regular(F: BiPoly) -> bool:
     return (d, 0) in F.terms
 
 
-def generic_coordinates(f: BiPoly, g: BiPoly, c="auto", budget: int = 25):
+MAX_SHEAR = 24  # the automatic search tries c = 0, 1, -1, ..., 24, -24
+
+
+def generic_coordinates(f: BiPoly, g: BiPoly, c="auto"):
     """Shear y -> y + c*x until both germs and the Jacobian are mini-regular.
 
     Returns (f', g', c_used, m) with m the number of generic polar roots
@@ -505,7 +508,7 @@ def generic_coordinates(f: BiPoly, g: BiPoly, c="auto", budget: int = 25):
     field = f.field
     if c == "auto":
         candidates = [0]
-        for k in range(1, budget):
+        for k in range(1, MAX_SHEAR + 1):
             candidates += [k, -k]
     else:
         candidates = [c]

@@ -14,14 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
-from .errors import (
-    Indeterminate,
-    InputError,
-    InternalInconsistency,
-    NoCover,
-    PlacementUnresolved,
-    TruncationTooShort,
-)
+from .errors import InputError, InternalInconsistency, NoCover, TruncationTooShort
 from .exactalg import BiPoly, CycloRational, UniPoly, squarefree_decompose
 from .puiseux import ExpandedRoot, PuiseuxSeries, order_along_arc
 from .npsolve import expand_roots
@@ -75,7 +68,7 @@ def polar_roots(f: BiPoly, g: BiPoly, tree: Tree, target=None) -> OracleResult:
     for _ in range(MAX_DEEPEN):
         try:
             return _expand_and_place(J, tree, depth, candidates)
-        except (TruncationTooShort, Indeterminate, PlacementUnresolved) as e:
+        except TruncationTooShort as e:
             last_err = e
             depth *= 2
     raise TruncationTooShort(

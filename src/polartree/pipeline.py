@@ -24,12 +24,18 @@ from .errors import (
 )
 from .exactalg import BiPoly, CycloField, _euler_phi, radical_conductor, unity_conductor
 from .npsolve import Expansion, _polygon_data, expand_roots, multiplicity_split
-from .parsing import MAX_FIELD_DEGREE, parse_expression
+from .parsing import parse_expression
 from .puiseux import INF
 from .treemodel import Tree, build_tree, conjugacy_classes, render_tree
 from .baranalysis import BarAnalysis, analyze_all
 from .jacoracle import OracleResult, VerificationReport, polar_roots, verify
 from .factorrep import FactorReport, group_factors, intersection_mults
+
+
+# the largest degree phi(N) of a working field Q(zeta_N).  Every fixture and
+# benchmark pair works in degree 8 or less; at degree 64 (N = 240) one field
+# inverse takes about 20 ms, and it grows about as phi(N)^3.
+MAX_FIELD_DEGREE = 64
 
 
 @dataclass
@@ -42,7 +48,12 @@ def _in_field(opts: Options, f_text: str, g_text: str, attempt, laurent: bool = 
     """``attempt(f, g)`` in the pinned field, or from Q(zeta_4) up to the lcm
     of every conductor an expansion asks for.  Each text is parsed once, in
     the pinned field or else over Q (an automatic field refuses zeta), and
-    every attempt gets the parsed pair in its field (:meth:`BiPoly.over`)."""
+    every attempt gets the parsed pair in its field (:meth:`BiPoly.over`).
+
+    The restarts end: every :class:`NeedsLargerField` asks for a proper
+    multiple of the current conductor, so the conductor grows with each
+    restart, and :func:`_capped_field` refuses every conductor above
+    ``_largest_conductor(MAX_FIELD_DEGREE)`` = 240."""
     pinned = opts.field is not None
     if pinned and opts.field < 1:
         raise InputError(f"field conductor must be at least 1, not {opts.field}")
@@ -51,14 +62,13 @@ def _in_field(opts: Options, f_text: str, g_text: str, attempt, laurent: bool = 
     field = _capped_field(opts.field if pinned else 4, pinned)
     home = field if pinned else CycloField(1)
     f, g = (parse_expression(text, home, laurent) for text in (f_text, g_text))
-    for _ in range(8):
+    while True:
         try:
             return attempt(f.over(field), g.over(field))
         except NeedsLargerField as e:
             if pinned:
                 raise
             field = _capped_field(math.lcm(field.conductor, e.conductor), pinned)
-    raise LimitationError("field enlargement did not converge")
 
 
 def _capped_field(conductor: int, pinned: bool) -> CycloField:

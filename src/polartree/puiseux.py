@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING, Iterable
 
-from .errors import Indeterminate, PlacementUnresolved, TruncationTooShort
+from .errors import TruncationTooShort
 from .exactalg import (
     BiPoly, CycloField, CycloRational, UniPoly, arc_order, coeff_term, join_terms,
 )
@@ -112,8 +112,8 @@ class PuiseuxSeries:
     def coefficient_at(self, e) -> CycloRational:
         e = Fraction(e)
         if not (e < self.trunc):
-            raise Indeterminate(f"coefficient at {y_power(e)} not determined "
-                                f"(trunc {self.trunc})")
+            raise TruncationTooShort(f"coefficient at {y_power(e)} not determined "
+                                     f"(trunc {self.trunc})")
         for te, tc in self.terms:
             if te == e:
                 return tc
@@ -124,8 +124,8 @@ class PuiseuxSeries:
     def prefix_below(self, h) -> "PuiseuxSeries":
         """The exact sub-series of terms with exponent < h."""
         if not (h <= self.trunc):
-            raise Indeterminate(f"prefix below {y_power(h)} not determined "
-                                f"(trunc {self.trunc})")
+            raise TruncationTooShort(f"prefix below {y_power(h)} not determined "
+                                     f"(trunc {self.trunc})")
         return PuiseuxSeries(self.field, [(e, c) for e, c in self.terms if e < h], INF)
 
     def exponent_denominator(self) -> int:
@@ -236,7 +236,7 @@ def _agree_up_to(trunc):
     """INF when the agreeing series are exact; unresolved otherwise."""
     if trunc is INF:
         return INF
-    raise Indeterminate(
+    raise TruncationTooShort(
         f"contact order unresolved: series agree up to O({y_power(trunc)})"
     )
 
@@ -287,16 +287,13 @@ class ExpandedRoot:
     def _branch_coeff_vs(self, prefix: PuiseuxSeries) -> UniPoly:
         """Possible values of (arc - prefix)'s coefficient at the branch point.
 
-        Raises when the comparison prefix is too short there, or when the
-        unresolved coefficient could coincide with the prefix's (so the
-        difference might vanish at the branch point).
+        Raises :class:`TruncationTooShort` when the comparison prefix is too
+        short there, or when the unresolved coefficient could coincide with
+        the prefix's (so the difference might vanish at the branch point).
         """
-        try:
-            cp = prefix.coefficient_at(self.branch_exp)
-        except Indeterminate as e:
-            raise TruncationTooShort(str(e))
+        cp = prefix.coefficient_at(self.branch_exp)
         if self.coeff_poly.evaluate(cp).is_zero():
-            raise PlacementUnresolved(
+            raise TruncationTooShort(
                 "unresolved branch coefficient may coincide with a tree point"
             )
         return self.coeff_poly.compose_shift(cp)
@@ -309,9 +306,7 @@ class ExpandedRoot:
         if at_branch:
             self._branch_coeff_vs(prefix)
             return self.branch_exp
-        if cut is INF:
-            return INF
-        raise Indeterminate(f"arcs agree up to O({y_power(cut)}); contact unresolved")
+        return _agree_up_to(cut)
 
     def coefficient_relative(self, prefix: PuiseuxSeries, h: Fraction):
         """Classify the arc against a bar: bounded below h, or its coefficient at h.

@@ -16,13 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import (
-    Indeterminate,
-    InputViolatesSimplicity,
-    NoCover,
-    PlacementUnresolved,
-    TruncationTooShort,
-)
+from .errors import InputViolatesSimplicity, NoCover, TruncationTooShort
 from .exactalg import CycloField, CycloRational, UniPoly
 from .puiseux import INF, ExpandedRoot, PuiseuxSeries, contact_order
 
@@ -168,7 +162,7 @@ class Tree:
                 chi_here = rel[1]
                 for z, _tr in self.growth_points(bar):
                     if chi_here.evaluate(z).is_zero():
-                        raise PlacementUnresolved(
+                        raise TruncationTooShort(
                             "unresolved coefficient may equal a growth point"
                         )
                 path.append((bar.id, None))
@@ -210,10 +204,7 @@ def build_tree(
     contacts: dict[tuple[str, str], Fraction] = {}
     for i, r1 in enumerate(ids):
         for r2 in ids[i + 1:]:
-            try:
-                c = contact_order(infos[r1].series, infos[r2].series)
-            except Indeterminate as e:
-                raise TruncationTooShort(str(e))
+            c = contact_order(infos[r1].series, infos[r2].series)
             if c is INF:
                 raise InputViolatesSimplicity(
                     f"roots {r1} and {r2} of the product coincide"
@@ -245,10 +236,7 @@ def build_tree(
         prefix = infos[member_ids[0]].series.prefix_below(h)
         groups: dict[CycloRational, list[str]] = {}
         for rid in member_ids:
-            try:
-                z = infos[rid].series.coefficient_at(h)
-            except Indeterminate as e:
-                raise TruncationTooShort(str(e))
+            z = infos[rid].series.coefficient_at(h)
             groups.setdefault(z, []).append(rid)
         trunk_ids = []
         ordered = sorted(groups.items(), key=lambda kv: kv[0].sort_key())

@@ -24,7 +24,8 @@ from polartree import (
     parse_expression,
 )
 from polartree.cli import run
-from polartree.parsing import MAX_FIELD_DEGREE, MAX_GERM_DEGREE
+from polartree.parsing import MAX_GERM_DEGREE
+from polartree.pipeline import MAX_FIELD_DEGREE
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -476,6 +477,66 @@ def test_cli_field_enlargement_past_the_cap_exits_3(capsys):
     assert code == 3 and out == ""
     assert err == ("limitation: the expansion needs Q(zeta_268) of degree 132, "
                    f"above the field degree cap {MAX_FIELD_DEGREE}\n")
+
+
+def test_field_restarts_end_at_the_degree_cap():
+    # each restart asks for twice the conductor: Q(zeta_4) up to Q(zeta_128)
+    # are tried, and Q(zeta_256), of degree 128, is refused
+    from polartree import NeedsLargerField, Options, pipeline
+
+    tried = []
+
+    def attempt(f, g):
+        tried.append(f.field.conductor)
+        raise NeedsLargerField(2 * f.field.conductor)
+
+    with pytest.raises(LimitationError) as e:
+        pipeline._in_field(Options(), "x", "y", attempt)
+    assert tried == [4, 8, 16, 32, 64, 128]
+    assert str(e.value) == ("the expansion needs Q(zeta_256) of degree 128, "
+                            f"above the field degree cap {MAX_FIELD_DEGREE}")
+
+
+def _bundle_on_a_tree_point(field):
+    """A bundle y + c*y^2 + ..., c a root of z: its coefficient at the branch
+    point may equal the 0 that the exact root y has there."""
+    from polartree import ExpandedRoot, PuiseuxSeries, UniPoly
+
+    return ExpandedRoot(PuiseuxSeries(field, [(F(1), 1)], F(2)), 1,
+                        branch_exp=F(2), coeff_poly=UniPoly(field, [0, 1]))
+
+
+def test_bundle_that_may_meet_a_root_has_an_undetermined_contact():
+    from polartree import PuiseuxSeries, TruncationTooShort
+
+    root = PuiseuxSeries(K4, [(F(1), 1)])
+    with pytest.raises(TruncationTooShort, match="may coincide with a tree point"):
+        _bundle_on_a_tree_point(K4).contact_with(root)
+
+
+def test_cli_undetermined_placement_exits_3(capsys, monkeypatch):
+    # every Jacobian expansion yields the bundle, which climbs to the root
+    # x = y of f and cannot be told apart from it at any depth
+    from polartree import Expansion, jacoracle
+
+    monkeypatch.setattr(jacoracle, "expand_roots", lambda J, depth, extra_candidates:
+                        Expansion([_bundle_on_a_tree_point(J.field)], 0, 1))
+    code, out, err = _cli(capsys, "verify", "--f", "x-y", "--g", "x+y")
+    assert code == 3 and out == ""
+    assert err.startswith("limitation: placement still unresolved at truncation ")
+    assert err.endswith("unresolved branch coefficient may coincide with a tree point\n")
+
+
+@pytest.mark.parametrize("value", ["1/2", "-1/2"])
+def test_cli_abbreviated_flag_is_a_usage_error(capsys, value):
+    # --tru is not --trunc: an abbreviation is refused whatever its value
+    for command in ("verify", "reduce"):
+        with pytest.raises(SystemExit) as e:
+            run([command, "--f", "x-y", "--g", "x+y", "--tru", value])
+        assert e.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"unrecognized arguments: --tru {value}" in captured.err
 
 
 def test_degree_cap_covers_products_and_poles():

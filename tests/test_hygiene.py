@@ -17,9 +17,10 @@ string constants are not references.
   attribute counts as read only when an ``Attribute`` load of that name
   appears in the searched trees.
 
-Both checks go by name alone, so they cannot see everything.  A field
-hides behind any attribute of the same name that is read: a write-only
-``Expansion.target`` would pass, because ``_Expander.target`` is read.  Nor
+Both checks go by name alone, so they cannot see everything.  A
+write-only field that shares its name with a read one passes the check: a
+write-only ``Expansion.target`` would pass, because ``_Expander.target`` is
+read.  Nor
 can they see a field that is read but always equals another one, as a
 ``predicted_unresolved`` that repeated ``mero_unresolved`` did.
 """

@@ -34,8 +34,8 @@ from polartree import (
     FIXTURES,
     INF,
     CycloField,
-    Indeterminate,
     PuiseuxSeries,
+    TruncationTooShort,
     UniPoly,
     contact_order,
     expand_roots,
@@ -322,7 +322,7 @@ def _contact_by_subtraction(a, b):
     if diff.trunc is INF:
         return INF
     unknown = PuiseuxSeries(a.field, (), diff.trunc)  # prints as O(y^e)
-    raise Indeterminate(f"contact order unresolved: series agree up to {unknown}")
+    raise TruncationTooShort(f"contact order unresolved: series agree up to {unknown}")
 
 
 def _known_diff_by_subtraction(root, prefix):
@@ -346,7 +346,7 @@ def test_placement_walk_matches_series_difference(pools):
 def _contact_or_error(contact, a, b):
     try:
         return contact(a, b)
-    except Indeterminate as e:
+    except TruncationTooShort as e:
         return str(e)
 
 
