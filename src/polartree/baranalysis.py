@@ -25,7 +25,6 @@ from .treemodel import Bar, Tree, basics_of, cover_of, repair_of
 
 @dataclass(frozen=True)
 class BarAnalysis:
-    bar_id: str
     nu_f: Fraction
     nu_g: Fraction
     deltas: dict[CycloRational, Fraction]
@@ -81,13 +80,13 @@ def mero_function(tree: Tree, bar: Bar, nu_f: Fraction, nu_g: Fraction):
         deltas[z] = nu_f * q_k - nu_g * p_k
     poles = [z for z, d in deltas.items() if d != 0]
     poles.sort(key=lambda z: z.sort_key())
-    num = UniPoly.zero(field, "z")
+    num = UniPoly.zero(field)
     for z in poles:
-        term = UniPoly.constant(field, Fraction(deltas[z]), "z")
+        term = UniPoly.constant(field, Fraction(deltas[z]))
         for w in poles:
             if w == z:
                 continue
-            term = term * UniPoly(field, (-w, field.one), "z")
+            term = term * UniPoly(field, (-w, field.one))
         num = num + term
     return deltas, num, poles
 
@@ -107,7 +106,7 @@ def analyze_bar(tree: Tree, bar: Bar) -> BarAnalysis:
 
     if collinear:
         return BarAnalysis(
-            bar.id, nu_f, nu_g, deltas, coll_pts, tuple(poles), True, False,
+            nu_f, nu_g, deltas, coll_pts, tuple(poles), True, False,
             num, {}, 0, None, 0, 0, n, tau_total, None, None,
         )
 
@@ -156,7 +155,7 @@ def analyze_bar(tree: Tree, bar: Bar) -> BarAnalysis:
             f"per-point predictions do not sum to the total on {bar.id}"
         )
     return BarAnalysis(
-        bar.id, nu_f, nu_g, deltas, coll_pts, tuple(poles), False, purely,
+        nu_f, nu_g, deltas, coll_pts, tuple(poles), False, purely,
         num, mero_zeros, unresolved, rest if unresolved else None, m, m_star, n,
         tau_total, predicted, predicted_total,
     )

@@ -164,8 +164,8 @@ def _cmd_verify(args) -> int:
 def _cmd_factor(args) -> int:
     run = _full_run(args)
     doc = run_document(run)
-    lines = [f"jacobian factor groups (x-order {run.factors.x_order}, "
-             f"y-content {run.factors.y_content}):"]
+    lines = [f"jacobian factor groups (x-order {run.oracle.x_order}, "
+             f"y-content {run.oracle.y_content}):"]
     for rep in run.factors.classes:
         if rep.collinear:
             lines.append(f"  {rep.class_id} {list(rep.bar_ids)} h={rep.height}: collinear class")

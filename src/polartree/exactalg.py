@@ -415,11 +415,12 @@ class CycloRational:
 
 
 class UniPoly:
-    """Dense univariate polynomial over Q(zeta_N), coefficients ascending."""
+    """Dense univariate polynomial over Q(zeta_N), coefficients ascending,
+    printed in the variable z."""
 
-    __slots__ = ("field", "coeffs", "var")
+    __slots__ = ("field", "coeffs")
 
-    def __init__(self, field: CycloField, coeffs: Iterable[CycloRational | Rat | int], var: str = "z"):
+    def __init__(self, field: CycloField, coeffs: Iterable[CycloRational | Rat | int]):
         norm: list[CycloRational] = []
         for c in coeffs:
             if not isinstance(c, CycloRational):
@@ -429,15 +430,14 @@ class UniPoly:
             norm.pop()
         self.field = field
         self.coeffs = tuple(norm)
-        self.var = var
 
     @classmethod
-    def zero(cls, field: CycloField, var: str = "z") -> "UniPoly":
-        return cls(field, (), var)
+    def zero(cls, field: CycloField) -> "UniPoly":
+        return cls(field, ())
 
     @classmethod
-    def constant(cls, field: CycloField, value, var: str = "z") -> "UniPoly":
-        return cls(field, (value,), var)
+    def constant(cls, field: CycloField, value) -> "UniPoly":
+        return cls(field, (value,))
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -465,17 +465,17 @@ class UniPoly:
 
     def __add__(self, other: "UniPoly") -> "UniPoly":
         n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.field, (self[i] + other[i] for i in range(n)), self.var)
+        return UniPoly(self.field, (self[i] + other[i] for i in range(n)))
 
     def __sub__(self, other: "UniPoly") -> "UniPoly":
         n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(self.field, (self[i] - other[i] for i in range(n)), self.var)
+        return UniPoly(self.field, (self[i] - other[i] for i in range(n)))
 
     def __mul__(self, other) -> "UniPoly":
         if isinstance(other, (int, Fraction, CycloRational)):
-            return UniPoly(self.field, (c * other for c in self.coeffs), self.var)
+            return UniPoly(self.field, (c * other for c in self.coeffs))
         if self.is_zero() or other.is_zero():
-            return UniPoly.zero(self.field, self.var)
+            return UniPoly.zero(self.field)
         out = [self.field.zero] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a.is_zero():
@@ -483,7 +483,7 @@ class UniPoly:
             for j, b in enumerate(other.coeffs):
                 if not b.is_zero():
                     out[i + j] = out[i + j] + a * b
-        return UniPoly(self.field, out, self.var)
+        return UniPoly(self.field, out)
 
     __rmul__ = __mul__
 
@@ -505,7 +505,7 @@ class UniPoly:
             for i in range(dd + 1):
                 rem[k + i] = rem[k + i] - factor * other.coeffs[i]
             rem.pop()
-        return UniPoly(self.field, q, self.var), UniPoly(self.field, rem, self.var)
+        return UniPoly(self.field, q), UniPoly(self.field, rem)
 
     def __mod__(self, other: "UniPoly") -> "UniPoly":
         return divmod(self, other)[1]
@@ -519,10 +519,10 @@ class UniPoly:
     def __pow__(self, n: int) -> "UniPoly":
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        return _power(self, n, UniPoly.constant(self.field, 1, self.var))
+        return _power(self, n, UniPoly.constant(self.field, 1))
 
     def derivative(self) -> "UniPoly":
-        return UniPoly(self.field, (c * k for k, c in enumerate(self.coeffs) if k), self.var)
+        return UniPoly(self.field, (c * k for k, c in enumerate(self.coeffs) if k))
 
     def monic(self) -> "UniPoly":
         if self.is_zero():
@@ -537,23 +537,23 @@ class UniPoly:
         return acc
 
     def compose_scale(self, factor: CycloRational) -> "UniPoly":
-        """p(factor * var)."""
+        """p(factor * z)."""
         out = []
         power = self.field.one
         for c in self.coeffs:
             out.append(c * power)
             power = power * factor
-        return UniPoly(self.field, out, self.var)
+        return UniPoly(self.field, out)
 
     def compose_shift(self, c: CycloRational) -> "UniPoly":
-        """p(var + c), by :func:`taylor_shift`."""
+        """p(z + c), by :func:`taylor_shift`."""
         if self.is_zero():
             return self
         row = {i: a for i, a in enumerate(self.coeffs) if not a.is_zero()}
         out = [self.field.zero] * len(self.coeffs)
         for (k, _), b in taylor_shift(self.field, {0: row}, c):
             out[k] = b
-        return UniPoly(self.field, out, self.var)
+        return UniPoly(self.field, out)
 
     def coordinate_polys(self) -> list[list[int]]:
         """The integer coordinate polynomials, in the field's power basis, of
@@ -566,7 +566,7 @@ class UniPoly:
         # the constant term is written bare, even when it is compound
         return join_terms(
             str(self[k]) if k == 0 else
-            coeff_term(str(self[k]), self.var if k == 1 else f"{self.var}^{k}")
+            coeff_term(str(self[k]), "z" if k == 1 else f"z^{k}")
             for k in range(self.degree(), -1, -1) if not self[k].is_zero()
         )
 
@@ -909,7 +909,7 @@ def roots_in_field(
     if p.is_zero():
         raise ZeroPolynomial("zero polynomial has every point as a root")
     field = p.field
-    one = UniPoly(field, (field.one,), p.var)
+    one = UniPoly(field, (field.one,))
     if p.degree() == 1:
         return [(-(p[0] / p[1]), 1)], one
     candidates = list(extra_candidates)
@@ -934,7 +934,7 @@ def roots_in_field(
         roots += [(r, mult) for r in found]
         if len(found) < d:
             for r in found:
-                f = f.exact_div(UniPoly(field, (-r, field.one), p.var))
+                f = f.exact_div(UniPoly(field, (-r, field.one)))
             f = f**mult
             rest = f if rest is None else rest * f
     return roots, one if rest is None else rest
@@ -1375,7 +1375,7 @@ class BiPoly:
             cols[i] = v + cols[i] if i in cols else v
         zero = self.field.zero
         n = max(cols, default=-1)
-        return UniPoly(self.field, [cols.get(k, zero) for k in range(n + 1)], "x")
+        return UniPoly(self.field, [cols.get(k, zero) for k in range(n + 1)])
 
     @classmethod
     def from_x_coefficients(cls, field: CycloField, cols: Sequence[UniPoly]) -> "BiPoly":

@@ -69,8 +69,6 @@ class ClassReport:
 class FactorReport:
     classes: list[ClassReport]
     q_ground_order: int
-    y_content: int
-    x_order: int
     complete: bool
     leave_data: dict[str, list]    # class_id -> [(height, count)], all members
     p_leave_data: dict[str, list]  # class_id -> [(height, count)], leave group only
@@ -86,16 +84,16 @@ def group_factors(
 
     Membership follows the definitions directly: leave-bar membership for
     the P-groups, climb-at-a-collinear-point-bounded-by-the-cover for the
-    Q-groups, bounded-by-every-minimal-non-collinear-bar for the ground
-    group.  The partition property is recorded, not assumed.
+    Q-groups, bounded by the cover of the ground's point for the ground
+    group: those are the minimal non-collinear bars when the ground is
+    collinear, and a non-collinear ground has no ground group, since every
+    polar root climbs it.  The partition property is recorded, not assumed.
     """
     records = oracle.records
     reports: list[ClassReport] = []
     assignment: dict[int, int] = {}   # record index -> number of groups
     for idx in range(len(records)):
         assignment[idx] = 0
-
-    minimal_noncol = _minimal_noncollinear(tree, analyses)
 
     for k, cls in enumerate(classes):
         bar_ids = tuple(sorted(cls))
@@ -144,10 +142,12 @@ def group_factors(
         reports.append(rep)
 
     q_ground_order = 0
-    for idx, r in enumerate(records):
-        if all(is_bounded_by(r, tree.bars[b]) for b in minimal_noncol):
-            q_ground_order += r.count
-            assignment[idx] += 1
+    if analyses[tree.ground_id].collinear:
+        cover = cover_of(tree, analyses, tree.ground, tree.field.zero)
+        for idx, r in enumerate(records):
+            if all(is_bounded_by(r, tree.bars[b]) for b in cover):
+                q_ground_order += r.count
+                assignment[idx] += 1
 
     complete = all(v == 1 for v in assignment.values())
 
@@ -156,8 +156,6 @@ def group_factors(
         for idx in indices:
             r = records[idx]
             h = r.trace.leave_height
-            if h is None:
-                h = tree.bars[r.trace.leave_bar_id].height
             out[h] = out.get(h, 0) + r.count
         return sorted(out.items())
 
@@ -168,28 +166,7 @@ def group_factors(
             continue
         leave_data[rep.class_id] = _multiset(rep.p_records + rep.q_records)
         p_leave_data[rep.class_id] = _multiset(rep.p_records)
-    return FactorReport(
-        reports, q_ground_order, oracle.y_content, oracle.x_order,
-        complete, leave_data, p_leave_data,
-    )
-
-
-def _minimal_noncollinear(tree: Tree, analyses) -> list[str]:
-    noncol = [b for b in tree.finite_bars() if not analyses[b.id].collinear]
-    if not noncol:
-        return []
-    out = []
-    for b in noncol:
-        cur = tree.parent_bar(b)
-        minimal = True
-        while cur is not None:
-            if not analyses[cur.id].collinear:
-                minimal = False
-                break
-            cur = tree.parent_bar(cur)
-        if minimal:
-            out.append(b.id)
-    return sorted(out)
+    return FactorReport(reports, q_ground_order, complete, leave_data, p_leave_data)
 
 
 def _in_q_group(tree, analyses, record: ExpandedRoot, cls) -> bool:
@@ -406,11 +383,9 @@ def compare_pairs(pair_a, pair_b) -> EquivalenceVerdict:
 class ReducedPair:
     f_poly: BiPoly
     g_poly: BiPoly
-    E1: int                # prefactor exponent: f = y^E1 * f_poly with E1 = -p*s
+    E1: int                # prefactor exponent: f = y^E1 * f_poly, E1 = -s * deg_x f
     E2: int
     s: int
-    p: int
-    q: int
 
 
 def _monic_x_degree(F: BiPoly) -> int:
@@ -476,7 +451,7 @@ def meromorphic_reduce(F: BiPoly, G: BiPoly, s="auto"):
     rhs = jacobian(f_laurent, g_laurent) * x_var * y_var
     if not (lhs == rhs):
         raise InternalInconsistency("Jacobian correspondence identity failed")
-    return ReducedPair(f_poly, g_poly, -p * s, -q * s, s, p, q)
+    return ReducedPair(f_poly, g_poly, -p * s, -q * s, s)
 
 
 # ---------------------------------------------------------------------------

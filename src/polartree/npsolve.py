@@ -107,7 +107,7 @@ def _edge_poly(terms: _RamTerms, edge: PolygonEdge, field: CycloField) -> UniPol
     for (i, j), c in terms.items():
         if i1 <= i <= i2 and (j - j1) * (i2 - i1) == (j2 - j1) * (i - i1):
             coeffs[i - i1] = coeffs[i - i1] + c
-    return UniPoly(field, coeffs, "z")
+    return UniPoly(field, coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -142,13 +142,13 @@ def _interpolate(ys: list[int], values: list[CycloRational], field: CycloField) 
     p = [c[-1]]
     for k in range(len(ys) - 2, -1, -1):  # p = p * (y - ys[k]) + c[k]
         p = [c[k] - p[0] * ys[k]] + [a - b * ys[k] for a, b in zip(p, p[1:])] + [p[-1]]
-    return UniPoly(field, p, "y")
+    return UniPoly(field, p)
 
 
 def _normalized(cols: list[UniPoly], field: CycloField) -> BiPoly:
     """The primitive part in y of sum cols[i] x^i, scaled so that the lowest
     y-term of its leading x-coefficient is 1."""
-    content = UniPoly.zero(field, "y")
+    content = UniPoly.zero(field)
     for col in cols:
         content = poly_gcd(content, col)
         if content.degree() == 0:
@@ -173,7 +173,7 @@ def _certified(G: BiPoly, split: list[tuple[BiPoly, int]], y0: int) -> bool:
         P = P * A**m
     if G * _lead_x(P) != P * _lead_x(G):
         return False
-    s = UniPoly.constant(G.field, 1, "x")
+    s = UniPoly.constant(G.field, 1)
     for A, _ in split:
         s = s * A.at_y(y0)
     if s.degree() != sum(A.x_degree() for A, _ in split):

@@ -22,7 +22,9 @@ from .errors import (
     TruncationTooShort,
     UnresolvedBranch,
 )
-from .exactalg import BiPoly, CycloField, _euler_phi, radical_conductor, unity_conductor
+from .exactalg import (
+    BiPoly, CycloField, _euler_phi, coeff_term, radical_conductor, unity_conductor,
+)
 from .npsolve import Expansion, _polygon_data, expand_roots, multiplicity_split
 from .parsing import parse_expression
 from .puiseux import INF
@@ -389,8 +391,8 @@ def run_document(run: Run) -> dict:
     doc["factors"] = {
         "classes": classes,
         "ground_order": run.factors.q_ground_order,
-        "y_content": run.factors.y_content,
-        "x_order": run.factors.x_order,
+        "y_content": run.oracle.y_content,
+        "x_order": run.oracle.x_order,
         "partition_complete": run.factors.complete,
     }
     return doc
@@ -409,10 +411,7 @@ def mero_function_str(ana: BarAnalysis) -> str:
             parts.append(f"(z + {zs[1:]})")
         else:
             parts.append(f"(z - {zs})")
-    num = str(ana.mero_numerator)
-    if any(op in num[1:] for op in "+-") or " " in num:
-        num = f"({num})"
-    return f"{num} / ({''.join(parts)})"
+    return f"{coeff_term(str(ana.mero_numerator), '')} / ({''.join(parts)})"
 
 
 def render_run(run: Run) -> str:

@@ -30,11 +30,9 @@ class RootInfo:
 
 @dataclass(frozen=True)
 class Trunk:
-    id: str
     bar_id: str                          # bar the trunk grows on
     point: CycloRational                 # growth point
     bimultiplicity: tuple[int, int]      # (count of f-roots, count of g-roots)
-    root_ids: tuple[str, ...]
     top_bar_id: str                      # the postbar on top of this trunk
 
     @property
@@ -240,14 +238,13 @@ def build_tree(
             groups.setdefault(z, []).append(rid)
         trunk_ids = []
         ordered = sorted(groups.items(), key=lambda kv: kv[0].sort_key())
-        reserved: list[tuple[str, list[str]]] = []
         for z, members in ordered:
             tid = new_trunk_id()
             trunk_ids.append(tid)
             s = sum(1 for r in members if infos[r].kind == "f")
             t = len(members) - s
             top = build(members, tid)
-            trunks[tid] = Trunk(tid, bar_id, z, (s, t), tuple(sorted(members)), top)
+            trunks[tid] = Trunk(bar_id, z, (s, t), top)
         bars[bar_id] = Bar(bar_id, h, prefix, parent_trunk,
                            tuple(trunk_ids), tuple(sorted(member_ids)))
         return bar_id
@@ -256,9 +253,7 @@ def build_tree(
     main_trunk_id = new_trunk_id()
     top = build(ids, main_trunk_id)
     s = sum(1 for r in ids if infos[r].kind == "f")
-    trunks[main_trunk_id] = Trunk(
-        main_trunk_id, ground_id, field.zero, (s, len(ids) - s), tuple(ids), top
-    )
+    trunks[main_trunk_id] = Trunk(ground_id, field.zero, (s, len(ids) - s), top)
     bars[ground_id] = Bar(
         ground_id, Fraction(0), PuiseuxSeries.zero(field), None,
         (main_trunk_id,), tuple(ids),

@@ -119,7 +119,7 @@ def series_order(F, xi):
 
 def generic_arc_order(F, prefix, h):
     field = F.field
-    zvar = UniPoly(field, (field.zero, field.one), "z")
+    zvar = UniPoly(field, (field.zero, field.one))
 
     def mul_arc(acc):
         out = {}
@@ -137,7 +137,7 @@ def generic_arc_order(F, prefix, h):
     for (i, j), c in F.terms.items():
         row = rows.setdefault(i, {})
         key = Fraction(j)
-        add = UniPoly.constant(field, c, "z")
+        add = UniPoly.constant(field, c)
         row[key] = row[key] + add if key in row else add
     acc = {}
     for i in range(max(rows, default=0), -1, -1):
@@ -174,7 +174,7 @@ def dict_horner_order(F, xi):
 
 
 def root_multiplicity(p, point):
-    lin = UniPoly(p.field, (-point, p.field.one), p.var)
+    lin = UniPoly(p.field, (-point, p.field.one))
     m = 0
     while not p.is_zero() and p.evaluate(point).is_zero():
         p = p.exact_div(lin)
@@ -183,18 +183,18 @@ def root_multiplicity(p, point):
 
 
 def located_product(roots, p):
-    out = UniPoly.constant(p.field, 1, p.var)
+    out = UniPoly.constant(p.field, 1)
     for r, m in roots:
         for _ in range(m):
-            out = out * UniPoly(p.field, (-r, p.field.one), p.var)
+            out = out * UniPoly(p.field, (-r, p.field.one))
     return out
 
 
 def shift_poly(p, c):
-    out = UniPoly.zero(p.field, p.var)
-    lin = UniPoly(p.field, (c, p.field.one), p.var)
+    out = UniPoly.zero(p.field)
+    lin = UniPoly(p.field, (c, p.field.one))
     for k in range(p.degree(), -1, -1):
-        out = out * lin + UniPoly.constant(p.field, p[k], p.var)
+        out = out * lin + UniPoly.constant(p.field, p[k])
     return out
 
 

@@ -36,19 +36,19 @@ def _reference_roots_in_field(p, extra_candidates=()):
     field = p.field
     candidates = list(extra_candidates)
     roots = []
-    rest = UniPoly.constant(field, 1, p.var)
+    rest = UniPoly.constant(field, 1)
     for factor, mult in squarefree_decompose(p):
         f = factor
         while f.degree() >= 1:
             if f.degree() == 1:
                 roots.append((-(f[0] / f[1]), mult))
-                f = UniPoly.constant(field, 1, f.var)
+                f = UniPoly.constant(field, 1)
                 break
             found = _reference_find_one_root(f, candidates)
             if found is None:
                 break
             roots.append((found, mult))
-            f = f.exact_div(UniPoly(field, (-found, field.one), f.var))
+            f = f.exact_div(UniPoly(field, (-found, field.one)))
         rest = rest * f**mult
     return roots, rest
 

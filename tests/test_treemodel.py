@@ -218,7 +218,7 @@ def test_partition_property(run_fixture):
         member_union = set()
         total_s = total_t = 0
         for _z, trunk in tree.growth_points(bar):
-            member_union.update(trunk.root_ids)
+            member_union.update(tree.bars[trunk.top_bar_id].root_ids)
             total_s += trunk.bimultiplicity[0]
             total_t += trunk.bimultiplicity[1]
         assert member_union == set(bar.root_ids)
