@@ -30,7 +30,6 @@ class BarAnalysis:
     deltas: dict[CycloRational, Fraction]
     collinear_points: tuple[CycloRational, ...]
     noncollinear_points: tuple[CycloRational, ...]
-    collinear: bool
     purely_noncollinear: bool
     mero_numerator: UniPoly
     mero_zeros: dict[CycloRational, int]
@@ -38,10 +37,18 @@ class BarAnalysis:
     mero_unresolved_poly: UniPoly | None
     m: int
     m_star: int
-    n: int
     tau_total: int
     predicted: dict[CycloRational, int] | None
     predicted_total: int | None
+
+    @property
+    def n(self) -> int:
+        """The number of poles, the non-collinear growth points."""
+        return len(self.noncollinear_points)
+
+    @property
+    def collinear(self) -> bool:
+        return self.n == 0
 
 
 def compute_nu(tree: Tree, bar: Bar, which: str) -> Fraction:
@@ -80,15 +87,25 @@ def mero_function(tree: Tree, bar: Bar, nu_f: Fraction, nu_g: Fraction):
         deltas[z] = nu_f * q_k - nu_g * p_k
     poles = [z for z, d in deltas.items() if d != 0]
     poles.sort(key=lambda z: z.sort_key())
-    num = UniPoly.zero(field)
-    for z in poles:
-        term = UniPoly.constant(field, Fraction(deltas[z]))
-        for w in poles:
-            if w == z:
-                continue
-            term = term * UniPoly(field, (-w, field.one))
-        num = num + term
-    return deltas, num, poles
+    # the numerator is sum over the poles w of delta_w P / (z - w), with the
+    # pole product P = prod (z - w).  By synthetic division, coefficient
+    # k - 1 of P / (z - w) is sum_{i >= k} P[i] w^(i-k); so coefficient
+    # k - 1 of the sum is sum_{i >= k} P[i] s[i-k], s[t] = sum delta_w w^t
+    n = len(poles)
+    prod = UniPoly.constant(field, 1)
+    for w in poles:
+        prod = prod * UniPoly(field, (-w, field.one))
+    s = [field.zero] * n
+    for w in poles:
+        v = field.rational(deltas[w])
+        s[0] = s[0] + v
+        if not w.is_zero():
+            for t in range(1, n):
+                v = v * w
+                s[t] = s[t] + v
+    P = prod.coeffs  # P[n] = 1
+    num = [sum((P[i] * s[i - k] for i in range(k, n)), s[n - k]) for k in range(1, n + 1)]
+    return deltas, UniPoly(field, num), poles
 
 
 def analyze_bar(tree: Tree, bar: Bar) -> BarAnalysis:
@@ -99,15 +116,14 @@ def analyze_bar(tree: Tree, bar: Bar) -> BarAnalysis:
     coll_pts = tuple(
         z for z, _t in tree.growth_points(bar) if deltas[z] == 0
     )
-    collinear = len(poles) == 0
     purely = (not coll_pts) and bool(poles)
     n = len(poles)
     tau_total = sum(t.total_multiplicity for _z, t in tree.growth_points(bar))
 
-    if collinear:
+    if not n:
         return BarAnalysis(
-            nu_f, nu_g, deltas, coll_pts, tuple(poles), True, False,
-            num, {}, 0, None, 0, 0, n, tau_total, None, None,
+            nu_f, nu_g, deltas, coll_pts, (), False,
+            num, {}, 0, None, 0, 0, tau_total, None, None,
         )
 
     # the growth points are candidates, so each zero among them is located
@@ -155,8 +171,8 @@ def analyze_bar(tree: Tree, bar: Bar) -> BarAnalysis:
             f"per-point predictions do not sum to the total on {bar.id}"
         )
     return BarAnalysis(
-        nu_f, nu_g, deltas, coll_pts, tuple(poles), False, purely,
-        num, mero_zeros, unresolved, rest if unresolved else None, m, m_star, n,
+        nu_f, nu_g, deltas, coll_pts, tuple(poles), purely,
+        num, mero_zeros, unresolved, rest if unresolved else None, m, m_star,
         tau_total, predicted, predicted_total,
     )
 

@@ -400,6 +400,10 @@ class CycloRational:
 
     # -- rendering -------------------------------------------------------------
     def __str__(self) -> str:
+        num = self.num
+        if not any(num[1:]):
+            # num / den is in lowest terms with den > 0, as Fraction prints it
+            return str(num[0]) if self.den == 1 else f"{num[0]}/{self.den}"
         return join_terms(
             coeff_term(str(c), "" if i == 0 else "zeta" if i == 1 else f"zeta^{i}")
             for i, c in enumerate(self.coords) if c

@@ -335,9 +335,25 @@ def verify(
             rep.add("ground-residual", tree.ground_id, None, True, True, note="no cover")
 
     # sampled-arc invariants of the germs themselves
-    _verify_sampled_arcs(rep, tree, analyses, f, g)
-    _verify_order_identity(rep, tree, analyses, oracle.jac, f, g)
+    orders = _germ_orders(f, g)
+    _verify_sampled_arcs(rep, tree, analyses, orders)
+    _verify_order_identity(rep, tree, analyses, oracle.jac, orders)
     return rep
+
+
+def _germ_orders(f: BiPoly, g: BiPoly):
+    """The function xi -> (order of f, order of g along xi), computing each
+    arc's pair once.  Its memo lives as long as the function, one ``verify``
+    call: the stable-order probe of a bar is usually its order-identity
+    probe too."""
+    seen: dict[PuiseuxSeries, tuple] = {}
+
+    def orders(xi: PuiseuxSeries) -> tuple:
+        got = seen.get(xi)
+        if got is None:
+            got = seen[xi] = (order_along_arc(f, xi), order_along_arc(g, xi))
+        return got
+    return orders
 
 
 def _squarefree_part(p: UniPoly) -> UniPoly:
@@ -379,7 +395,7 @@ def _unresolved_at_zero(ana: BarAnalysis, trace: ArcTrace) -> bool:
     return (ana.mero_numerator % _squarefree_part(trace.leave_poly)).is_zero()
 
 
-def _verify_sampled_arcs(rep, tree, analyses, f, g) -> None:
+def _verify_sampled_arcs(rep, tree, analyses, orders) -> None:
     """Constant-determinant and stable-order invariants along sample arcs."""
     field = tree.field
     for bar in tree.finite_bars():
@@ -395,8 +411,7 @@ def _verify_sampled_arcs(rep, tree, analyses, f, g) -> None:
             # one a at most gives the postbar's prefix: a root of the pair,
             # not an arc that leaves the trunk between the heights
             for a, xi in [(a, xi) for a, xi in arcs if xi != post.prefix][:2]:
-                nu_f_xi = order_along_arc(f, xi)
-                nu_g_xi = order_along_arc(g, xi)
+                nu_f_xi, nu_g_xi = orders(xi)
                 p_k, q_k = trunk.bimultiplicity
                 det_bar = ana.deltas[z]
                 det_xi = nu_f_xi * q_k - nu_g_xi * p_k
@@ -415,15 +430,9 @@ def _verify_sampled_arcs(rep, tree, analyses, f, g) -> None:
         # stable order off the marked points
         taken = {w for w in ana.deltas}
         probe = _fresh_point(field, taken)
-        xi = bar.prefix + PuiseuxSeries(field, [(bar.height, probe)])
-        rep.add(
-            "stable-order", bar.id, probe,
-            str(ana.nu_f), str(order_along_arc(f, xi)),
-        )
-        rep.add(
-            "stable-order-g", bar.id, probe,
-            str(ana.nu_g), str(order_along_arc(g, xi)),
-        )
+        nu_f_xi, nu_g_xi = orders(bar.prefix + PuiseuxSeries(field, [(bar.height, probe)]))
+        rep.add("stable-order", bar.id, probe, str(ana.nu_f), str(nu_f_xi))
+        rep.add("stable-order-g", bar.id, probe, str(ana.nu_g), str(nu_g_xi))
 
 
 def _fresh_point(field, taken):
@@ -435,8 +444,9 @@ def _fresh_point(field, taken):
         k += 1
 
 
-def _order_identity_holds(J, f, g, tree, bar, ana, sample_z) -> bool:
-    """Order bookkeeping along a sample arc through the bar, J = J(f, g).
+def _order_identity_holds(J, orders, tree, bar, ana, sample_z) -> bool:
+    """Order bookkeeping along a sample arc through the bar, J = J(f, g),
+    with ``orders`` from :func:`_germ_orders`.
 
     Away from the growth points, the Jacobian's order along the arc equals
     the two germ orders minus the bar height minus one - provided the bar's
@@ -449,13 +459,14 @@ def _order_identity_holds(J, f, g, tree, bar, ana, sample_z) -> bool:
     value = ana.mero_numerator.evaluate(sample_z)
     xi = bar.prefix + PuiseuxSeries(tree.field, [(bar.height, sample_z)])
     lhs = order_along_arc(J, xi)
-    rhs = order_along_arc(f, xi) + order_along_arc(g, xi) - bar.height - 1
+    nu_f_xi, nu_g_xi = orders(xi)
+    rhs = nu_f_xi + nu_g_xi - bar.height - 1
     if value.is_zero():
         return lhs > rhs
     return lhs == rhs
 
 
-def _verify_order_identity(rep, tree, analyses, J, f, g) -> None:
+def _verify_order_identity(rep, tree, analyses, J, orders) -> None:
     for bar in tree.finite_bars():
         ana = analyses[bar.id]
         if ana.collinear:
@@ -465,5 +476,5 @@ def _verify_order_identity(rep, tree, analyses, J, f, g) -> None:
         num = ana.mero_numerator.evaluate(probe)
         if num.is_zero():
             continue
-        ok = _order_identity_holds(J, f, g, tree, bar, ana, probe)
+        ok = _order_identity_holds(J, orders, tree, bar, ana, probe)
         rep.add("order-identity", bar.id, probe, True, ok)

@@ -22,6 +22,7 @@ at exponent e multiplied by rho^(e q v mod v).
 from __future__ import annotations
 
 import math
+from bisect import bisect
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -33,10 +34,12 @@ from .errors import (
     InternalInconsistency,
 )
 from .exactalg import (
+    _CERTIFICATE_PRIME,
     BiPoly,
     CycloField,
     CycloRational,
     UniPoly,
+    _squarefree_mod,
     poly_gcd,
     radical_conductor,
     roots_in_field,
@@ -181,40 +184,52 @@ def _certified(G: BiPoly, split: list[tuple[BiPoly, int]], y0: int) -> bool:
     return [m for _, m in squarefree_decompose(s)] == [1]
 
 
-def multiplicity_split(F: BiPoly) -> list[tuple[BiPoly, int]]:
-    """Squarefree-in-x components of F with multiplicities.
+def _x_columns(P: BiPoly) -> list[UniPoly]:
+    """The x-coefficients of P, a polynomial in x and y, as polynomials in y."""
+    field = P.field
+    rows: list[dict[int, CycloRational]] = [{} for _ in range(P.x_degree() + 1)]
+    for (i, j), c in P.terms.items():
+        rows[i][j] = c
+    return [UniPoly(field, [row.get(j, field.zero) for j in range(max(row, default=-1) + 1)])
+            for row in rows]
 
-    Brown's evaluation/interpolation (J. ACM 1971), with Yun's algorithm run
-    only on univariate polynomials.  F(x, y0) is decomposed at y0 = 1, 2, ...,
-    skipping zeros of lc_x(F).  The points whose squarefree part has the
-    largest degree seen so far carry the generic pattern; from
-    deg_y F + deg_y lc_x(F) + 1 of them each component is interpolated as
-    lc_x(F)(y0) times its monic image, then made primitive in y.  The result
-    is certified exactly: F * lc_x(P) = P * lc_x(F) for P = prod A_i^i, and
-    prod A_i is squarefree at a sample point where its leading coefficient
-    does not vanish.  A candidate that fails is dropped and sampling goes on;
-    past the zeros of lc_x(F) and of the discriminant of the squarefree part
-    every point is lucky, so running out of points is an internal error.  A
-    point where F(x, y0) is squarefree of full degree certifies F
-    squarefree, and F comes back unchanged.
 
-    Components are primitive in y and normalized so that the lowest y-term
-    of their leading x-coefficient is 1; their product recovers F up to a
-    factor free of x-roots (y-content and a unit).  A polynomial of x-degree
-    zero has no components.
-    """
-    if F.is_zero():
-        raise ZeroPolynomial("cannot split the zero polynomial")
-    field = F.field
-    n = F.x_degree()
-    if n < 1:
-        return []
-    G = F.shift_y(-F.y_content())
+def _lucky_mod_prime(G: BiPoly, n: int, points: int) -> bool:
+    """Whether, for some y0 in 1..points, G(x, y0) keeps its x-degree n and
+    is squarefree modulo P = _CERTIFICATE_PRIME, with G's denominators
+    cleared once (:func:`~polartree.exactalg._squarefree_mod`).  True proves
+    G squarefree in x over Q; a coefficient outside Q gives False."""
+    coeffs = G.terms.values()
+    if any(any(c.num[1:]) for c in coeffs):
+        return False
+    P = _CERTIFICATE_PRIME
+    den = math.lcm(*[c.den for c in coeffs])
+    terms = [(i, j, c.num[0] * (den // c.den) % P) for (i, j), c in G.terms.items()]
+    ydeg = max(j for _, j, _ in terms)
+    for y0 in range(1, points + 1):
+        powers = [1]
+        for _ in range(ydeg):
+            powers.append(powers[-1] * y0 % P)
+        image = [0] * (n + 1)
+        for i, j, u in terms:
+            image[i] += u * powers[j]
+        if _squarefree_mod(image, P):
+            return True
+    return False
+
+
+def _sampled_split(G: BiPoly, n: int) -> list[tuple[BiPoly, int]] | None:
+    """The certified components of G, of x-degree n >= 1 and y-content 0,
+    from sample points y0 = 1, 2, ...; None when a point proves G
+    squarefree (see :func:`multiplicity_split`)."""
+    field = G.field
     ydeg = max(j for (_, j) in G.terms)
     lead_deg = max(j for (i, j) in G.terms if i == n)
     need = ydeg + lead_deg + 1
-    # bad points: zeros of lc_x(F), and zeros of the discriminant of the
-    # squarefree part, whose y-degree is at most (2n - 1) * deg_y F
+    if _lucky_mod_prime(G, n, need):
+        return None
+    # bad points: zeros of lc_x(G), and zeros of the discriminant of the
+    # squarefree part, whose y-degree is at most (2n - 1) * deg_y G
     last = lead_deg + (2 * n - 1) * ydeg + need
     best = None
     points: list[tuple[int, CycloRational, list[tuple[UniPoly, int]]]] = []
@@ -224,7 +239,7 @@ def multiplicity_split(F: BiPoly) -> list[tuple[BiPoly, int]]:
             continue
         parts = squarefree_decompose(a)
         if [m for _, m in parts] == [1]:
-            return [(F, 1)]
+            return None
         key = (sum(p.degree() for p, _ in parts), [(m, p.degree()) for p, m in parts])
         if best is None or key[0] > best[0]:
             best, points = key, []
@@ -246,6 +261,68 @@ def multiplicity_split(F: BiPoly) -> list[tuple[BiPoly, int]]:
     raise InternalInconsistency(
         f"squarefree split not certified after {last} sample points"
     )
+
+
+def multiplicity_split(F: BiPoly) -> list[tuple[BiPoly, int]]:
+    """Squarefree-in-x components of F with multiplicities.
+
+    Let G be F / y^E and e the least x-exponent of G.  When e >= 2, x^e is
+    divided out exactly and the rest R = G / x^e is split; x then joins R's
+    component of multiplicity e, or comes in as (x, e), in multiplicity
+    order.  Since x changes neither the leading x-coefficient nor the
+    y-content, these are the components a split of G itself would give.
+    For e < 2, R is G, and x stays with the other simple factors.
+
+    A cheap certificate comes first.  When every coefficient is rational,
+    R's denominators are cleared once and R is reduced modulo the prime P
+    of :func:`~polartree.exactalg.squarefree_decompose`.  If for some y0
+    among the first deg_y R + deg_y lc_x(R) + 1 points the image keeps its
+    x-degree and is squarefree in GF(P)[x], then R(x, y0) is squarefree
+    over Q (the argument in ``squarefree_decompose``), so R is squarefree
+    in x.
+
+    Otherwise Brown's evaluation/interpolation (J. ACM 1971) runs, with
+    Yun's algorithm run only on univariate polynomials.  R(x, y0) is
+    decomposed at y0 = 1, 2, ..., skipping zeros of lc_x(R).  The points
+    whose squarefree part has the largest degree seen so far carry the
+    generic pattern; from deg_y R + deg_y lc_x(R) + 1 of them each
+    component is interpolated as lc_x(R)(y0) times its monic image, then
+    made primitive in y.  The result is certified exactly: R * lc_x(P) =
+    P * lc_x(R) for P = prod A_i^i, and prod A_i is squarefree at a sample
+    point where its leading coefficient does not vanish.  A candidate that
+    fails is dropped and sampling goes on; past the zeros of lc_x(R) and of
+    the discriminant of the squarefree part every point is lucky, so
+    running out of points is an internal error.  A point where R(x, y0) is
+    squarefree of full degree certifies R squarefree.
+
+    A squarefree F (e < 2) comes back unchanged, as [(F, 1)].  Otherwise
+    components are primitive in y and normalized so that the lowest y-term
+    of their leading x-coefficient is 1; their product recovers F up to a
+    factor free of x-roots (y-content and a unit).  A polynomial of
+    x-degree zero has no components.
+    """
+    if F.is_zero():
+        raise ZeroPolynomial("cannot split the zero polynomial")
+    n = F.x_degree()
+    if n < 1:
+        return []
+    G = F.shift_y(-F.y_content())
+    e = min(i for (i, _) in G.terms)
+    if e < 2:
+        split = _sampled_split(G, n)
+        return [(F, 1)] if split is None else split
+    field = F.field
+    R = BiPoly(field, {(i - e, j): c for (i, j), c in G.terms.items()})
+    split = _sampled_split(R, n - e) if n > e else []
+    if split is None:
+        split = [(_normalized(_x_columns(R), field), 1)]
+    mults = [m for _, m in split]
+    if e in mults:
+        k = mults.index(e)
+        split[k] = (BiPoly(field, {(i + 1, j): c for (i, j), c in split[k][0].terms.items()}), e)
+    else:
+        split.insert(bisect(mults, e), (BiPoly.variable(field, "x"), e))
+    return split
 
 
 # ---------------------------------------------------------------------------

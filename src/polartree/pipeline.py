@@ -87,7 +87,6 @@ def _capped_field(conductor: int, pinned: bool) -> CycloField:
 
 @dataclass
 class Run:
-    field: CycloField
     f: BiPoly
     g: BiPoly
     f_expansion: Expansion
@@ -98,6 +97,11 @@ class Run:
     verification: VerificationReport
     classes: list[frozenset[str]]
     factors: FactorReport
+
+    @property
+    def field(self) -> CycloField:
+        """The run's one field, that of f, g and every root."""
+        return self.f.field
 
 
 def analyze_pair(f_text: str, g_text: str, options: Options | None = None) -> Run:
@@ -118,10 +122,7 @@ def analyze_polys(f: BiPoly, g: BiPoly, options: Options | None = None) -> Run:
     classes = conjugacy_classes(tree)
     factors = group_factors(tree, analyses, oracle, classes)
     factors = intersection_mults(factors, tree, oracle, f, g)
-    return Run(
-        f.field, f, g, ef, eg, tree, analyses, oracle, verification, classes,
-        factors,
-    )
+    return Run(f, g, ef, eg, tree, analyses, oracle, verification, classes, factors)
 
 
 def _germ_stage(f: BiPoly, g: BiPoly, trunc: Fraction | None,

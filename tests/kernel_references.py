@@ -3,7 +3,10 @@
 ``substitute`` is ``npsolve._substitute`` as it was before the Taylor shift:
 one field product per binomial entry of every kept term.  ``squarefree`` is
 ``exactalg.squarefree_decompose`` without the certificate modulo a prime:
-Yun's algorithm over the field on every input.
+Yun's algorithm over the field on every input.  ``split`` is
+``npsolve.multiplicity_split`` as it was before its x-power step and its
+lucky point modulo a prime: exact sampling and interpolation alone, with
+``squarefree`` at every sample point.
 
 The arc references run Horner in x on ``Fraction``-keyed series, with the
 pessimistic truncation rule of ``PuiseuxSeries`` arithmetic:
@@ -36,9 +39,16 @@ prime factors are small.
 import math
 from fractions import Fraction
 
-from polartree import FieldTooSmall, INF, PuiseuxSeries, TruncationTooShort, UniPoly
+from polartree import (
+    FieldTooSmall,
+    INF,
+    InternalInconsistency,
+    PuiseuxSeries,
+    TruncationTooShort,
+    UniPoly,
+)
 from polartree.exactalg import _canon, poly_gcd
-from polartree.npsolve import _ceil
+from polartree.npsolve import _ceil, _certified, _interpolate, _normalized
 
 
 def substitute(terms, q, m, c, field, bound):
@@ -91,6 +101,46 @@ def squarefree(p):
         i += 1
     return out
 
+
+
+def split(F):
+    field = F.field
+    n = F.x_degree()
+    if n < 1:
+        return []
+    G = F.shift_y(-F.y_content())
+    ydeg = max(j for (_, j) in G.terms)
+    lead_deg = max(j for (i, j) in G.terms if i == n)
+    need = ydeg + lead_deg + 1
+    last = lead_deg + (2 * n - 1) * ydeg + need
+    best = None
+    points = []
+    for y0 in range(1, last + 1):
+        a = G.at_y(y0)
+        if a.degree() < n:
+            continue
+        parts = squarefree(a)
+        if [m for _, m in parts] == [1]:
+            return [(F, 1)]
+        key = (sum(p.degree() for p, _ in parts), [(m, p.degree()) for p, m in parts])
+        if best is None or key[0] > best[0]:
+            best, points = key, []
+        if key != best:
+            continue
+        points.append((y0, a.leading(), parts))
+        if len(points) != need:
+            continue
+        ys = [y for y, _, _ in points]
+        out = []
+        for t, (m, d) in enumerate(best[1]):
+            cols = [
+                _interpolate(ys, [lc * ps[t][0][e] for _, lc, ps in points], field)
+                for e in range(d + 1)
+            ]
+            out.append((_normalized(cols, field), m))
+        if _certified(G, out, ys[0]):
+            return out
+    raise InternalInconsistency(f"squarefree split not certified after {last} sample points")
 
 def substitute_arc(F, xi):
     rows = {}

@@ -183,7 +183,10 @@ def test_verification_arcs_match_series_horner(monkeypatch):
         return order_along_arc(F_, xi)
 
     monkeypatch.setattr(jacoracle, "order_along_arc", recording)
-    for f, g in _benchmark_pairs("growing", 4) + _benchmark_pairs("ramified", 4):
+    # verify orders f and g along each arc once, so a third set keeps the
+    # count of checked arcs above the floor
+    pairs = _benchmark_pairs("growing", 4) + _benchmark_pairs("growing", 5)
+    for f, g in pairs + _benchmark_pairs("ramified", 4):
         assert analyze_pair(f, g).verification.passed
     assert len(seen) > 500
     for F_, xi in seen:

@@ -380,3 +380,9 @@ def test_unity_conductor_is_the_least_multiple_holding_the_roots_of_unity():
                 continue
             z = K.zeta_of_order(d)
             assert z**d == K.one and all(z**k != K.one for k in range(1, d))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.fractions(max_denominator=10**12), st.sampled_from([1, 3, 4, 12]))
+def test_rational_elements_print_as_fractions(q, conductor):
+    assert str(CycloField(conductor).rational(q)) == str(q)

@@ -16,7 +16,7 @@ from polartree import (
     jacobian,
     verify,
 )
-from polartree.jacoracle import _order_identity_holds, climbers_at, is_bounded_by
+from polartree.jacoracle import _germ_orders, _order_identity_holds, climbers_at, is_bounded_by
 
 K4 = CycloField(4)
 
@@ -168,7 +168,7 @@ def test_climb_path_heights_increase(run_fixture):
 
 
 def _identity_check(run, bar, sample_z):
-    return _order_identity_holds(run.oracle.jac, run.f, run.g, run.tree, bar,
+    return _order_identity_holds(run.oracle.jac, _germ_orders(run.f, run.g), run.tree, bar,
                                  run.analyses[bar.id], sample_z)
 
 

@@ -491,6 +491,64 @@ def test_multiplicity_split_recovers_known_components(case):
     assert [str(p) for p, _ in out] == [str(p) for p, _ in expected]
 
 
+
+_RATIONAL_COEFFS = [F(1), F(-1), F(2), F(-2), F(1, 2)]
+
+
+@st.composite
+def _collision_products(draw):
+    """x^e * y^k * prod (x - c1*y^e1 - c2*y^e2)^m over Q(zeta_12), e in 0..3,
+    with coefficients rational or not; small coefficients make roots meet
+    at y = 1 or y = 2, and an extra factor may agree with the first root at
+    both points."""
+    x, y = _vars(K12)
+    one = BiPoly.constant(K12, 1)
+    coeff = st.sampled_from(_RATIONAL_COEFFS if draw(st.booleans()) else _K12_COEFFS)
+    roots = []
+    for _ in range(draw(st.integers(1, 3))):
+        exps = sorted(draw(st.sets(st.integers(1, 3), min_size=1, max_size=2)))
+        r = sum((y**e * draw(coeff) for e in exps), BiPoly.zero(K12))
+        if r not in roots:
+            roots.append(r)
+    if draw(st.booleans()):
+        roots.append(roots[0] + (y - one) * (y - one * 2) * draw(coeff))
+    P = x ** draw(st.integers(0, 3)) * y ** draw(st.integers(0, 2)) * draw(coeff)
+    for r in roots:
+        P = P * (x - r) ** draw(st.integers(1, 3))
+    assume(P.x_degree() <= 9)
+    return P
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(_collision_products())
+def test_multiplicity_split_matches_the_sampling_reference(P):
+    out = multiplicity_split(P)
+    want = kernel_references.split(P)
+    assert out == want
+    assert [(str(A), m) for A, m in out] == [(str(A), m) for A, m in want]
+
+
+def test_squarefree_rational_split_runs_no_exact_decomposition(monkeypatch):
+    from polartree import npsolve
+
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return squarefree_decompose(p)
+
+    squarefree_decompose = npsolve.squarefree_decompose
+    monkeypatch.setattr(npsolve, "squarefree_decompose", counted)
+    x, y = _vars(K4)
+    # roots 1, 1, 2 at y = 1 and 2, 4, 4 at y = 2: both points are unlucky
+    P = (x - y) * (x - y**2) * (x - y * 2)
+    assert multiplicity_split(P) == [(P, 1)]
+    # x^2 is divided out; the squarefree rest is normalized, x joins as (x, 2)
+    assert [(str(A), m) for A, m in multiplicity_split(P * x**2 * y * 3)] == [
+        ("x^3 - 3*x^2*y - x^2*y^2 + 2*x*y^2 + 3*x*y^3 - 2*y^4", 1), ("x", 2)]
+    assert calls == []
+    assert multiplicity_split(P * x**2) == kernel_references.split(P * x**2)
+
 def test_split_certificate_rejects_wrong_candidates():
     from polartree.npsolve import _certified
 
