@@ -140,7 +140,7 @@ def analyze_bar(tree: Tree, bar: Bar) -> BarAnalysis:
     m_star = m - sum(mero_zeros.get(z, 0) for z in coll_pts)
 
     unresolved = rest.degree()
-    if unresolved and any(rest.evaluate(z).is_zero() for z, _t in tree.growth_points(bar)):
+    if unresolved and any(rest.vanishes_at(z) for z, _t in tree.growth_points(bar)):
         raise InternalInconsistency("unresolved zero factor vanishes at a growth point")
 
     predicted: dict[CycloRational, int] = {}

@@ -534,11 +534,18 @@ class UniPoly:
         inv = self.leading().inverse()
         return self * inv
 
-    def evaluate(self, point: CycloRational) -> CycloRational:
-        acc = self.field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * point + c
-        return acc
+    def vanishes_at(self, point: CycloRational) -> bool:
+        """Whether this polynomial is zero at ``point``: Horner in exact
+        integers (:func:`_horner_digits`) over the coefficients' common
+        denominator and the point's numerator digits and denominator; no
+        field element is built."""
+        if point.field is not self.field:
+            raise ValueError(_MIXED)
+        if not self.coeffs:
+            return True
+        _, digits = _integer_digits(self.coeffs)
+        den, (num,) = _integer_digits([point])
+        return not any(_horner_digits(self.field, digits, num, den))
 
     def compose_scale(self, factor: CycloRational) -> "UniPoly":
         """p(factor * z)."""
@@ -925,7 +932,7 @@ def roots_in_field(
         for cand in candidates:
             if len(found) >= d - 1:
                 break
-            if cand not in found and f.evaluate(cand).is_zero():
+            if cand not in found and f.vanishes_at(cand):
                 found.append(cand)
         if len(found) < d - 1:
             lacunary = _lacunary_roots(f)
@@ -1026,35 +1033,157 @@ def _integer_digits(coeffs: Sequence[CycloRational]) -> tuple[int, list[tuple[in
 
 
 class _Integers:
-    """A :class:`BiPoly`'s coefficients as integer digits over one common
+    """A polynomial's coefficients as integer digits over one common
     denominator ``den``: ``rows`` maps each x-exponent i to its (j, digits)
     terms, ``row_l1`` to the sum of the absolute digits of that row.
     ``zeta`` is the longest digit tuple and ``l1`` the sum of all absolute
-    digits; i and j range over [imin, imax] and [jmin, jmax]."""
+    digits; i and j range over [imin, imax] and [jmin, jmax].  ``packed``
+    keeps, for each layout (bits, z, d) of :func:`arc_order`, every row
+    packed in that layout, so that each layout is built once."""
 
-    __slots__ = ("den", "rows", "row_l1", "zeta", "l1", "imin", "imax", "jmin", "jmax")
+    __slots__ = ("den", "rows", "row_l1", "zeta", "l1", "imin", "imax", "jmin", "jmax",
+                 "packed")
 
-    def __init__(self, poly: "BiPoly"):
-        self.den, digits = _integer_digits(list(poly.terms.values()))
-        rows: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
-        row_l1: dict[int, int] = {}
-        for (i, j), ds in zip(poly.terms, digits):
-            a = sum(map(abs, ds))
-            if i in rows:
-                rows[i].append((j, ds))
-                row_l1[i] += a
-            else:
-                rows[i] = [(j, ds)]
-                row_l1[i] = a
-        js = [j for _, j in poly.terms]
+    def __init__(self, den: int, rows: dict[int, list[tuple[int, tuple[int, ...]]]]):
+        self.den = den
         self.rows = rows
-        self.row_l1 = row_l1
-        self.zeta = max(map(len, digits), default=1)
+        self.row_l1 = row_l1 = {i: sum([abs(u) for _, ds in row for u in ds])
+                                for i, row in rows.items()}
+        self.zeta = max([len(ds) for row in rows.values() for _, ds in row], default=1)
         self.l1 = sum(row_l1.values())
+        js = [j for row in rows.values() for j, _ in row]
         self.imin = min(rows, default=0)
         self.imax = max(rows, default=0)
         self.jmin = min(js, default=0)
         self.jmax = max(js, default=0)
+        self.packed: dict[tuple[int, int, int], dict[int, int]] = {}
+
+    @classmethod
+    def of(cls, poly: "BiPoly") -> "_Integers":
+        den, digits = _integer_digits(list(poly.terms.values()))
+        rows: dict[int, list[tuple[int, tuple[int, ...]]]] = {}
+        for (i, j), ds in zip(poly.terms, digits):
+            if i in rows:
+                rows[i].append((j, ds))
+            else:
+                rows[i] = [(j, ds)]
+        return cls(den, rows)
+
+    def diff_x(self) -> "_Integers":
+        """The integer form of the x-derivative: each digit times its
+        x-exponent, over the same denominator."""
+        return _Integers(self.den, {i - 1: [(j, tuple([u * i for u in ds])) for j, ds in row]
+                                    for i, row in self.rows.items() if i})
+
+    def diff_y(self) -> "_Integers":
+        """The integer form of the y-derivative, as :meth:`diff_x`."""
+        rows = {}
+        for i, row in self.rows.items():
+            row = [(j - 1, tuple([u * j for u in ds])) for j, ds in row if j]
+            if row:
+                rows[i] = row
+        return _Integers(self.den, rows)
+
+
+def _packed_sum(field: CycloField, products) -> dict[tuple[int, int], CycloRational]:
+    """The terms of the sum of s * A * B over the (s, A, B) of
+    ``products`` (integer forms of nonzero polynomials), from one packed
+    integer.
+
+    Every product shares one layout: cells run over x, then y, then the
+    unreduced zeta slots, wide enough for every product.  Over the lcm L
+    of the products' denominators, product k is scaled by
+    c_k = s_k L / (den A_k den B_k), so each digit is at most the sum of
+    |c_k| |A_k|_1 |B_k|_1.  A is packed from its own least exponents and B
+    from the sum's least exponents less A's, so every product lands in
+    place.  The sum is read back once; each nonzero cell is folded and put
+    over L.
+    """
+    den = math.lcm(*[a.den * b.den for _, a, b in products])
+    scaled = [(s * (den // (a.den * b.den)), a, b) for s, a, b in products]
+    z = max(a.zeta + b.zeta - 1 for _, a, b in products)
+    i0 = min(a.imin + b.imin for _, a, b in products)
+    j0 = min(a.jmin + b.jmin for _, a, b in products)
+    ny = max(a.jmax + b.jmax for _, a, b in products) - j0 + 1
+    nx = max(a.imax + b.imax for _, a, b in products) - i0 + 1
+    bits = _slot_bits(sum(abs(c) * a.l1 * b.l1 for c, a, b in scaled))
+    w = bits * z
+
+    def pack(f: _Integers, io: int, jo: int) -> int:
+        return _packed(((((i - io) * ny + j - jo) * w, ds)
+                        for i, row in f.rows.items() for j, ds in row), bits)
+
+    total = 0
+    for c, a, b in scaled:
+        total += c * pack(a, a.imin, a.jmin) * pack(b, i0 - a.imin, j0 - a.jmin)
+    out: dict[tuple[int, int], CycloRational] = {}
+    for k, digits in _cells(total, nx * ny, bits, z):
+        num = field._fold(digits)
+        if any(num):
+            i, j = divmod(k, ny)
+            out[(i0 + i, j0 + j)] = _canon(field, tuple(num), den)
+    return out
+
+
+def _horner_digits(field: CycloField, coeffs, point: Sequence[int], scale: int) -> list[int]:
+    """The power-basis digits of sum_i coeffs[i] point^i scale^(m-i),
+    m = len(coeffs) - 1, for integer digit vectors ``coeffs`` (None for a
+    zero coefficient; the last one not None) and ``point``: Horner in exact
+    integers, each product folded modulo the cyclotomic polynomial.  For
+    a polynomial with coefficients a_i / D at the point p / scale, the
+    value times D scale^m; a rational point is a length-one vector, and
+    then every product is a scalar one."""
+    acc: list[int] = []
+    sp = 1
+    scalar = point[0] if len(point) == 1 else None
+    for c in reversed(coeffs):
+        if acc:
+            if scalar is None:
+                acc = field._fold(_convolve(acc, point))
+            else:
+                acc = [u * scalar for u in acc]
+        if c is not None:
+            if len(c) > len(acc):
+                acc += [0] * (len(c) - len(acc))
+            for k, u in enumerate(c):
+                acc[k] += u * sp
+        sp *= scale
+    return acc
+
+
+def vanishes_at_two(F: "BiPoly", arc: Sequence[tuple[int, CycloRational]], d: int) -> bool:
+    """Whether F(A(2), 2^d) = 0, for the Laurent polynomial A(t) of
+    :func:`arc_order`: the value of F(A(t), t^d) at t = 2, so that False
+    proves F(A(t), t^d) nonzero.
+
+    Exact integer work on F's integer rows: each row at y = 2^d, times
+    2^r for Laurent rows, is a sum of shifted digits; A(2) is X / (D 2^s)
+    over the arc's common denominator D, with s the negated least negative
+    exponent; and Horner in x (:func:`_horner_digits`) runs on the digit
+    vectors with scale D 2^s.
+    """
+    ints = F._integers()
+    if not ints.rows:
+        return True
+    field = F.field
+    if any(c.field is not field for _, c in arc):
+        raise ValueError(_MIXED)
+    shift = max(-ints.jmin * d, 0)
+    coeffs: list[list[int] | None] = [None] * (ints.imax + 1)
+    for i, row in ints.rows.items():
+        r = [0] * max([len(ds) for _, ds in row])
+        for j, ds in row:
+            e = j * d + shift
+            for k, u in enumerate(ds):
+                r[k] += u << e
+        coeffs[i] = r
+    den, arc_digits = _integer_digits([c for _, c in arc])
+    s = max(-arc[0][0], 0) if arc else 0
+    x = [0] * max(map(len, arc_digits), default=1)
+    for (n, _), ds in zip(arc, arc_digits):
+        for k, u in enumerate(ds):
+            x[k] += u << (n + s)
+    return not any(_horner_digits(field, coeffs, x, den << s))
 
 
 def arc_order(F: "BiPoly", arc: Sequence[tuple[int, CycloRational]], d: int) -> int | None:
@@ -1067,9 +1196,12 @@ def arc_order(F: "BiPoly", arc: Sequence[tuple[int, CycloRational]], d: int) -> 
     integer product per x-degree.  Every digit of R is at most
     sum_i |F_i|_1 |A_int|_1^i D^(m-i) in absolute value.  Laurent rows of
     F and a negative leading exponent of A are shifted to non-negative
-    slots.  The 2-adic valuation of R falls in the cell of its lowest
-    nonzero digits; their unreduced zeta digits are folded in the field,
-    and a cell that folds to zero is dropped for the next one.
+    slots.  F's rows are packed once per layout (bits, z, d) and kept on
+    its integer form, and each Horner step shifts the kept row by the
+    arc's shift instead of packing it again.  The 2-adic valuation of R
+    falls in the cell of its lowest nonzero digits; their unreduced zeta
+    digits are folded in the field, and a cell that folds to zero is
+    dropped for the next one.
     """
     ints = F._integers()
     rows = ints.rows
@@ -1092,13 +1224,20 @@ def arc_order(F: "BiPoly", arc: Sequence[tuple[int, CycloRational]], d: int) -> 
     row_shift = max(-ints.jmin * d, 0)
     arc_shift = max(-arc[0][0], 0) if arc else 0
     packed_arc = _packed((((n + arc_shift) * w, ds) for (n, _), ds in zip(arc, arc_digits)), bits)
+    layout = (bits, z, d)
+    packed_rows = ints.packed.get(layout)
+    if packed_rows is None:
+        packed_rows = ints.packed[layout] = {
+            i: _packed((((j * d + row_shift) * w, ds) for j, ds in row), bits)
+            for i, row in rows.items()
+        }
+    step = arc_shift * w
     acc, dp = 0, 1
     for i in range(m, -1, -1):
         acc *= packed_arc
-        row = rows.get(i)
-        if row:
-            shift = row_shift + (m - i) * arc_shift
-            acc += dp * _packed((((j * d + shift) * w, ds) for j, ds in row), bits)
+        row = packed_rows.get(i)
+        if row is not None:
+            acc += dp * (row << (m - i) * step)
         dp *= den
     if not acc:
         return None
@@ -1270,7 +1409,7 @@ class BiPoly:
 
     def _integers(self) -> _Integers:
         if self._ints is None:
-            self._ints = _Integers(self)
+            self._ints = _Integers.of(self)
         return self._ints
 
     def __mul__(self, other) -> "BiPoly":
@@ -1288,42 +1427,25 @@ class BiPoly:
             ((i1, j1), c1), = a.items()
             terms = {(i1 + i, j1 + j): c1 * c for (i, j), c in b.items()}
         elif a and b:
-            terms = self._packed_product(other)
+            if other.field is not self.field:
+                raise ValueError(_MIXED)
+            terms = _packed_sum(self.field, [(1, self._integers(), other._integers())])
         else:
             terms = {}
         return BiPoly(self.field, terms)
 
-    def _packed_product(self, other: "BiPoly") -> dict[tuple[int, int], CycloRational]:
-        """The terms of self * other from one product of packed integers.
-
-        Cells run over x, then y, then the unreduced zeta slots, wide
-        enough for the product; each digit is at most |a|_1 |b|_1.  Each
-        nonzero cell is folded and put over the product of the two
-        denominators.
-        """
-        field = self.field
-        if other.field is not field:
+    def jacobian(self, other: "BiPoly") -> "BiPoly":
+        """The Jacobian determinant self_y other_x - self_x other_y, as one
+        packed sum of its two products (:func:`_packed_sum`).  The
+        derivatives' digits come from the two integer forms, each digit
+        times its exponent; no derivative polynomial is built."""
+        if other.field is not self.field:
             raise ValueError(_MIXED)
-        fa, fb = self._integers(), other._integers()
-        z = fa.zeta + fb.zeta - 1
-        ny = fa.jmax - fa.jmin + fb.jmax - fb.jmin + 1
-        nx = fa.imax - fa.imin + fb.imax - fb.imin + 1
-        bits = _slot_bits(fa.l1 * fb.l1)
-        w = bits * z
-
-        def pack(f: _Integers) -> int:
-            return _packed(((((i - f.imin) * ny + j - f.jmin) * w, ds)
-                            for i, row in f.rows.items() for j, ds in row), bits)
-
-        den = fa.den * fb.den
-        i0, j0 = fa.imin + fb.imin, fa.jmin + fb.jmin
-        out: dict[tuple[int, int], CycloRational] = {}
-        for k, digits in _cells(pack(fa) * pack(fb), nx * ny, bits, z):
-            num = field._fold(digits)
-            if any(num):
-                i, j = divmod(k, ny)
-                out[(i0 + i, j0 + j)] = _canon(field, tuple(num), den)
-        return out
+        a, b = self._integers(), other._integers()
+        products = [(s, p, q) for s, p, q in ((1, a.diff_y(), b.diff_x()),
+                                              (-1, a.diff_x(), b.diff_y()))
+                    if p.rows and q.rows]
+        return BiPoly(self.field, _packed_sum(self.field, products) if products else {})
 
     __rmul__ = __mul__
 
@@ -1344,10 +1466,6 @@ class BiPoly:
     def diff_x(self) -> "BiPoly":
         return BiPoly(self.field,
                       {(i - 1, j): c * i for (i, j), c in self.terms.items() if i})
-
-    def diff_y(self) -> "BiPoly":
-        return BiPoly(self.field,
-                      {(i, j - 1): c * j for (i, j), c in self.terms.items() if j})
 
     # -- structure ---------------------------------------------------------------
     def x_degree(self) -> int:

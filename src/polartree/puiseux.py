@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING, Iterable
 from .errors import TruncationTooShort
 from .exactalg import (
     BiPoly, CycloField, CycloRational, UniPoly, arc_order, coeff_term, join_terms,
+    vanishes_at_two,
 )
 
 if TYPE_CHECKING:
@@ -292,7 +293,7 @@ class ExpandedRoot:
         the prefix's (so the difference might vanish at the branch point).
         """
         cp = prefix.coefficient_at(self.branch_exp)
-        if self.coeff_poly.evaluate(cp).is_zero():
+        if self.coeff_poly.vanishes_at(cp):
             raise TruncationTooShort(
                 "unresolved branch coefficient may coincide with a tree point"
             )
@@ -371,11 +372,11 @@ def vanishes_along(F: BiPoly, xi: PuiseuxSeries) -> bool:
     arc raises :class:`TruncationTooShort` (:func:`_arc_over`).
 
     With y = t^d, F(xi) is a Laurent polynomial in t.  Its value at t = 2,
-    F(x, 2^d) at x = xi, costs one evaluation, and a nonzero value proves
-    it nonzero; only a zero value runs
+    F(x, 2^d) at x = xi, comes from F's integer rows by exact integer
+    Horner (:func:`~polartree.exactalg.vanishes_at_two`), and a nonzero
+    value proves it nonzero; only a zero value runs
     :func:`~polartree.exactalg.arc_order`, whose packed integers grow with
     the arc's length and denominators.
     """
     arc, d = _arc_over(xi)
-    x0 = sum((c * 2**n if n >= 0 else c / 2**-n for n, c in arc), F.field.zero)
-    return F.at_y(2**d).evaluate(x0).is_zero() and arc_order(F, arc, d) is None
+    return vanishes_at_two(F, arc, d) and arc_order(F, arc, d) is None

@@ -159,7 +159,7 @@ class Tree:
             if rel[0] == "coeff-unresolved":
                 chi_here = rel[1]
                 for z, _tr in self.growth_points(bar):
-                    if chi_here.evaluate(z).is_zero():
+                    if chi_here.vanishes_at(z):
                         raise TruncationTooShort(
                             "unresolved coefficient may equal a growth point"
                         )

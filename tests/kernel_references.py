@@ -20,6 +20,15 @@ enough for many drawn inputs.
 division, ``located_product`` the product of (z - r)^m over located roots,
 and ``shift_poly`` p(z + c) by Horner's rule on polynomials.
 
+``evaluate`` is ``UniPoly.evaluate`` as it was: p(point) by Horner's rule
+with one field product per coefficient, which ``UniPoly.vanishes_at``
+replaced with integer Horner.  ``vanishes_at_two`` is the pre-test of
+``puiseux.vanishes_along`` as it was: F(x, 2^d) from ``BiPoly.at_y`` at the
+arc's value at t = 2, one field product per term.  ``jacobian`` is
+``jacoracle.jacobian`` as it was: two packed products of derivative
+polynomials, subtracted term by term, with ``diff_y`` the y-derivative
+``BiPoly.diff_y`` that only it used.
+
 ``equal_up_to_constant`` tells whether a = c*b for a nonzero constant c, and
 ``conjugate_series`` applies y^(1/ram) -> zeta_ram^k * y^(1/ram) term by
 term; it is the reference the tree's conjugacy classes are checked against.
@@ -40,6 +49,7 @@ import math
 from fractions import Fraction
 
 from polartree import (
+    BiPoly,
     FieldTooSmall,
     INF,
     InternalInconsistency,
@@ -223,10 +233,30 @@ def dict_horner_order(F, xi):
     return Fraction(min(acc), d) if acc else INF
 
 
+def evaluate(p, point):
+    acc = p.field.zero
+    for c in reversed(p.coeffs):
+        acc = acc * point + c
+    return acc
+
+
+def vanishes_at_two(F, arc, d):
+    x0 = sum((c * 2**n if n >= 0 else c / 2**-n for n, c in arc), F.field.zero)
+    return evaluate(F.at_y(2**d), x0).is_zero()
+
+
+def diff_y(f):
+    return BiPoly(f.field, {(i, j - 1): c * j for (i, j), c in f.terms.items() if j})
+
+
+def jacobian(f, g):
+    return diff_y(f) * g.diff_x() - f.diff_x() * diff_y(g)
+
+
 def root_multiplicity(p, point):
     lin = UniPoly(p.field, (-point, p.field.one))
     m = 0
-    while not p.is_zero() and p.evaluate(point).is_zero():
+    while not p.is_zero() and evaluate(p, point).is_zero():
         p = p.exact_div(lin)
         m += 1
     return m

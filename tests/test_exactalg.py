@@ -186,7 +186,7 @@ def test_roots_evaluate_to_zero():
             assert rest == UniPoly(field, [1])
             assert sum(m for _, m in found) == p.degree()
             for r, _ in found:
-                assert p.evaluate(r).is_zero()
+                assert kernel_references.evaluate(p, r).is_zero()
 
 
 def test_roots_with_multiplicity():
@@ -232,7 +232,7 @@ def test_bipoly_arithmetic_and_calculus():
     f = (x + y) ** 2
     assert str(f) == "x^2 + 2*x*y + y^2"
     assert f.diff_x() == (x + y) * 2
-    assert f.diff_y() == (x + y) * 2
+    assert f.jacobian(x) == (x + y) * 2  # J(f, x) = f_y
     assert (x * x - y * y).y_content() == 0
     assert ((x * y - y * y) * y).y_content() == 2
 

@@ -1,6 +1,7 @@
 """The Jacobian oracle: expansion, placement, verification."""
 
 import importlib.util
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction as F
 from pathlib import Path
@@ -224,13 +225,14 @@ CORPUS = sorted(name for name, fx in FIXTURES.items() if not fx.laurent)
 
 
 def test_order_identity_checked_on_every_noncollinear_bar(run_fixture):
+    # exactly one row per non-collinear finite bar, and none elsewhere
     for name in CORPUS:
         run = run_fixture(name)
-        checks = sum(
-            c.family == "order-identity" for c in run.verification.comparisons
+        checks = Counter(
+            c.bar_id for c in run.verification.comparisons if c.family == "order-identity"
         )
-        noncollinear = sum(
-            not run.analyses[b.id].collinear for b in run.tree.finite_bars()
+        noncollinear = Counter(
+            b.id for b in run.tree.finite_bars() if not run.analyses[b.id].collinear
         )
         assert checks == noncollinear, name
 

@@ -63,14 +63,14 @@ def _reference_find_one_root(f, candidates):
             if r is None:
                 continue
             cand = field.rational(r)
-        if f.evaluate(cand).is_zero():
+        if kernel_references.evaluate(f, cand).is_zero():
             return cand
     n = field.conductor
     for j in range(n):
         rotated = f if j == 0 else f.compose_scale(field.zeta(j))
         for r in _rational_gcd_roots(rotated.coordinate_polys()):
             root = field.zeta(j) * field.rational(r) if j else field.rational(r)
-            if f.evaluate(root).is_zero():
+            if kernel_references.evaluate(f, root).is_zero():
                 return root
     return None
 
