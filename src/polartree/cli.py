@@ -109,8 +109,6 @@ def _emit(args, document: dict, human: str) -> None:
         sys.stdout.write(json.dumps(document, indent=1, sort_keys=True) + "\n")
     else:
         sys.stdout.write(human)
-        if not human.endswith("\n"):
-            sys.stdout.write("\n")
 
 
 def _full_run(args) -> Run:

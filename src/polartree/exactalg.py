@@ -610,6 +610,29 @@ def _squarefree_mod_prime(p: UniPoly) -> bool:
     return _squarefree_mod([c.num[0] * (den // c.den) for c in coeffs], _CERTIFICATE_PRIME)
 
 
+def _lucky_mod_prime(G: "BiPoly", n: int, points: int) -> bool:
+    """Whether, for some y0 in 1..points, G(x, y0) keeps its x-degree n and
+    is squarefree modulo P = _CERTIFICATE_PRIME (:func:`_squarefree_mod`),
+    read from G's integer form, whose digits are cleared of denominators.
+    True proves G squarefree in x over Q; a coefficient outside Q gives
+    False."""
+    ints = G._integers()
+    if ints.zeta > 1:
+        return False
+    P = _CERTIFICATE_PRIME
+    terms = [(i, j, ds[0] % P) for i, row in ints.rows.items() for j, ds in row]
+    for y0 in range(1, points + 1):
+        powers = [1]
+        for _ in range(ints.jmax):
+            powers.append(powers[-1] * y0 % P)
+        image = [0] * (n + 1)
+        for i, j, u in terms:
+            image[i] += u * powers[j]
+        if _squarefree_mod(image, P):
+            return True
+    return False
+
+
 def _squarefree_mod(coeffs: Sequence[int], P: int) -> bool:
     """Whether the integer polynomial with ascending ``coeffs`` keeps its
     degree modulo the prime P and has no common factor with its derivative
@@ -746,19 +769,6 @@ def _rational_roots(int_coeffs: list[int]) -> list[Rat]:
     return sorted(roots, key=lambda r: (abs(r.numerator), r.denominator, r < 0))
 
 
-def _rational_gcd_roots(coord_polys: list[list[int]]) -> list[Rat]:
-    """Rational roots common to all integer coordinate polynomials."""
-    Q = CycloField(1)
-    g = UniPoly.zero(Q)
-    for p in coord_polys:
-        g = poly_gcd(g, UniPoly(Q, p))
-        if g.degree() == 0:
-            return []
-    # the monic gcd times the lcm of its denominators is primitive
-    lcm = math.lcm(*(c.den for c in g.coeffs))
-    return _rational_roots([c.num[0] * (lcm // c.den) for c in g.coeffs])
-
-
 def _rational_root(a: Rat, e: int) -> Rat | None:
     """The rational e-th root of a >= 0, if there is one."""
 
@@ -887,10 +897,12 @@ def _rotation_roots(f: UniPoly, found: list[CycloRational]) -> None:
             return
         zj = field.zeta(j)
         rotated = f.compose_scale(zj) if j else f
-        pairs = [(j, t) for t in _rational_gcd_roots(rotated.coordinate_polys())]
-        for _j, t in sorted(pairs, key=_root_key):
+        # a rational root of f(zeta^j z) is a rational root of each of its
+        # coordinate polynomials, so of the first nonzero one
+        first = next(p for p in rotated.coordinate_polys() if any(p))
+        for t in _rational_roots(first):
             root = zj * t
-            if root not in found:
+            if root not in found and rotated.vanishes_at(field.rational(t)):
                 found.append(root)
 
 

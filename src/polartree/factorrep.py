@@ -269,8 +269,7 @@ def order_sum_via_trace(tree: Tree, kind: str, trace: ArcTrace) -> Fraction:
                              if tree.roots[rid].kind == kind)
 
 
-def intersection_mults(report: FactorReport, tree: Tree, oracle: OracleResult,
-                       f: BiPoly, g: BiPoly) -> FactorReport:
+def intersection_mults(report: FactorReport, tree: Tree, oracle: OracleResult) -> FactorReport:
     """Fill in the invariant intersection multiplicities, three ways each.
 
     Formula (generic order times pure-zero count), direct summation over

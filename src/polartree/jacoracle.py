@@ -1,12 +1,14 @@
 """The brute-force oracle: expand the Jacobian's roots and verify predictions.
 
 The oracle computes J = f_y g_x - f_x g_y exactly, expands its Newton-Puiseux
-roots, places every root on the tree by contact order alone (it never reads
-the per-bar counting numbers, so prediction and observation stay
-independent), and then compares the observed climb/leave data against every
-counting prediction.  Placement happens once, in ``Tree.trace_arc``; every
-check reads the record's trace and never compares the arc with a bar prefix
-again.  Verification failures are report content, not exceptions.
+roots once, to the tree's depth max_contact + 2 or to a pinned truncation
+(no bar is higher, so no placement needs more terms), places every root on
+the tree by contact order alone (it never reads the per-bar counting
+numbers, so prediction and observation stay independent), and then compares
+the observed climb/leave data against every counting prediction.
+Placement happens once, in ``Tree.trace_arc``; every check reads the
+record's trace and never compares the arc with a bar prefix again.
+Verification failures are report content, not exceptions.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
-from .errors import InputError, InternalInconsistency, NoCover, TruncationTooShort
+from .errors import InputError, InternalInconsistency, NoCover
 from .exactalg import BiPoly, CycloRational, UniPoly, squarefree_decompose
 from .puiseux import ExpandedRoot, PuiseuxSeries, order_along_arc
 from .npsolve import expand_roots
@@ -44,16 +46,16 @@ class OracleResult:
     truncation: Fraction
 
 
-MAX_DEEPEN = 6  # truncation doublings before placement gives up
-
-
 def polar_roots(f: BiPoly, g: BiPoly, tree: Tree, target=None) -> OracleResult:
-    """Expand the Jacobian and place every polar root on the tree.
+    """Expand the Jacobian once, to ``target`` or else to the tree's depth
+    ``max_contact + 2``, and place every polar root on the tree.
 
-    Branches whose coefficients fall outside the field are kept as exactly
-    counted bundles.  The truncation starts at the
-    session default (max pairwise root contact + 2) and deepens on demand
-    when a placement needs more terms.
+    Every bar height is at most ``max_contact``, so that depth fixes every
+    placement, and a bundle whose coefficients fall outside the field is
+    kept as an exactly counted record.  A placement that the expansion
+    leaves open raises :class:`~polartree.errors.TruncationTooShort` at
+    once: its bundle sits at an exact Newton edge, which no deeper
+    expansion changes.
     """
     J = jacobian(f, g)
     if J.is_zero():
@@ -66,19 +68,6 @@ def polar_roots(f: BiPoly, g: BiPoly, tree: Tree, target=None) -> OracleResult:
                 seen.add(z)
                 candidates.append(z)
     depth = Fraction(target) if target is not None else tree.max_contact + 2
-    last_err: Exception | None = None
-    for _ in range(MAX_DEEPEN):
-        try:
-            return _expand_and_place(J, tree, depth, candidates)
-        except TruncationTooShort as e:
-            last_err = e
-            depth *= 2
-    raise TruncationTooShort(
-        f"placement still unresolved at truncation {depth}: {last_err}"
-    )
-
-
-def _expand_and_place(J: BiPoly, tree: Tree, depth: Fraction, candidates) -> OracleResult:
     expansion = expand_roots(J, depth, extra_candidates=candidates)
     records: list[ExpandedRoot] = []
     for root in expansion.roots:

@@ -34,12 +34,11 @@ from .errors import (
     InternalInconsistency,
 )
 from .exactalg import (
-    _CERTIFICATE_PRIME,
     BiPoly,
     CycloField,
     CycloRational,
     UniPoly,
-    _squarefree_mod,
+    _lucky_mod_prime,
     poly_gcd,
     radical_conductor,
     roots_in_field,
@@ -192,30 +191,6 @@ def _x_columns(P: BiPoly) -> list[UniPoly]:
         rows[i][j] = c
     return [UniPoly(field, [row.get(j, field.zero) for j in range(max(row, default=-1) + 1)])
             for row in rows]
-
-
-def _lucky_mod_prime(G: BiPoly, n: int, points: int) -> bool:
-    """Whether, for some y0 in 1..points, G(x, y0) keeps its x-degree n and
-    is squarefree modulo P = _CERTIFICATE_PRIME, with G's denominators
-    cleared once (:func:`~polartree.exactalg._squarefree_mod`).  True proves
-    G squarefree in x over Q; a coefficient outside Q gives False."""
-    coeffs = G.terms.values()
-    if any(any(c.num[1:]) for c in coeffs):
-        return False
-    P = _CERTIFICATE_PRIME
-    den = math.lcm(*[c.den for c in coeffs])
-    terms = [(i, j, c.num[0] * (den // c.den) % P) for (i, j), c in G.terms.items()]
-    ydeg = max(j for _, j, _ in terms)
-    for y0 in range(1, points + 1):
-        powers = [1]
-        for _ in range(ydeg):
-            powers.append(powers[-1] * y0 % P)
-        image = [0] * (n + 1)
-        for i, j, u in terms:
-            image[i] += u * powers[j]
-        if _squarefree_mod(image, P):
-            return True
-    return False
 
 
 def _sampled_split(G: BiPoly, n: int) -> list[tuple[BiPoly, int]] | None:

@@ -3,7 +3,9 @@
 Each adaptive knob has one loop, shared by every command (``reduce`` and
 ``generic`` included): ``_in_field`` parses the input once and enlarges the
 field conductor unless it is pinned, and ``_germ_stage`` deepens the
-truncation until every root contact is determined.  Everything is exact.
+truncation until every root contact is determined.  The oracle then expands
+the Jacobian once, to the tree's depth (:func:`~polartree.jacoracle.polar_roots`).
+Everything is exact.
 """
 
 from __future__ import annotations
@@ -121,7 +123,7 @@ def analyze_polys(f: BiPoly, g: BiPoly, options: Options | None = None) -> Run:
     verification = verify(tree, analyses, oracle, f, g)
     classes = conjugacy_classes(tree)
     factors = group_factors(tree, analyses, oracle, classes)
-    factors = intersection_mults(factors, tree, oracle, f, g)
+    factors = intersection_mults(factors, tree, oracle)
     return Run(f, g, ef, eg, tree, analyses, oracle, verification, classes, factors)
 
 

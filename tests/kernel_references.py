@@ -42,7 +42,9 @@ exponent, its branch point, or INF.
 search it replaced: every p/q with p dividing the constant term and q the
 leading coefficient, both lists from trial division.  It is exact but slow
 on coefficients with a large prime factor, so it only checks inputs whose
-prime factors are small.
+prime factors are small.  ``rational_gcd_roots`` is the rotation search's
+old step in ``exactalg._rotation_roots``: the rational roots common to a
+list of integer coordinate polynomials, from their gcd over Q.
 """
 
 import math
@@ -50,6 +52,7 @@ from fractions import Fraction
 
 from polartree import (
     BiPoly,
+    CycloField,
     FieldTooSmall,
     INF,
     InternalInconsistency,
@@ -57,7 +60,7 @@ from polartree import (
     TruncationTooShort,
     UniPoly,
 )
-from polartree.exactalg import _canon, poly_gcd
+from polartree.exactalg import _canon, _rational_roots, poly_gcd
 from polartree.npsolve import _ceil, _certified, _interpolate, _normalized
 
 
@@ -373,3 +376,16 @@ def rational_roots(int_coeffs):
             if math.gcd(p, q) == 1:
                 roots += [Fraction(s, q) for s in (p, -p) if vanishes(s, q)]
     return roots
+
+
+def rational_gcd_roots(coord_polys):
+    """Rational roots common to all integer coordinate polynomials."""
+    Q = CycloField(1)
+    g = UniPoly.zero(Q)
+    for p in coord_polys:
+        g = poly_gcd(g, UniPoly(Q, p))
+        if g.degree() == 0:
+            return []
+    # the monic gcd times the lcm of its denominators is primitive
+    lcm = math.lcm(*(c.den for c in g.coeffs))
+    return _rational_roots([c.num[0] * (lcm // c.den) for c in g.coeffs])

@@ -26,6 +26,7 @@ from polartree import (
 from polartree.cli import run
 from polartree.parsing import MAX_GERM_DEGREE
 from polartree.pipeline import MAX_FIELD_DEGREE
+from test_factorrep import COMPARE_LEVELS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -329,6 +330,13 @@ def test_cli_compare_explicit_expressions(capsys):
     assert "verdict:" in out
 
 
+@pytest.mark.parametrize("first, second, level, witness", COMPARE_LEVELS)
+def test_cli_compare_prints_the_witness(capsys, first, second, level, witness):
+    code, out, err = _cli(capsys, "compare", "--f", first[0], "--g", first[1],
+                          "--f2", second[0], "--g2", second[1])
+    assert (code, out, err) == (0, f"verdict: {level}\nwitness: {witness}\n", "")
+
+
 def test_cli_unresolvable_input_roots(capsys):
     # sqrt(2) is not reachable by the in-field root search
     code, _out, err = _cli(capsys, "verify", "--f", "x^2 - 2*y^2", "--g", "y")
@@ -515,16 +523,22 @@ def test_bundle_that_may_meet_a_root_has_an_undetermined_contact():
 
 
 def test_cli_undetermined_placement_exits_3(capsys, monkeypatch):
-    # every Jacobian expansion yields the bundle, which climbs to the root
-    # x = y of f and cannot be told apart from it at any depth
+    # the Jacobian's one expansion yields the bundle, which climbs to the
+    # root x = y of f and cannot be told apart from it at any depth; the
+    # oracle does not expand again
     from polartree import Expansion, jacoracle
 
-    monkeypatch.setattr(jacoracle, "expand_roots", lambda J, depth, extra_candidates:
-                        Expansion([_bundle_on_a_tree_point(J.field)], 0, 1))
+    depths = []
+
+    def expand(J, depth, extra_candidates):
+        depths.append(depth)
+        return Expansion([_bundle_on_a_tree_point(J.field)], 0, 1)
+
+    monkeypatch.setattr(jacoracle, "expand_roots", expand)
     code, out, err = _cli(capsys, "verify", "--f", "x-y", "--g", "x+y")
     assert code == 3 and out == ""
-    assert err.startswith("limitation: placement still unresolved at truncation ")
-    assert err.endswith("unresolved branch coefficient may coincide with a tree point\n")
+    assert err == "limitation: unresolved branch coefficient may coincide with a tree point\n"
+    assert depths == [3]
 
 
 @pytest.mark.parametrize("value", ["1/2", "-1/2"])

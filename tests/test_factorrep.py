@@ -210,6 +210,24 @@ def test_compare_inequivalent(run_fixture):
     assert v.level == "inequivalent" and v.witness
 
 
+# pairs that part below mero-equivalence, one per signature level
+COMPARE_LEVELS = [
+    (("(x-y)*(x-2*y)", "x-3*y"), ("(x-y)*(x-y-y^2)", "x-3*y"),
+     "inequivalent", "contact structure differ"),
+    (("(x+3*y)*(x+2*y)*(x+y)", "x-y"), ("(x+3*y)*(x+2*y)*(x-2*y)", "x+y"),
+     "inequivalent", "zero counts differ"),
+    (("(x+3*y)*(x+2*y)*(x+y)", "x-y"), ("(x+3*y)*(x+2*y)*(x+y)", "x-2*y"),
+     "equivalent", "pure-zero multiplicities differ"),
+]
+
+
+@pytest.mark.parametrize("first, second, level, witness", COMPARE_LEVELS)
+def test_compare_levels_below_mero_equivalence(run_pair, first, second, level, witness):
+    run1, run2 = run_pair(*first), run_pair(*second)
+    v = compare_pairs((run1.tree, run1.analyses), (run2.tree, run2.analyses))
+    assert (v.level, v.witness) == (level, witness)
+
+
 def test_theorem_f_partition_everywhere(run_fixture):
     for name in ("sec2", "ex11", "ex11-neg", "ex61", "ex61-e9", "ex91",
                  "ex91-second", "merle2pair", "fig2"):

@@ -278,17 +278,57 @@ def test_trace_placement_matches_replacement(run_pair):
     assert unresolved >= 20  # the sets were chosen for their unresolved bundles
 
 
+def _growth_points(tree):
+    """The tree's growth points, each once, in the oracle's candidate order."""
+    points = []
+    for bar in tree.finite_bars():
+        for z, _trunk in tree.growth_points(bar):
+            if z not in points:
+                points.append(z)
+    return points
+
+
 def test_records_are_the_roots_they_place(run_fixture):
     # a record is the expanded root itself, with its trace added: stripping
     # the trace gives back the expansion, root for root and in order
     for name in CORPUS:
         run = run_fixture(name)
-        candidates = []
-        for bar in run.tree.finite_bars():
-            for z, _trunk in run.tree.growth_points(bar):
-                if z not in candidates:
-                    candidates.append(z)
         expansion = expand_roots(run.oracle.jac, run.oracle.truncation,
-                                 extra_candidates=candidates)
+                                 extra_candidates=_growth_points(run.tree))
         assert all(r.trace is not None for r in run.oracle.records), name
         assert [replace(r, trace=None) for r in run.oracle.records] == expansion.roots, name
+
+
+# the oracle expands J once, to the tree's depth D = max_contact + 2: no bar
+# is higher than max_contact, and twice the depth changes no bundle
+_ONE_EXPANSION_PAIRS = (
+    [(FIXTURES[name].f, FIXTURES[name].g) for name in CORPUS]
+    + _benchmark_pairs("growing", 4) + _benchmark_pairs("ramified", 1)
+)
+
+
+def _bundles(expansion):
+    return [(r.series.terms, r.branch_exp, r.coeff_poly, r.multiplicity)
+            for r in expansion.roots if r.coeff_poly is not None]
+
+
+def test_a_deeper_jacobian_expansion_keeps_every_bundle(run_pair):
+    bundles = 0
+    for f, g in _ONE_EXPANSION_PAIRS:
+        run = run_pair(f, g)
+        J, depth = run.oracle.jac, run.oracle.truncation
+        candidates = _growth_points(run.tree)
+        once = _bundles(expand_roots(J, depth, extra_candidates=candidates))
+        assert once == _bundles(expand_roots(J, 2 * depth, extra_candidates=candidates)), (f, g)
+        bundles += len(once)
+    assert bundles >= 1
+
+
+def test_no_polar_root_is_bounded_by_a_leaf(run_pair):
+    # a leaf is a bar of infinite height, a root of f or g: a polar root
+    # bounded there would read a contact that deepening could move
+    for f, g in _ONE_EXPANSION_PAIRS:
+        run = run_pair(f, g)
+        for r in run.oracle.records:
+            if r.trace.bounded_by is not None:
+                assert run.tree.bars[r.trace.bounded_by].is_finite(), (f, g, str(r.series))

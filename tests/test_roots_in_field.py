@@ -19,10 +19,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 import kernel_references
-from kernel_references import from_coords
+from kernel_references import from_coords, rational_gcd_roots
 
 from polartree import CycloField, CycloRational, UniPoly, baranalysis, exactalg, npsolve, pipeline
-from polartree.exactalg import _rational_gcd_roots, roots_in_field, squarefree_decompose
+from polartree.exactalg import roots_in_field, squarefree_decompose
 
 ROOT = Path(__file__).resolve().parents[1]
 CONDUCTORS = (1, 2, 3, 4, 5, 6, 8, 12)
@@ -68,7 +68,7 @@ def _reference_find_one_root(f, candidates):
     n = field.conductor
     for j in range(n):
         rotated = f if j == 0 else f.compose_scale(field.zeta(j))
-        for r in _rational_gcd_roots(rotated.coordinate_polys()):
+        for r in rational_gcd_roots(rotated.coordinate_polys()):
             root = field.zeta(j) * field.rational(r) if j else field.rational(r)
             if kernel_references.evaluate(f, root).is_zero():
                 return root
@@ -209,7 +209,7 @@ def _polys_with_common_roots(draw):
 @given(_polys_with_common_roots())
 def test_rational_gcd_roots_are_the_common_roots(data):
     polys, common = data
-    got = _rational_gcd_roots([list(p) for p in polys])
+    got = rational_gcd_roots([list(p) for p in polys])
     for r in got:
         assert all(_value(p, r) == 0 for p in polys), (polys, r)
     for r in common:
@@ -221,7 +221,7 @@ def test_rational_gcd_roots_report_a_double_common_root_once():
     # squarefree, and lifting modulo a prime needs simple roots
     double = _times_linear(_times_linear([1], F(2)), F(2))
     polys = [_times_linear(double, F(-1)), _times_linear(double, F(1, 3))]
-    assert _rational_gcd_roots(polys) == [F(2)]
+    assert rational_gcd_roots(polys) == [F(2)]
 
 
 # -- rational roots by lifting modulo a prime, against the divisor search ------------
