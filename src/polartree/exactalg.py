@@ -29,8 +29,9 @@ import math
 import sys
 from array import array
 from fractions import Fraction
-from functools import lru_cache
-from operator import add, sub
+from functools import lru_cache, reduce
+from itertools import zip_longest
+from operator import add, sub, truediv
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -164,9 +165,6 @@ class CycloField:
         """The element raw / den, for a power-basis numerator list of any
         length (consumed) and a nonzero denominator."""
         return _canon(self, tuple(self._fold(raw)), den)
-
-    def __repr__(self) -> str:
-        return f"CycloField({self.conductor})"
 
 
 def coeff_term(cs: str, mono: str) -> str:
@@ -409,9 +407,6 @@ class CycloRational:
             for i, c in enumerate(self.coords) if c
         )
 
-    def __repr__(self) -> str:
-        return f"<{self} in Q(zeta_{self.field.conductor})>"
-
 
 # ---------------------------------------------------------------------------
 # univariate polynomials over the field
@@ -422,7 +417,7 @@ class UniPoly:
     """Dense univariate polynomial over Q(zeta_N), coefficients ascending,
     printed in the variable z."""
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "coeffs", "_digits")
 
     def __init__(self, field: CycloField, coeffs: Iterable[CycloRational | Rat | int]):
         norm: list[CycloRational] = []
@@ -434,6 +429,7 @@ class UniPoly:
             norm.pop()
         self.field = field
         self.coeffs = tuple(norm)
+        self._digits: list[tuple[int, ...]] | None = None
 
     @classmethod
     def zero(cls, field: CycloField) -> "UniPoly":
@@ -537,15 +533,16 @@ class UniPoly:
     def vanishes_at(self, point: CycloRational) -> bool:
         """Whether this polynomial is zero at ``point``: Horner in exact
         integers (:func:`_horner_digits`) over the coefficients' common
-        denominator and the point's numerator digits and denominator; no
-        field element is built."""
+        denominator, their digits built once per polynomial, and the point's
+        numerator digits and denominator; no field element is built."""
         if point.field is not self.field:
             raise ValueError(_MIXED)
         if not self.coeffs:
             return True
-        _, digits = _integer_digits(self.coeffs)
+        if self._digits is None:
+            self._digits = _integer_digits(self.coeffs)[1]
         den, (num,) = _integer_digits([point])
-        return not any(_horner_digits(self.field, digits, num, den))
+        return not any(_horner_digits(self.field, self._digits, num, den))
 
     def compose_scale(self, factor: CycloRational) -> "UniPoly":
         """p(factor * z)."""
@@ -581,9 +578,6 @@ class UniPoly:
             for k in range(self.degree(), -1, -1) if not self[k].is_zero()
         )
 
-    def __repr__(self) -> str:
-        return f"UniPoly({self})"
-
 
 def poly_gcd(a: UniPoly, b: UniPoly) -> UniPoly:
     """Monic gcd over the field."""
@@ -610,15 +604,13 @@ def _squarefree_mod_prime(p: UniPoly) -> bool:
     return _squarefree_mod([c.num[0] * (den // c.den) for c in coeffs], _CERTIFICATE_PRIME)
 
 
-def _lucky_mod_prime(G: "BiPoly", n: int, points: int) -> bool:
-    """Whether, for some y0 in 1..points, G(x, y0) keeps its x-degree n and
-    is squarefree modulo P = _CERTIFICATE_PRIME (:func:`_squarefree_mod`),
-    read from G's integer form, whose digits are cleared of denominators.
-    True proves G squarefree in x over Q; a coefficient outside Q gives
-    False."""
+def _images_mod_prime(G: "BiPoly", n: int, points: int):
+    """(y0, lead, :func:`_yun_mod` of the image) for each y0 in 1..points
+    where G(x, y0) modulo P = _CERTIFICATE_PRIME keeps x-degree n, from G's
+    integer form (y-content 0); none when a coefficient is outside Q."""
     ints = G._integers()
     if ints.zeta > 1:
-        return False
+        return
     P = _CERTIFICATE_PRIME
     terms = [(i, j, ds[0] % P) for i, row in ints.rows.items() for j, ds in row]
     for y0 in range(1, points + 1):
@@ -628,34 +620,105 @@ def _lucky_mod_prime(G: "BiPoly", n: int, points: int) -> bool:
         image = [0] * (n + 1)
         for i, j, u in terms:
             image[i] += u * powers[j]
-        if _squarefree_mod(image, P):
-            return True
-    return False
+        image = [u % P for u in image]
+        if image[n]:
+            yield y0, image[n], _yun_mod(image, P)
+
+
+# polynomials in GF(P)[x] are lists of residues, ascending; "trimmed" ones
+# end in a nonzero entry, and the zero polynomial is []
+def _trimmed(a: list[int]) -> list[int]:
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _divide_mod(a: list[int], b: list[int], P: int) -> list[int]:
+    """The quotient of a by a trimmed nonzero b; a is left holding the
+    trimmed remainder."""
+    inv, db = pow(b[-1], -1, P), len(b) - 1
+    q = [0] * max(len(a) - db, 0)
+    for s in range(len(q) - 1, -1, -1):
+        f = q[s] = a.pop() * inv % P
+        if f:
+            for i in range(db):
+                a[s + i] = (a[s + i] - f * b[i]) % P
+    _trimmed(a)
+    return q
+
+
+def _gcd_mod(a: list[int], b: list[int], P: int) -> list[int]:
+    """The monic gcd of trimmed a and b, a nonzero: Euclid in GF(P)."""
+    a, b = list(a), list(b)
+    while b:
+        _divide_mod(a, b, P)
+        a, b = b, a
+    inv = pow(a[-1], -1, P)
+    return [u * inv % P for u in a]
 
 
 def _squarefree_mod(coeffs: Sequence[int], P: int) -> bool:
-    """Whether the integer polynomial with ascending ``coeffs`` keeps its
-    degree modulo the prime P and has no common factor with its derivative
-    in GF(P)."""
+    """Whether the integer polynomial with ascending ``coeffs`` keeps its degree
+    modulo the prime P and is coprime to its derivative in GF(P)."""
     a = [c % P for c in coeffs]
-    if not a[-1]:
-        return False
-    b = [k * u % P for k, u in enumerate(a)][1:]
-    # Euclid in GF(P); a keeps a nonzero leading entry
-    while True:
-        while b and not b[-1]:
-            b.pop()
-        if not b:
-            return len(a) == 1
-        inv = pow(b[-1], -1, P)
-        db = len(b) - 1
-        while len(a) > db:
-            f = a.pop() * inv % P
-            if f:
-                s = len(a) - db
-                for i in range(db):
-                    a[s + i] = (a[s + i] - f * b[i]) % P
-        a, b = b, a
+    d = _trimmed([k * u % P for k, u in enumerate(a)][1:])
+    return bool(a[-1]) and len(_gcd_mod(a, d, P)) == 1
+
+
+def _yun_mod(a: list[int], P: int) -> list[tuple[list[int], int]]:
+    """Yun's decomposition in GF(P)[x] of a trimmed a of degree 1 to P - 1:
+    monic, pairwise coprime, squarefree factors with multiplicities."""
+    d = _trimmed([k * u % P for k, u in enumerate(a)][1:])
+    g = _gcd_mod(a, d, P)
+    if len(g) == 1:
+        return [(_gcd_mod(a, [], P), 1)]
+    c, w = _divide_mod(list(a), g, P), _divide_mod(d, g, P)
+    fs = []
+    while len(c) > 1:
+        dc = [k * u for k, u in enumerate(c)][1:]
+        w = _trimmed([(u - v) % P for u, v in zip_longest(w, dc, fillvalue=0)])
+        fs.append(_gcd_mod(c, w, P))
+        c, w = _divide_mod(c, fs[-1], P), _divide_mod(w, fs[-1], P)
+    return [(f, i) for i, f in enumerate(fs, 1) if len(f) > 1]
+
+
+def _rational_mod(u: int, P: int) -> Rat | None:
+    """The a/b = u modulo P with |a|, b <= sqrt(P/2), or None if there is none:
+    Wang's rational reconstruction, Euclid on P and u to a remainder that small."""
+    bound = math.isqrt(P // 2)
+    r0, r1, t0, t1 = P, u, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    return Rat(r1, t1) if abs(t1) <= bound and math.gcd(r1, t1) == 1 else None
+
+
+def _interpolate(ys: list[int], values: list, div=truediv) -> list:
+    """The coefficients of the polynomial of degree below len(ys) that takes
+    values[k] at ys[k]: Newton's divided differences, div(u, d) being u / d."""
+    c = list(values)
+    for j in range(1, len(ys)):
+        for k in range(len(ys) - 1, j - 1, -1):
+            c[k] = div(c[k] - c[k - 1], ys[k] - ys[k - j])
+    p = [c[-1]]
+    for k in range(len(ys) - 2, -1, -1):  # p = p * (y - ys[k]) + c[k]
+        p = [c[k] - p[0] * ys[k]] + [a - b * ys[k] for a, b in zip(p, p[1:])] + [p[-1]]
+    return p
+
+
+def _lift_mod_prime(ys: list[int], values: list[list[int]]) -> list[list[Rat]] | None:
+    """A component's x-coefficients, interpolated from their values mod P at ys,
+    made primitive in GF(P)[y], scaled so that the lowest y-term of the last
+    is 1 and lifted to Q by :func:`_rational_mod`; None if one does not lift."""
+    P = _CERTIFICATE_PRIME
+    inv = [0] + [pow(d, -1, P) for d in range(1, ys[-1] - ys[0] + 1)]
+    cols = [_trimmed([u % P for u in _interpolate(ys, v, lambda u, d: u * inv[d] % P)])
+            for v in values]
+    content = reduce(lambda c, col: _gcd_mod(c, col, P), cols, cols[-1])
+    cols = [_divide_mod(col, content, P) for col in cols]
+    unit = pow(next(u for u in cols[-1] if u), -1, P)
+    cols = [[_rational_mod(u * unit % P, P) for u in col] for col in cols]
+    return None if any(None in col for col in cols) else cols
 
 
 def squarefree_decompose(p: UniPoly) -> list[tuple[UniPoly, int]]:
@@ -1471,9 +1534,6 @@ class BiPoly:
             return NotImplemented
         return self.terms == other.terms
 
-    def __hash__(self) -> int:
-        return hash(frozenset(self.terms.items()))
-
     # -- calculus -------------------------------------------------------------
     def diff_x(self) -> "BiPoly":
         return BiPoly(self.field,
@@ -1560,6 +1620,3 @@ class BiPoly:
                 mono.append("y" if j == 1 else (f"y^{j}" if j > 0 else f"y^({j})"))
             parts.append(coeff_term(str(c), "*".join(mono)))
         return join_terms(parts)
-
-    def __repr__(self) -> str:
-        return f"BiPoly({self})"

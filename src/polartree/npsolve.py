@@ -38,7 +38,9 @@ from .exactalg import (
     CycloField,
     CycloRational,
     UniPoly,
-    _lucky_mod_prime,
+    _images_mod_prime,
+    _interpolate,
+    _lift_mod_prime,
     poly_gcd,
     radical_conductor,
     roots_in_field,
@@ -134,19 +136,6 @@ class Expansion:
 # ---------------------------------------------------------------------------
 
 
-def _interpolate(ys: list[int], values: list[CycloRational], field: CycloField) -> UniPoly:
-    """The polynomial in y of degree below len(ys) that takes values[k] at
-    ys[k]: Newton's divided differences."""
-    c = list(values)
-    for j in range(1, len(ys)):
-        for k in range(len(ys) - 1, j - 1, -1):
-            c[k] = (c[k] - c[k - 1]) / (ys[k] - ys[k - j])
-    p = [c[-1]]
-    for k in range(len(ys) - 2, -1, -1):  # p = p * (y - ys[k]) + c[k]
-        p = [c[k] - p[0] * ys[k]] + [a - b * ys[k] for a, b in zip(p, p[1:])] + [p[-1]]
-    return UniPoly(field, p)
-
-
 def _normalized(cols: list[UniPoly], field: CycloField) -> BiPoly:
     """The primitive part in y of sum cols[i] x^i, scaled so that the lowest
     y-term of its leading x-coefficient is 1."""
@@ -201,38 +190,38 @@ def _sampled_split(G: BiPoly, n: int) -> list[tuple[BiPoly, int]] | None:
     ydeg = max(j for (_, j) in G.terms)
     lead_deg = max(j for (i, j) in G.terms if i == n)
     need = ydeg + lead_deg + 1
-    if _lucky_mod_prime(G, n, need):
-        return None
     # bad points: zeros of lc_x(G), and zeros of the discriminant of the
     # squarefree part, whose y-degree is at most (2n - 1) * deg_y G
     last = lead_deg + (2 * n - 1) * ydeg + need
-    best = None
-    points: list[tuple[int, CycloRational, list[tuple[UniPoly, int]]]] = []
-    for y0 in range(1, last + 1):
-        a = G.at_y(y0)
-        if a.degree() < n:
-            continue
-        parts = squarefree_decompose(a)
-        if [m for _, m in parts] == [1]:
-            return None
-        key = (sum(p.degree() for p, _ in parts), [(m, p.degree()) for p, m in parts])
-        if best is None or key[0] > best[0]:
-            best, points = key, []
-        if key != best:
-            continue
-        points.append((y0, a.leading(), parts))
-        if len(points) != need:
-            continue  # too few points, or their candidate already failed
-        ys = [y for y, _, _ in points]
-        split = []
-        for t, (m, d) in enumerate(best[1]):
-            cols = [
-                _interpolate(ys, [lc * ps[t][0][e] for _, lc, ps in points], field)
-                for e in range(d + 1)
-            ]
-            split.append((_normalized(cols, field), m))
-        if _certified(G, split, ys[0]):
-            return split
+    exact = ((y0, a.leading(), [(p.coeffs, m) for p, m in squarefree_decompose(a)])
+             for y0 in range(1, last + 1) if (a := G.at_y(y0)).degree() >= n)
+    # each pass reads (y0, lead, [(monic coefficients, m)]) per image; the
+    # modular one tries one candidate, the exact one every candidate it finds
+    for images, lift in ((_images_mod_prime(G, n, last), _lift_mod_prime),
+                         (exact, lambda ys, vs: [_interpolate(ys, v) for v in vs])):
+        best = None
+        points: list = []
+        for y0, lc, parts in images:
+            if [m for _, m in parts] == [1]:
+                return None
+            key = (sum(len(p) - 1 for p, _ in parts), [(m, len(p) - 1) for p, m in parts])
+            if best is None or key[0] > best[0]:
+                best, points = key, []
+            if key != best:
+                continue
+            points.append((y0, lc, parts))
+            if len(points) != need:
+                continue  # too few points, or their candidate already failed
+            ys = [y for y, _, _ in points]
+            cols = [lift(ys, [[lc * ps[t][0][e] for _, lc, ps in points] for e in range(d + 1)])
+                    for t, (_, d) in enumerate(best[1])]
+            if None not in cols:
+                split = [(_normalized([UniPoly(field, c) for c in cs], field), m)
+                         for cs, (m, _) in zip(cols, best[1])]
+                if _certified(G, split, ys[0]):
+                    return split
+            if lift is _lift_mod_prime:
+                break
     raise InternalInconsistency(
         f"squarefree split not certified after {last} sample points"
     )
@@ -248,27 +237,26 @@ def multiplicity_split(F: BiPoly) -> list[tuple[BiPoly, int]]:
     y-content, these are the components a split of G itself would give.
     For e < 2, R is G, and x stays with the other simple factors.
 
-    A cheap certificate comes first.  When every coefficient is rational,
-    R's denominators are cleared once and R is reduced modulo the prime P
-    of :func:`~polartree.exactalg.squarefree_decompose`.  If for some y0
-    among the first deg_y R + deg_y lc_x(R) + 1 points the image keeps its
-    x-degree and is squarefree in GF(P)[x], then R(x, y0) is squarefree
-    over Q (the argument in ``squarefree_decompose``), so R is squarefree
-    in x.
-
-    Otherwise Brown's evaluation/interpolation (J. ACM 1971) runs, with
-    Yun's algorithm run only on univariate polynomials.  R(x, y0) is
-    decomposed at y0 = 1, 2, ..., skipping zeros of lc_x(R).  The points
+    R is split by Brown's evaluation/interpolation (J. ACM 1971), with Yun's
+    algorithm run only on univariate polynomials.  R(x, y0) is decomposed at
+    y0 = 1, 2, ..., skipping points where its x-degree drops.  For a rational
+    R this sampling runs modulo the prime P of
+    :func:`~polartree.exactalg.squarefree_decompose`, on R's integer form.  A
+    point where the image is squarefree of full degree certifies R
+    squarefree in x (the argument in ``squarefree_decompose``).  The points
     whose squarefree part has the largest degree seen so far carry the
     generic pattern; from deg_y R + deg_y lc_x(R) + 1 of them each
-    component is interpolated as lc_x(R)(y0) times its monic image, then
-    made primitive in y.  The result is certified exactly: R * lc_x(P) =
-    P * lc_x(R) for P = prod A_i^i, and prod A_i is squarefree at a sample
-    point where its leading coefficient does not vanish.  A candidate that
-    fails is dropped and sampling goes on; past the zeros of lc_x(R) and of
-    the discriminant of the squarefree part every point is lucky, so
-    running out of points is an internal error.  A point where R(x, y0) is
-    squarefree of full degree certifies R squarefree.
+    component is interpolated as lc_x(R)(y0) times its monic image and made
+    primitive in y; modulo P, each coefficient is then lifted to Q by
+    rational reconstruction (Wang, SYMSAC 1981).  Only the exact certificate
+    makes the result exact: R * lc_x(S) = S * lc_x(R) for S = prod A_i^i,
+    and prod A_i is squarefree at a sample point where its leading
+    coefficient does not vanish.  The modular pass tries one candidate; a
+    coefficient outside Q, one that does not lift or a failed certificate
+    sends R to the same sampling over the field.  There a failed candidate
+    is dropped and sampling goes on; past the zeros of lc_x(R) and of the
+    discriminant of the squarefree part every point is lucky, so running
+    out of points is an internal error.
 
     A squarefree F (e < 2) comes back unchanged, as [(F, 1)].  Otherwise
     components are primitive in y and normalized so that the lowest y-term
@@ -281,7 +269,8 @@ def multiplicity_split(F: BiPoly) -> list[tuple[BiPoly, int]]:
     n = F.x_degree()
     if n < 1:
         return []
-    G = F.shift_y(-F.y_content())
+    E = F.y_content()
+    G = F.shift_y(-E) if E else F  # then the expansion reuses the split's integer form of F
     e = min(i for (i, _) in G.terms)
     if e < 2:
         split = _sampled_split(G, n)

@@ -56,9 +56,6 @@ class _Infinity:
     def __hash__(self):
         return hash("polartree-infinity")
 
-    def __repr__(self):
-        return "INF"
-
 
 INF = _Infinity()
 
@@ -185,9 +182,6 @@ class PuiseuxSeries:
             return body
         ts = y_power(self.trunc)
         return f"{body} + O({ts})" if body != "0" else f"O({ts})"
-
-    def __repr__(self) -> str:
-        return f"PuiseuxSeries({self})"
 
 
 # ---------------------------------------------------------------------------

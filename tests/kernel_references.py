@@ -60,8 +60,8 @@ from polartree import (
     TruncationTooShort,
     UniPoly,
 )
-from polartree.exactalg import _canon, _rational_roots, poly_gcd
-from polartree.npsolve import _ceil, _certified, _interpolate, _normalized
+from polartree.exactalg import _canon, _interpolate, _rational_roots, poly_gcd
+from polartree.npsolve import _ceil, _certified, _normalized
 
 
 def substitute(terms, q, m, c, field, bound):
@@ -147,7 +147,7 @@ def split(F):
         out = []
         for t, (m, d) in enumerate(best[1]):
             cols = [
-                _interpolate(ys, [lc * ps[t][0][e] for _, lc, ps in points], field)
+                UniPoly(field, _interpolate(ys, [lc * ps[t][0][e] for _, lc, ps in points]))
                 for e in range(d + 1)
             ]
             out.append((_normalized(cols, field), m))

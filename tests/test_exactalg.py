@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import kernel_references
 from kernel_references import from_coords
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from polartree import (
     BiPoly,
@@ -153,6 +153,34 @@ def test_squarefree_certificate_falls_back_to_yun(coeffs):
     p = UniPoly(CycloField(1), coeffs)
     assert not exactalg._squarefree_mod_prime(p)
     assert squarefree_decompose(p) == kernel_references.squarefree(p) == [(p.monic(), 1)]
+
+
+def _mod_prime(c):
+    """The residue of a rational field element modulo the certificate prime."""
+    P = exactalg._CERTIFICATE_PRIME
+    return c.num[0] * pow(c.den, -1, P) % P
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(_squarefree_inputs())
+def test_yun_modulo_the_prime_matches_yun_over_q(p):
+    # small coefficients: the prime divides no discriminant or leading coefficient
+    assume(all(c.is_rational() for c in p.coeffs))
+    want = [([_mod_prime(c) for c in f.coeffs], m) for f, m in kernel_references.squarefree(p)]
+    image = [_mod_prime(c) for c in p.coeffs]
+    assert exactalg._yun_mod(image, exactalg._CERTIFICATE_PRIME) == want
+
+
+def test_rational_reconstruction_lifts_exactly_the_rationals_within_its_bound():
+    P = exactalg._CERTIFICATE_PRIME
+    bound = math.isqrt(P // 2)
+    for r in (F(0), F(-3), F(7, 12), F(bound, bound - 1), F(-bound, bound - 1)):
+        assert exactalg._rational_mod(_mod_prime(K4.rational(r)), P) == r
+    for r in (F(bound + 1), F(1, bound + 1)):
+        assert exactalg._rational_mod(_mod_prime(K4.rational(r)), P) is None
+    # a rational past the bound may also come back as another one within it,
+    # which only the split's exact certificate then rejects
+    assert exactalg._rational_mod(_mod_prime(K4.rational(F(-1, 46351))), P) == F(23165, 20874)
 
 
 def test_roots_rational():

@@ -86,8 +86,11 @@ def _uni_inputs(draw):
 def test_vanishes_at_matches_the_field_horner(inputs):
     p, point = inputs
     assert p.vanishes_at(point) == kernel_references.evaluate(p, point).is_zero()
-    # p times z - point, its root
+    # a second point reads the digits that the first call built
     field = p.field
+    other = point + field.one
+    assert p.vanishes_at(other) == kernel_references.evaluate(p, other).is_zero()
+    # p times z - point, its root
     assert (p * UniPoly(field, (-point, field.one))).vanishes_at(point)
 
 

@@ -1,6 +1,7 @@
 """Newton polygons, root expansion, multiplicity splitting."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import kernel_references
@@ -493,17 +494,22 @@ def test_multiplicity_split_recovers_known_components(case):
 
 
 _RATIONAL_COEFFS = [F(1), F(-1), F(2), F(-2), F(1, 2)]
+# above sqrt(P/2) for the certificate prime P, so that a component with one
+# of them does not lift from its image modulo P
+_LARGE_RATIONAL_COEFFS = [F(1), F(-2), F(46349), F(-1, 46351)]
 
 
 @st.composite
 def _collision_products(draw):
     """x^e * y^k * prod (x - c1*y^e1 - c2*y^e2)^m over Q(zeta_12), e in 0..3,
-    with coefficients rational or not; small coefficients make roots meet
-    at y = 1 or y = 2, and an extra factor may agree with the first root at
-    both points."""
+    with coefficients small rationals, rationals that may not lift from
+    their images modulo P, or not rational; small coefficients make roots
+    meet at y = 1 or y = 2, and an extra factor may agree with the first
+    root at both points."""
     x, y = _vars(K12)
     one = BiPoly.constant(K12, 1)
-    coeff = st.sampled_from(_RATIONAL_COEFFS if draw(st.booleans()) else _K12_COEFFS)
+    coeff = st.sampled_from(draw(st.sampled_from(
+        [_RATIONAL_COEFFS, _LARGE_RATIONAL_COEFFS, _K12_COEFFS])))
     roots = []
     for _ in range(draw(st.integers(1, 3))):
         exps = sorted(draw(st.sets(st.integers(1, 3), min_size=1, max_size=2)))
@@ -519,13 +525,102 @@ def _collision_products(draw):
     return P
 
 
-@settings(derandomize=True, max_examples=80, deadline=None)
-@given(_collision_products())
-def test_multiplicity_split_matches_the_sampling_reference(P):
+def _count_split_branches(monkeypatch) -> Counter:
+    """Counts, from here on, each component that the split's modular pass
+    lifts (and each lift that fails) and each column that its exact pass
+    interpolates."""
+    from polartree import npsolve
+
+    seen: Counter = Counter()
+    lift, interpolate = npsolve._lift_mod_prime, npsolve._interpolate
+
+    def counted_lift(ys, values):
+        cols = lift(ys, values)
+        seen["modular"] += 1
+        seen["not lifted"] += cols is None
+        return cols
+
+    def counted_interpolate(ys, values):
+        seen["exact"] += 1
+        return interpolate(ys, values)
+
+    monkeypatch.setattr(npsolve, "_lift_mod_prime", counted_lift)
+    monkeypatch.setattr(npsolve, "_interpolate", counted_interpolate)
+    return seen
+
+
+def test_multiplicity_split_matches_the_sampling_reference(monkeypatch):
+    seen = _count_split_branches(monkeypatch)
+    exact_rational = 0
+
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(_collision_products())
+    def check(P):
+        nonlocal exact_rational
+        before = seen["exact"]
+        out = multiplicity_split(P)
+        want = kernel_references.split(P)
+        assert out == want
+        assert [(str(A), m) for A, m in out] == [(str(A), m) for A, m in want]
+        if all(c.is_rational() for c in P.terms.values()) and seen["exact"] > before:
+            exact_rational += 1
+
+    check()
+    # both passes ran, and the exact one also for rational input whose
+    # components did not lift
+    assert seen["modular"] > seen["not lifted"] > 0
+    assert seen["exact"] > 0 and exact_rational > 0
+
+
+@pytest.mark.parametrize("name", ["ex91", "ex91-second"])
+def test_repeated_jacobian_split_runs_no_exact_decomposition(monkeypatch, name):
+    from polartree import exactalg, npsolve
+
+    calls = []
+
+    def counted(p):
+        calls.append(p)
+        return squarefree_decompose(p)
+
+    squarefree_decompose = npsolve.squarefree_decompose
+    monkeypatch.setattr(npsolve, "squarefree_decompose", counted)
+    seen = _count_split_branches(monkeypatch)
+    conductor, *pins = _SPLIT_PINS[name]
+    field = CycloField(conductor)
+    f = parse_expression(FIXTURES[name].f, field)
+    g = parse_expression(FIXTURES[name].g, field)
+    out = [(str(p), m) for p, m in multiplicity_split(jacobian(f, g))]
+    assert out == pins[2] and [m for _, m in out] == [1, 2]
+    # one candidate, its two components lifted modulo P; the only
+    # decomposition over the field is the certificate's, which the prime
+    # settles without Yun
+    assert (seen["modular"], seen["not lifted"], seen["exact"]) == (2, 0, 0)
+    assert len(calls) == 1 and exactalg._squarefree_mod_prime(calls[0])
+
+
+def test_split_candidate_the_certificate_rejects_takes_the_exact_pass(monkeypatch):
+    from polartree import exactalg
+
+    seen = _count_split_branches(monkeypatch)
+    lifted = []
+    rational_mod = exactalg._rational_mod
+
+    def one_wrong(u, P):
+        lifted.append(u)
+        c = rational_mod(u, P)
+        return c + 1 if len(lifted) == 1 else c
+
+    monkeypatch.setattr(exactalg, "_rational_mod", one_wrong)
+    x, y = _vars(K4)
+    P = (x - y**2) ** 2 * (x * y + y - BiPoly.constant(K4, 1)) * 3
     out = multiplicity_split(P)
-    want = kernel_references.split(P)
-    assert out == want
-    assert [(str(A), m) for A, m in out] == [(str(A), m) for A, m in want]
+    assert out == kernel_references.split(P)
+    assert [(str(A), m) for A, m in out] == [("x*y - 1 + y", 1), ("x - y^2", 2)]
+    assert seen["modular"] >= 1 and seen["not lifted"] == 0 and seen["exact"] > 0
+    # with the true reconstruction the modular candidate is certified
+    monkeypatch.setattr(exactalg, "_rational_mod", rational_mod)
+    seen.clear()
+    assert multiplicity_split(P) == out and seen["exact"] == 0
 
 
 def test_squarefree_rational_split_runs_no_exact_decomposition(monkeypatch):
